@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import FloerssError, SchemaError
 from . import schemas
 from . import symplin as sl
@@ -88,13 +87,6 @@ def render_page_table(dims):
             row += f"{str(v) if v else '.':>{width}}"
         out.append(row)
     return out
-
-
-def _settings_from(args):
-    s = DEFAULTS
-    if getattr(args, "tol", None) is not None:
-        s = s.with_(frame_tol=args.tol)
-    return s
 
 
 def cmd_rs_index(doc, args):
@@ -290,7 +282,6 @@ def build_parser():
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("input", help="JSON input file (schema floerss/1)")
     ap.add_argument("--json", action="store_true", dest="as_json")
-    ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--window", type=float, default=None)
     ap.add_argument("--grid", type=int, default=None)
     ap.add_argument("--lambda-window", type=int, default=None,

@@ -13,8 +13,12 @@ class Settings:
     # frames (double precision, target sizes n <= 8)
     frame_tol: float = 1e-9
 
-    # fundamental solution: classical RK4, fixed step, symplectic re-projection
-    # every `project_every` steps; hard drift limit before StepTooLarge
+    # fundamental solutions (symplin): paths declared constant use the exact
+    # exponential; every other path runs the one batched classical RK4 at
+    # `ode_step` from J sigma sampled once on its stage grid.  Every
+    # `project_every` steps and after the last one, a drift
+    # max |M^T J M - J| above `symplectic_drift_limit` raises StepTooLarge
+    # and one above `symplectic_drift_tol` projects back onto Sp(2n).
     ode_step: float = 1e-3
     project_every: int = 100
     symplectic_drift_tol: float = 1e-10

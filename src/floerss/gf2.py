@@ -33,9 +33,22 @@ def rref(M):
 
 
 def rank(M):
+    """Rank by leading-bit elimination on rows packed into Python ints:
+    each row is reduced by the pivot sharing its leading bit until it is
+    zero or opens a new pivot."""
+    M = asgf2(M)
     if M.size == 0:
         return 0
-    return len(rref(M)[1])
+    pivots = {}
+    for row in np.packbits(M, axis=1):
+        r = int.from_bytes(row.tobytes(), "big")
+        while r:
+            top = r.bit_length()
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+    return len(pivots)
 
 
 def kernel(M):

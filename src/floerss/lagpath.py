@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DegenerateCrossing, DimensionMismatch, EndpointMismatch,
-                     GraphDecompositionFailed, GridTooCoarse,
+                     GraphDecompositionFailed, GridTooCoarse, IndexMismatch,
                      NonIsolatedCrossings, NotALoop)
 from . import symplin as sl
 
@@ -489,25 +489,31 @@ def maslov_loop(F, ref, grid=None, settings=DEFAULTS):
     if F.unitary is not None:
         w = winding_det_squared(F)
         if mu != w:
-            raise AssertionError(
-                f"crossing count {mu} disagrees with det^2 winding {w}")
+            raise IndexMismatch(
+                f"crossing count {mu} disagrees with det^2 winding {w}",
+                crossing_count=str(mu), winding=w)
     if mu.denominator != 1:
-        raise NonIsolatedCrossingsSafe(mu)
+        raise NonIsolatedCrossings(f"loop index {mu} is not an integer")
     return int(mu)
 
 
-def NonIsolatedCrossingsSafe(mu):
-    return NonIsolatedCrossings(f"loop index {mu} is not an integer")
-
-
 def winding_det_squared(F, samples=512):
-    """Winding number of s -> det(U(s))^2 for a unitary frame path."""
+    """Winding number of s -> det(U(s))^2 for a unitary frame path.
+
+    The sample count doubles until no step turns det^2 by more than 2.5 rad;
+    a frame that still jumps at 2^14 samples is not continuous and raises
+    GridTooCoarse.
+    """
     ss = np.linspace(F.a, F.b, samples + 1)
     vals = np.array([np.linalg.det(F.unitary(s)) ** 2 for s in ss])
     args = np.angle(vals)
     darg = np.diff(args)
     darg = (darg + np.pi) % (2 * np.pi) - np.pi
     if np.max(np.abs(darg)) > 2.5:
+        if samples >= 2 ** 14:
+            raise GridTooCoarse(
+                f"det^2 of the unitary frame jumps at {samples} samples; "
+                "the frame is not continuous", samples=samples)
         return winding_det_squared(F, samples=2 * samples)
     total = float(np.sum(darg))
     return int(round(total / (2 * np.pi)))

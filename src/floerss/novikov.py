@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import gf2
 from .errors import (DivisionByZero, DimensionMismatch, NotAComplex,
                      UnsupportedRing)
 
@@ -445,28 +446,6 @@ def verify_complex(C):
     return True, None
 
 
-def _gf2_rank(rows):
-    """Rank of a list of int-bitmask rows over GF(2)."""
-    rank = 0
-    basis = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
-def _z2_matrix_rank(entries, nrows):
-    rows = [0] * nrows
-    for (i, j), c in entries.items():
-        if c % 2:
-            rows[i] |= (1 << j)
-    return _gf2_rank(rows)
-
-
 def _boundary_blocks(C):
     """Split the boundary into blocks d_m : C_m -> C_{m-1} by doubled degree."""
     by_deg = {}
@@ -499,13 +478,14 @@ def homology(C):
                           row=cert[0], col=cert[1])
     if C.ring == Z2:
         by_deg, blocks = _boundary_blocks(C)
-        report = {}
-        for d2, gens in sorted(by_deg.items()):
-            entries, nr, nc = blocks[d2]
-            rk_d = _z2_matrix_rank(entries, nr)
-            up = blocks.get(d2 + 2)
-            rk_up = _z2_matrix_rank(up[0], up[1]) if up else 0
-            report[d2] = {"betti": len(gens) - rk_d - rk_up}
+        ranks = {}
+        for d2, (entries, nr, nc) in blocks.items():
+            M = np.zeros((nr, nc), dtype=np.uint8)
+            for (i, j), c in entries.items():
+                M[i, j] = c
+            ranks[d2] = gf2.rank(M)
+        report = {d2: {"betti": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0)}
+                  for d2, gens in sorted(by_deg.items())}
         return {"ring": Z2, "by_degree": report}
 
     if C.ring == Z:
@@ -543,136 +523,25 @@ def homology(C):
 
 
 def _homology_l2(C):
-    """Lambda-module homology via Smith over the Euclidean ring L2."""
+    """Lambda-module homology from one Smith form over the PID L2.
+
+    With U d V = diag(d_1..d_r, 0..), ker d is a direct summand of rank
+    m - r (Lambda^m / ker d = im d is free), so
+    H = ker / im = Lambda^(m - 2r) + sum_i Lambda / (d_i): the free rank is
+    m - 2r and the torsion is the nonunit invariant factors.
+    """
     m = C.size
     M = [[LaurentPoly.zero(Z2) for _ in range(m)] for _ in range(m)]
     for j, col in enumerate(C.boundary):
         for i, c in col.items():
             M[i][j] = c
-    D, U, V = smith_diagonalize(M, L2)
-    r = sum(1 for i in range(m) if not D[i][i].is_zero())
-    # UMV = D: columns of V with zero diagonal span a preimage basis of ker d.
-    # ker d has rank m - r; im d is spanned by the first r columns of U^{-1} D,
-    # i.e. by U^{-1} e_i * d_i.  Relations of im inside ker: solve via second
-    # Smith form of the composite expression; here we use the standard fact
-    # that H = ker/im of a single matrix over a PID decomposes with the same
-    # invariant factors d_i (nonunits) plus a free part of rank m - 2r... which
-    # only holds when im is a direct summand of ker; in general we compute the
-    # relation matrix explicitly below.
-    kernel_cols = [j for j in range(m) if j >= r or D[j][j].is_zero()]
-    # ker d basis: V e_j for j with D[j][j] = 0 (columns beyond the rank)
-    kb = [[V[i][j] for i in range(m)] for j in range(m) if j >= r]
-    # im d basis: d(V e_j) = U^{-1} D e_j for j < r; express in the kernel basis:
-    # working in the V-coordinates, ker = span{e_j : j >= r} after applying V^{-1};
-    # d(V e_j) has V^{-1}-coordinates given by solving V x = U^{-1} D e_j.
-    # Simpler: the quotient ker/im for a diagonalized map is
-    # (free of rank m - r) / (sum_j d_j * (column directions)), but the image
-    # sits inside the kernel in a possibly skew way.  We compute the relation
-    # matrix R with columns = coordinates of the image basis in the kernel basis
-    # by exact linear solving over the fraction field Z2(l).
-    img = []
-    for j in range(r):
-        vec = _apply_boundary(C, [V[i][j] for i in range(m)])
-        img.append(vec)
-    R = _solve_in_span(kb, img)
-    tors = []
-    rank_rel = 0
-    if R and R[0]:
-        DR, _, _ = smith_diagonalize(R, L2)
-        for i in range(min(len(DR), len(DR[0]))):
-            di = DR[i][i]
-            if not di.is_zero():
-                rank_rel += 1
-                if di.span > 0:
-                    tors.append(str(di))
-    free_rank = (m - r) - rank_rel
+    D, _, _ = smith_diagonalize(M, L2)
+    diag = [D[i][i] for i in range(m) if not D[i][i].is_zero()]
+    tors = [str(d) for d in diag if d.span > 0]
     # per-degree betti of the periodic block, via a truncation window
     per_degree = _periodic_block_betti(C) if C.graded else None
-    return {"ring": L2, "free_rank": free_rank, "torsion": sorted(tors),
+    return {"ring": L2, "free_rank": m - 2 * len(diag), "torsion": sorted(tors),
             "per_degree": per_degree}
-
-
-def _apply_boundary(C, coeffs):
-    """d applied to sum coeffs[j] * g_j, as a coefficient vector."""
-    out = [LaurentPoly.zero(Z2) for _ in range(C.size)]
-    for j, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        for i, b in C.boundary[j].items():
-            out[i] = out[i] + b * c
-    return out
-
-
-def _solve_in_span(basis, vectors):
-    """Coordinates of each vector in the span of basis, over the field Z2(l).
-
-    Rational functions are represented as (num, den) pairs of LaurentPoly;
-    exactness is what matters here, sizes stay tiny for desk-scale inputs.
-    """
-    if not vectors:
-        return []
-    m = len(basis[0]) if basis else 0
-    k = len(basis)
-
-    one = LaurentPoly.one(Z2)
-
-    def fr(p):
-        return (p, one)
-
-    def f_add(a, b):
-        return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-    def f_mul(a, b):
-        return (a[0] * b[0], a[1] * b[1])
-
-    def f_is_zero(a):
-        return a[0].is_zero()
-
-    def f_div(a, b):
-        return (a[0] * b[1], a[1] * b[0])
-
-    cols = [[fr(basis[j][i]) for j in range(k)] for i in range(m)]  # m x k
-    rhs = [[fr(v[i]) for v in vectors] for i in range(m)]           # m x len(vectors)
-
-    # Gaussian elimination (field ops)
-    piv_rows = []
-    row = 0
-    for col in range(k):
-        piv = None
-        for i in range(row, m):
-            if not f_is_zero(cols[i][col]):
-                piv = i
-                break
-        if piv is None:
-            raise NotAComplex("image does not lie in the kernel span")
-        cols[row], cols[piv] = cols[piv], cols[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
-        pval = cols[row][col]
-        for i in range(m):
-            if i != row and not f_is_zero(cols[i][col]):
-                factor = f_div(cols[i][col], pval)
-                for j in range(col, k):
-                    cols[i][j] = f_add(cols[i][j], f_mul(factor, cols[row][j]))
-                for j in range(len(vectors)):
-                    rhs[i][j] = f_add(rhs[i][j], f_mul(factor, rhs[row][j]))
-        piv_rows.append((row, col))
-        row += 1
-        if row == m:
-            break
-    # back-substitute: coordinates = rhs_row / pivot; must clear denominators
-    R = [[LaurentPoly.zero(Z2) for _ in range(len(vectors))] for _ in range(k)]
-    for prow, pcol in piv_rows:
-        pval = cols[prow][pcol]
-        for j in range(len(vectors)):
-            q = f_div(rhs[prow][j], pval)
-            num, den = q
-            if num.is_zero():
-                continue
-            qq, rr = laurent_divmod(num, den)
-            if not rr.is_zero():
-                raise NotAComplex("non-polynomial coordinate in kernel basis")
-            R[pcol][j] = qq
-    return R
 
 
 def _periodic_block_betti(C):

@@ -122,8 +122,10 @@ def pozniak(betti, N):
     if not dimC + 1 < N:
         raise HypothesisNotMet(
             f"needs dim C + 1 = {dimC + 1} < N = {N}", dim=dimC, N=N)
-    shape = PageShape.from_betti(betti, N)
-    assert possible_differentials(shape) == []
+    pages = possible_differentials(PageShape.from_betti(betti, N))
+    if pages:
+        raise HypothesisNotMet(f"pages {pages} admit a differential; no collapse",
+                               pages=pages)
     return {k: betti[k] for k in range(dimC + 1)}
 
 
@@ -144,9 +146,6 @@ def _rank_choices(dims, delta, limit=None):
     for combo in product(*ranges):
         r = {d: c for (d, _), c in zip(pairs, combo) if c}
         ok = True
-        for d, t in pairs:
-            if r.get(d, 0) + r.get(d - delta, 0) > dims.get(d, 10 ** 9) and d in r:
-                pass
         # composition: the image entering degree t and the rank leaving t
         # cannot exceed dim at t
         for d, t in pairs:
@@ -244,8 +243,6 @@ def _closed_manifold_profiles(dim, max_rank):
     if dim == 0:
         return [(1,)]
     half = (dim + 1) // 2
-    mids = []
-    free = list(range(1, half))
     out = []
     budget = max_rank - 2
 
@@ -339,17 +336,14 @@ def _profile_consistent(betti, dim, unknown, known, N, period,
             for d, v in e.items():
                 hf_loc[d] = hf_loc.get(d, 0) + v
         shape = PageShape(N=N, dims={d: v for d, v in hf_loc.items() if v})
-        try:
-            for final, trace in _schedules(shape, node_limit=node_limit):
-                if require_vanishing and final:
-                    continue
-                if require_periodicity and not _periodicity_ok(final, N, period):
-                    continue
-                full_trace = local_trace + trace + \
-                    (("stable", tuple(sorted(final.items()))),)
-                return True, full_trace
-        except SearchSpaceExceeded:
-            raise
+        for final, trace in _schedules(shape, node_limit=node_limit):
+            if require_vanishing and final:
+                continue
+            if require_periodicity and not _periodicity_ok(final, N, period):
+                continue
+            full_trace = local_trace + trace + \
+                (("stable", tuple(sorted(final.items()))),)
+            return True, full_trace
     return False, ()
 
 

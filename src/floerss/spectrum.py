@@ -50,85 +50,14 @@ class SpectrumReport:
     kernel_dim: int
 
 
-def _batched_expm(G):
-    """exp(G) for a stack (B, d, d), by scaling and squaring with Taylor."""
-    norms = np.max(np.sum(np.abs(G), axis=2), axis=1)
-    smax = float(np.max(norms)) if len(norms) else 0.0
-    s = max(0, int(np.ceil(np.log2(max(smax, 1e-30) / 0.25))))
-    T = G / (2 ** s)
-    d = G.shape[1]
-    out = np.broadcast_to(np.eye(d), G.shape).copy()
-    term = out.copy()
-    for k in range(1, 18):
-        term = (term @ T) / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-def _is_constant_sigma(sigma, samples=5):
-    vals = [sigma(t) for t in np.linspace(0.0, 1.0, samples)]
-    return all(np.array_equal(vals[0], v) or np.max(np.abs(v - vals[0])) < 1e-14
-               for v in vals[1:])
-
-
-def _shifted_flows(A, rhos, step, settings):
-    """Psi_{sigma + rho}(1) for a batch of shifts, one vectorized sweep.
-
-    Constant sigma uses the exact matrix exponential; otherwise a batched
-    classical RK4 run.
-    """
-    n = A.n
-    J = sl.J_std(n)
-    rhos = np.asarray(rhos, dtype=float)
-    B = rhos.shape[0]
-    if _is_constant_sigma(A.sigma):
-        base = (J @ A.sigma(0.0))[None, :, :]
-        G = base + rhos[:, None, None] * J[None, :, :]
-        return _batched_expm(G)
-    nsteps = max(1, int(np.ceil(1.0 / step)))
-    h = 1.0 / nsteps
-    M = np.broadcast_to(np.eye(2 * n), (B, 2 * n, 2 * n)).copy()
-
-    def gen(t):
-        base = J @ A.sigma(t)
-        return base[None, :, :] + rhos[:, None, None] * J[None, :, :]
-
-    def project(M):
-        # batched Newton step(s) for M^T J M = J
-        for _ in range(2):
-            E = np.swapaxes(M, 1, 2) @ J[None, :, :] @ M - J[None, :, :]
-            if np.max(np.abs(E)) < 1e-13:
-                break
-            M = M @ (np.eye(2 * n)[None, :, :] + 0.5 * (J[None, :, :] @ E))
-        return M
-
-    for k in range(nsteps):
-        t = k * h
-        g1 = gen(t)
-        g2 = gen(t + 0.5 * h)
-        g4 = gen(t + h)
-        k1 = g1 @ M
-        k2 = g2 @ (M + 0.5 * h * k1)
-        k3 = g2 @ (M + 0.5 * h * k2)
-        k4 = g4 @ (M + h * k3)
-        M = M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (k + 1) % settings.project_every == 0:
-            M = project(M)
-    return project(M)
-
-
-def _gap_function(A, step, settings):
-    """rho -> smallest principal angle sine between Psi_{sigma+rho}(1) L0 and L1."""
+def _gap_function(A, flows):
+    """rho -> smallest principal angle sine between Psi_{sigma+rho}(1) L0 and
+    L1, for a batch of rho; ``flows`` is ``symplin.shifted_flows`` of sigma."""
     L0, L1 = A.boundary
 
     def g_batch(rhos):
-        mats = _shifted_flows(A, rhos, step, settings)
         out = np.empty(len(rhos))
-        for i, M in enumerate(mats):
+        for i, M in enumerate(flows(rhos)):
             F = sl.apply_matrix(M, L0)
             out[i] = sl.min_principal_angle_sin(F, L1)
         return out
@@ -157,7 +86,7 @@ def eigenvalues(A, window=None, grid=None, tol=None, step=None,
     else:
         step = float(step)
 
-    g_batch = _gap_function(A, step, settings)
+    g_batch = _gap_function(A, sl.shifted_flows(A.sigma, step, settings=settings))
     rhos = np.linspace(-window, window, grid + 1)
     g = g_batch(rhos)
 
@@ -193,25 +122,25 @@ def eigenvalues(A, window=None, grid=None, tol=None, step=None,
         keep = vals < accept
         centers = centers[keep]
         fine = settings.ode_step
-        if len(centers) and fine < step and not _is_constant_sigma(A.sigma):
-            # batched polish at the fine step: each coarse minimum is within
-            # O(step^4) of the true eigenvalue
-            g_fine = _gap_function(A, fine, settings)
-            pad = max(1e3 * tol, 1e4 * step ** 4)
-            plo = centers - pad
-            phi = centers + pad
-            while np.max(phi - plo) > tol:
-                x1 = phi - invphi * (phi - plo)
-                x2 = plo + invphi * (phi - plo)
-                f1 = g_fine(x1)
-                f2 = g_fine(x2)
-                left = f1 <= f2
-                phi = np.where(left, x2, phi)
-                plo = np.where(left, plo, x1)
-            centers = 0.5 * (plo + phi)
         if len(centers):
-            mats = _shifted_flows(A, centers, fine, settings)
-            for rho, M in zip(centers, mats):
+            fine_flows = sl.shifted_flows(A.sigma, fine, settings=settings)
+            if fine < step and A.sigma.constant is None:
+                # batched polish at the fine step: each coarse minimum is
+                # within O(step^4) of the true eigenvalue
+                g_fine = _gap_function(A, fine_flows)
+                pad = max(1e3 * tol, 1e4 * step ** 4)
+                plo = centers - pad
+                phi = centers + pad
+                while np.max(phi - plo) > tol:
+                    x1 = phi - invphi * (phi - plo)
+                    x2 = plo + invphi * (phi - plo)
+                    f1 = g_fine(x1)
+                    f2 = g_fine(x2)
+                    left = f1 <= f2
+                    phi = np.where(left, x2, phi)
+                    plo = np.where(left, plo, x1)
+                centers = 0.5 * (plo + phi)
+            for rho, M in zip(centers, fine_flows(centers)):
                 F = sl.apply_matrix(M, L0)
                 mult = sl.intersection_dim(F, L1, tol=1e-6)
                 found.append((float(rho), max(mult, 1)))
@@ -258,8 +187,9 @@ def _shifted_path(sigma, rho):
     """sigma - rho * identity, as a SymmetricPath."""
     n = sigma.n
     eye = np.eye(2 * n)
+    constant = None if sigma.constant is None else sigma.constant - rho * eye
     return sl.SymmetricPath(n=n, eval=lambda t: sigma(t) - rho * eye,
-                            breakpoints=sigma.breakpoints)
+                            breakpoints=sigma.breakpoints, constant=constant)
 
 
 def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,

@@ -10,6 +10,22 @@ Conventions used by the entire package:
   J_std dPsi/dt + sigma Psi = 0 with Psi(0) = 1, equivalently
   dPsi/dt = J_std sigma Psi.
 
+Every fundamental solution comes from one flow mechanism:
+
+* A path declared constant by its constructor (``SymmetricPath.constant``:
+  ``constant_path``, ``zero_path``, ``poly_path`` without nonconstant
+  terms, direct sums and shifts of constant paths) uses the exact
+  exponential ``expm``.  Constancy is never guessed from samples.
+* Any other path is sampled once, J sigma(t) on the RK4 stage grid
+  t = k h / 2, and integrated by one batched classical RK4 over a batch of
+  shifts rho (generator J sigma + rho J).  Every ``project_every`` steps
+  and after the last step the symplectic drift is checked: above
+  ``symplectic_drift_limit`` StepTooLarge is raised, above
+  ``symplectic_drift_tol`` the state is projected back onto Sp(2n).
+* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (every state
+  kept, t-queries by one partial step) and ``shifted_flows`` (the spectrum
+  scan) are the three entry points.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -18,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import (DimensionMismatch, NotFullRank, NotIsotropic,
-                     NotSymmetric, StepTooLarge)
+from .errors import (DimensionMismatch, IntegrationFailure, NotFullRank,
+                     NotIsotropic, NotSymmetric, StepTooLarge)
 
 
 def J_std(n):
@@ -200,11 +216,17 @@ def graph_lagrangian(B, tol=None):
 
 @dataclass(frozen=True)
 class SymmetricPath:
-    """Piecewise-smooth path t -> Sym(2n) on [0, 1]."""
+    """Piecewise-smooth path t -> Sym(2n) on [0, 1].
+
+    ``constant`` is the value of a path declared constant by its
+    constructor (None otherwise); flows of a declared constant path use the
+    exact exponential, every other path is integrated.
+    """
 
     n: int
     eval: callable = field(repr=False)
     breakpoints: tuple = ()
+    constant: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __call__(self, t):
         S = np.asarray(self.eval(t), dtype=float)
@@ -223,7 +245,8 @@ class SymmetricPath:
 def constant_path(S):
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // 2
-    return SymmetricPath(n=n, eval=lambda t: S).check()
+    return SymmetricPath(n=n, eval=lambda t: S,
+                         constant=0.5 * (S + S.T)).check()
 
 
 def zero_path(n):
@@ -231,8 +254,11 @@ def zero_path(n):
 
 
 def poly_path(coeffs):
-    """sigma(t) = sum_k coeffs[k] t^k with symmetric matrix coefficients."""
+    """sigma(t) = sum_k coeffs[k] t^k with symmetric matrix coefficients;
+    declared constant when every coefficient of degree >= 1 is exactly zero."""
     mats = [np.asarray(c, dtype=float) for c in coeffs]
+    if not any(np.any(c) for c in mats[1:]):
+        return constant_path(mats[0])
     n = mats[0].shape[0] // 2
 
     def ev(t):
@@ -255,142 +281,40 @@ class SymplecticMatrix:
         self.entries.setflags(write=False)
 
     def drift(self):
-        J = J_std(self.n)
-        return float(np.max(np.abs(self.entries.T @ J @ self.entries - J)))
+        return float(_drift(self.entries, J_std(self.n)))
+
+
+def _drift(M, J):
+    """max |M^T J M - J| per matrix of a (..., d, d) stack."""
+    return np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J), axis=(-2, -1))
 
 
 def project_symplectic(M, tol=1e-14, max_iter=8):
-    """Polar-type projection onto Sp(2n): Newton steps M <- M (1 + J E / 2)."""
-    n = M.shape[0] // 2
-    J = J_std(n)
+    """Polar-type projection onto Sp(2n): Newton steps M <- M (1 + J E / 2).
+
+    M is one matrix or a (B, 2n, 2n) stack; the stack iterates until every
+    member is within tol.
+    """
+    J = J_std(M.shape[-1] // 2)
     for _ in range(max_iter):
-        E = M.T @ J @ M - J
-        err = np.max(np.abs(E))
-        if err < tol:
+        E = np.swapaxes(M, -1, -2) @ J @ M - J
+        if np.max(np.abs(E)) < tol:
             break
-        M = M @ (np.eye(2 * n) + 0.5 * (J @ E))
+        M = M @ (np.eye(J.shape[0]) + 0.5 * (J @ E))
     return M
 
 
-def _rk4_step(M, t, h, generator):
-    k1 = generator(t) @ M
-    k2 = generator(t + 0.5 * h) @ (M + 0.5 * h * k1)
-    k3 = generator(t + 0.5 * h) @ (M + 0.5 * h * k2)
-    k4 = generator(t + h) @ (M + h * k3)
-    return M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def expm(G):
+    """exp(G) by scaling and squaring with a Taylor core.
 
-
-def fundamental_solution(sigma, t=1.0, step=None, settings=DEFAULTS,
-                         _return_knots=False):
-    """Psi(t) with J dPsi + sigma Psi = 0, Psi(0) = 1, by classical RK4.
-
-    Re-symplectifies every ``settings.project_every`` steps when the drift
-    exceeds tolerance; raises StepTooLarge when the drift passes the hard
-    limit before projection.
+    G is one matrix or a (B, d, d) stack; a stack shares one scaling
+    exponent, set by its largest norm.
     """
-    step = settings.ode_step if step is None else float(step)
-    if step <= 0:
-        raise IntegrationFailureStep(step)
-    n = sigma.n
-    J = J_std(n)
-
-    def gen(s):
-        return J @ sigma(s)
-
-    nsteps = max(1, int(np.ceil(t / step - 1e-12))) if t > 0 else 0
-    h = t / nsteps if nsteps else 0.0
-    M = np.eye(2 * n)
-    knots = [(0.0, M)]
-    for k in range(nsteps):
-        M = _rk4_step(M, k * h, h, gen)
-        if (k + 1) % settings.project_every == 0 or k == nsteps - 1:
-            drift = np.max(np.abs(M.T @ J @ M - J))
-            if drift > settings.symplectic_drift_limit:
-                raise StepTooLarge(
-                    f"symplectic drift {drift:.3e} above hard limit; decrease step",
-                    drift=float(drift))
-            if drift > settings.symplectic_drift_tol:
-                M = project_symplectic(M)
-        if _return_knots:
-            knots.append(((k + 1) * h, M))
-    result = SymplecticMatrix(n=n, entries=M)
-    return (result, knots) if _return_knots else result
-
-
-def IntegrationFailureStep(step):
-    from .errors import IntegrationFailure
-    return IntegrationFailure(f"step must be positive, got {step}")
-
-
-class FundamentalFlow:
-    """Cached evaluator t -> Psi(t) on [0, 1] for one symmetric path.
-
-    Stores knot states on a fixed grid and restarts RK4 from the nearest
-    knot below the query, so repeated queries (crossing refinement) stay
-    cheap without re-integrating from 0.
-    """
-
-    def __init__(self, sigma, step=None, settings=DEFAULTS, knot_every=16):
-        self.sigma = sigma
-        self.settings = settings
-        self.step = settings.ode_step if step is None else float(step)
-        n = sigma.n
-        J = J_std(n)
-        self._gen = lambda s: J @ sigma(s)
-        # constant generator: exact one-parameter group, no integration
-        probes = [sigma(t) for t in (0.0, 0.37, 0.73, 1.0)]
-        if all(np.max(np.abs(S - probes[0])) < 1e-14 for S in probes[1:]):
-            G = J @ probes[0]
-            self._const_gen = G
-            self._knots = None
-            return
-        self._const_gen = None
-        nsteps = max(1, int(np.ceil(1.0 / self.step)))
-        self._h = 1.0 / nsteps
-        self._nsteps = nsteps
-        M = np.eye(2 * n)
-        knots = {0: M}
-        for k in range(nsteps):
-            M = _rk4_step(M, k * self._h, self._h, self._gen)
-            if (k + 1) % settings.project_every == 0:
-                drift = np.max(np.abs(M.T @ J @ M - J))
-                if drift > settings.symplectic_drift_tol:
-                    M = project_symplectic(M)
-            if (k + 1) % knot_every == 0 or k == nsteps - 1:
-                knots[k + 1] = M
-        self._knots = knots
-        self._knot_every = knot_every
-
-    def __call__(self, t):
-        t = min(max(t, 0.0), 1.0)
-        if self._const_gen is not None:
-            return expm_small(t * self._const_gen)
-        kf = t / self._h
-        k0 = int(np.floor(kf + 1e-12))
-        kk = (k0 // self._knot_every) * self._knot_every
-        while kk not in self._knots:
-            kk -= 1
-            if kk <= 0:
-                kk = 0
-                break
-        M = self._knots[kk]
-        s = kk * self._h
-        # full steps up to k0, then one partial step
-        for k in range(kk, k0):
-            M = _rk4_step(M, k * self._h, self._h, self._gen)
-        rem = t - k0 * self._h
-        if rem > 1e-15:
-            M = _rk4_step(M, k0 * self._h, rem, self._gen)
-        return M
-
-
-def expm_small(G):
-    """exp(G) by scaling and squaring with a Taylor core."""
-    norm = float(np.max(np.sum(np.abs(G), axis=1))) if G.size else 0.0
+    norm = float(np.max(np.sum(np.abs(G), axis=-1))) if G.size else 0.0
     s = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.25))))
     T = G / (2 ** s)
-    out = np.eye(G.shape[0])
-    term = np.eye(G.shape[0])
+    out = np.broadcast_to(np.eye(G.shape[-1]), G.shape).copy()
+    term = out.copy()
     for k in range(1, 18):
         term = term @ T / k
         out = out + term
@@ -399,6 +323,126 @@ def expm_small(G):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def _stage_samples(sigma, t, step):
+    """(h, G) with G[j] = J sigma(j h / 2), j = 0 .. 2 nsteps: the generator
+    on the RK4 stage grid of [0, t], each time sampled once."""
+    if step <= 0:
+        raise IntegrationFailure(f"step must be positive, got {step}")
+    nsteps = max(1, int(np.ceil(t / step - 1e-12))) if t > 0 else 0
+    h = t / nsteps if nsteps else 0.0
+    J = J_std(sigma.n)
+    G = np.empty((2 * nsteps + 1,) + J.shape)
+    for j in range(len(G)):
+        G[j] = J @ sigma(0.5 * h * j)
+    return h, G
+
+
+def _rk4_step(M, g1, g2, g4, h):
+    """One classical RK4 step of dM/dt = g(t) M with stage generators g1, g2, g4."""
+    k1 = g1 @ M
+    k2 = g2 @ (M + 0.5 * h * k1)
+    k3 = g2 @ (M + 0.5 * h * k2)
+    k4 = g4 @ (M + h * k3)
+    return M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4(G, h, rhos, settings, keep=False):
+    """Integrate dM/dt = (G(t) + rho J) M, M(0) = 1, for each rho in rhos.
+
+    G holds the stage samples of ``_stage_samples``.  Every
+    ``settings.project_every`` steps and after the last one, the drift
+    max |M^T J M - J| of each member is checked: above
+    ``symplectic_drift_limit`` the step is too large (StepTooLarge), above
+    ``symplectic_drift_tol`` the member is projected back onto Sp(2n).
+    Returns the (B, d, d) end states, or with keep every state, shaped
+    (nsteps + 1, B, d, d).
+    """
+    d = G.shape[-1]
+    J = J_std(d // 2)
+    rhoJ = np.asarray(rhos, dtype=float)[:, None, None] * J
+    nsteps = (len(G) - 1) // 2
+    M = np.broadcast_to(np.eye(d), rhoJ.shape).copy()
+    states = np.empty((nsteps + 1,) + M.shape) if keep else None
+    if keep:
+        states[0] = M
+    for k in range(nsteps):
+        M = _rk4_step(M, G[2 * k] + rhoJ, G[2 * k + 1] + rhoJ,
+                      G[2 * k + 2] + rhoJ, h)
+        if (k + 1) % settings.project_every == 0 or k == nsteps - 1:
+            drift = _drift(M, J)
+            worst = float(np.max(drift))
+            if worst > settings.symplectic_drift_limit:
+                raise StepTooLarge(
+                    f"symplectic drift {worst:.3e} above hard limit; decrease step",
+                    drift=worst)
+            off = drift > settings.symplectic_drift_tol
+            if np.any(off):
+                M[off] = project_symplectic(M[off])
+        if keep:
+            states[k + 1] = M
+    return states if keep else M
+
+
+def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
+    """rhos -> Psi_{sigma + rho}(t) for a batch of shifts, as a (B, 2n, 2n) stack.
+
+    A declared constant sigma uses the exact exponential of t (J sigma +
+    rho J); otherwise sigma is sampled once here on the RK4 stage grid and
+    every call integrates the whole batch from those samples.
+    """
+    if sigma.constant is not None:
+        J = J_std(sigma.n)
+        G0 = J @ sigma.constant
+        return lambda rhos: expm(
+            t * (G0 + np.asarray(rhos, dtype=float)[:, None, None] * J))
+    step = settings.ode_step if step is None else float(step)
+    h, G = _stage_samples(sigma, t, step)
+    return lambda rhos: _rk4(G, h, rhos, settings)
+
+
+def fundamental_solution(sigma, t=1.0, step=None, settings=DEFAULTS):
+    """Psi(t) with J dPsi + sigma Psi = 0, Psi(0) = 1.
+
+    The exact exponential for a declared constant sigma, classical RK4 at
+    ``step`` (default ``settings.ode_step``) otherwise; see ``_rk4`` for the
+    projection and drift policy.
+    """
+    psi = shifted_flows(sigma, step, t, settings)([0.0])[0]
+    return SymplecticMatrix(n=sigma.n, entries=psi)
+
+
+class FundamentalFlow:
+    """Evaluator t -> Psi(t) on [0, 1] for one symmetric path.
+
+    A declared constant sigma is the exact one-parameter group.  Otherwise
+    the RK4 state at every step of ``settings.ode_step`` is kept, and a query
+    is one partial RK4 step from the step below it.
+    """
+
+    def __init__(self, sigma, settings=DEFAULTS):
+        self.sigma = sigma
+        self._J = J_std(sigma.n)
+        if sigma.constant is not None:
+            self._const_gen = self._J @ sigma.constant
+            return
+        self._const_gen = None
+        self._h, G = _stage_samples(sigma, 1.0, settings.ode_step)
+        self._states = _rk4(G, self._h, [0.0], settings, keep=True)[:, 0]
+
+    def __call__(self, t):
+        t = min(max(t, 0.0), 1.0)
+        if self._const_gen is not None:
+            return expm(t * self._const_gen)
+        k0 = int(np.floor(t / self._h + 1e-12))
+        M = self._states[k0]
+        rem = t - k0 * self._h
+        if rem > 1e-15:
+            t0 = k0 * self._h
+            g = [self._J @ self.sigma(s) for s in (t0, t0 + 0.5 * rem, t0 + rem)]
+            M = _rk4_step(M, g[0], g[1], g[2], rem)
+        return M
 
 
 def phi_mu(n, mu, t):
@@ -467,6 +511,9 @@ def direct_sum_paths(sig1, sig2):
     def ev(t):
         return embed_block(sig1(t), n1, n2, 0) + embed_block(sig2(t), n1, n2, 1)
 
-    return SymmetricPath(n=n1 + n2, eval=ev,
+    constant = None
+    if sig1.constant is not None and sig2.constant is not None:
+        constant = ev(0.0)
+    return SymmetricPath(n=n1 + n2, eval=ev, constant=constant,
                          breakpoints=tuple(sorted(set(sig1.breakpoints)
                                                   | set(sig2.breakpoints)))).check()

@@ -207,3 +207,24 @@ def test_morse_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)["by_degree"]
     assert rep["0"]["free_rank"] == 1 and rep["2"]["free_rank"] == 1
+
+
+def test_benchmark_tracer_binds_every_layer():
+    # the traced benchmark wraps the layers' public names by string;
+    # installing it (every traced module is imported with floerss.cli)
+    # fails if one of them is renamed or removed
+    import pathlib
+    from floerss import symplin as sl
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.pop(0)
+    tracer = Tracer("floerss")
+    original = sl.fundamental_solution
+    tracer.install()
+    try:
+        assert sl.fundamental_solution.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert sl.fundamental_solution is original

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from floerss import lagpath as lp
 from floerss import symplin as sl
-from floerss.errors import (DegenerateCrossing, EndpointMismatch,
-                            NonIsolatedCrossings, NotALoop)
+from floerss.errors import (DegenerateCrossing, EndpointMismatch, GridTooCoarse,
+                            IndexMismatch, NonIsolatedCrossings, NotALoop)
 
 from conftest import (make_rng, random_half_symmetric, random_lagrangian,
                       random_path, random_symplectic)
@@ -246,6 +248,22 @@ def test_maslov_not_a_loop():
     arc = lp.rotation_path(lambda s: s, H1, 0.0, 1.0)
     with pytest.raises(NotALoop):
         lp.maslov_loop(arc, sl.rotate_frame(H1, 0.7))
+
+
+def test_maslov_unitary_mismatch_is_typed():
+    loop = lp.rotation_path(lambda s: s, H1, 0.0, np.pi)
+    bogus = dataclasses.replace(loop, unitary=lambda s: np.eye(1, dtype=complex))
+    with pytest.raises(IndexMismatch):
+        lp.maslov_loop(bogus, sl.rotate_frame(H1, 0.7))
+
+
+def test_winding_of_discontinuous_frame_is_refused():
+    # det^2 jumps by pi at s = 1/2 at every resolution
+    jump = lp.LagrangianPath(
+        n=1, a=0.0, b=1.0, evaluator=lambda s: H1,
+        unitary=lambda s: np.array([[1.0 if s < 0.5 else 1j]]))
+    with pytest.raises(GridTooCoarse):
+        lp.winding_det_squared(jump)
 
 
 @pytest.mark.parametrize("w", [-2, -1, 0, 1, 2])

@@ -118,6 +118,51 @@ def test_homology_torsion_over_l2():
     assert rep["torsion"] == ["1 + l"]
 
 
+def _laurent_matmul(A, B):
+    zero = LP.zero(Z2)
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), zero)
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def test_l2_homology_known_answer():
+    # free generators plus pairs y -> f(l) x (torsion Lambda/(f) for a
+    # nonunit f, acyclic for a monomial f), hidden by a unimodular change of
+    # basis made of elementary matrices 1 + l^e E_ij (each its own inverse)
+    rng = make_rng(44)
+    a = LP.make(Z2, {0: 1, 1: 1})
+    b = LP.make(Z2, {0: 1, 1: 1, 2: 1})
+    chains = [[], [a], [b], [a, a * a], [b, a * b]]
+    for trial in range(15):
+        free = int(rng.integers(0, 3))
+        factors = chains[trial % len(chains)]
+        units = [LP.lam(Z2, int(rng.integers(-2, 3)))
+                 for _ in range(int(rng.integers(0, 3)))]
+        m = free + 2 * (len(factors) + len(units))
+        if m == 0:
+            continue
+        D = [[LP.zero(Z2)] * m for _ in range(m)]
+        for k, f in enumerate(factors + units):
+            D[free + 2 * k][free + 2 * k + 1] = f
+        P = [[LP.one(Z2) if i == j else LP.zero(Z2) for j in range(m)]
+             for i in range(m)]
+        Pinv = [row[:] for row in P]
+        for _ in range(3 * m if m > 1 else 0):
+            i, j = (int(x) for x in rng.choice(m, 2, replace=False))
+            E = [[LP.one(Z2) if r == c else LP.zero(Z2) for c in range(m)]
+                 for r in range(m)]
+            E[i][j] = LP.lam(Z2, int(rng.integers(-2, 3)))
+            P = _laurent_matmul(P, E)
+            Pinv = _laurent_matmul(E, Pinv)
+        d = _laurent_matmul(_laurent_matmul(Pinv, D), P)
+        C = nv.GradedFreeComplex.build(
+            L2, [(f"g{k}", 0) for k in range(m)],
+            {j: {i: d[i][j] for i in range(m) if not d[i][j].is_zero()}
+             for j in range(m)}, N=2, require_graded=False)
+        rep = nv.homology(C)
+        assert rep["free_rank"] == free
+        assert rep["torsion"] == sorted(str(f) for f in factors)
+
+
 def test_homology_circle_over_z():
     C = nv.GradedFreeComplex.build(Z, [("min", 0), ("max", 2)], {1: {}})
     rep = nv.homology(C)["by_degree"]

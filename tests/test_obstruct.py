@@ -52,6 +52,12 @@ def test_pozniak_hypothesis_gate():
         ob.pozniak([1, 1], 2)
 
 
+def test_pozniak_refuses_a_possible_differential(monkeypatch):
+    monkeypatch.setattr(ob, "possible_differentials", lambda shape: [shape.N])
+    with pytest.raises(HypothesisNotMet):
+        ob.pozniak([1], 2)
+
+
 def test_pozniak_examples():
     assert ob.pozniak([1], 2) == {0: 1}
     assert ob.pozniak([1, 1], 3) == {0: 1, 1: 1}

@@ -53,6 +53,28 @@ def test_constant_multiple_spectrum_closed_form():
     assert abs(rep.gap - c) < 1e-6
 
 
+def test_eigenvalues_of_probe_blind_operator():
+    # the time-dependent part 400 t^2 (t - 1/4)(t - 1/2)(t - 3/4)(t - 1)
+    # vanishes at t = 0, 1/4, 1/2, 3/4, 1, so sampling sigma at those times
+    # alone mistakes it for a constant path
+    bump = [0.0, 0.0, 37.5, -312.5, 875.0, -1000.0, 400.0]
+    E = np.diag([1.0, 0.0])
+    coeffs = [c * E for c in bump]
+    coeffs[0] = coeffs[0] + np.array([[0.0, 0.4], [0.4, 0.0]])
+    L0 = sl.horizontal(1)
+    L1 = sl.rotate_frame(L0, 0.3)
+    A = sp.AsymptoticOperator(n=1, sigma=sl.poly_path(coeffs), boundary=(L0, L1))
+    rep = sp.eigenvalues(A, window=2 * np.pi, grid=384)
+    assert rep.eigenvalues
+    for rho, m in rep.eigenvalues:
+        shifted = sl.poly_path([coeffs[0] + rho * np.eye(2)] + coeffs[1:])
+        psi = sl.fundamental_solution(shifted)
+        assert sl.min_principal_angle_sin(sl.apply_matrix(psi.entries, L0), L1) < 1e-6
+        B = sp.AsymptoticOperator(n=1, sigma=shifted, boundary=(L0, L1))
+        assert sp.kernel_dim(B) == m
+    assert rep.kernel_dim == sp.kernel_dim(A)
+
+
 def test_no_short_window_holds_two_eigenvalues():
     rep = sp.eigenvalues(sp.flat_model(1.0), window=7.0)
     rhos = sorted(r for r, _ in rep.eigenvalues)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from floerss import spectrum as sp
 from floerss import symplin as sl
 from floerss.errors import NotFullRank, NotIsotropic, NotSymmetric, StepTooLarge
 
@@ -130,10 +131,25 @@ def test_fundamental_solution_order_four():
 
 
 def test_step_too_large():
-    sig = sl.constant_path(80.0 * np.eye(2))
+    # non-constant sigma: a declared constant path takes the exact exponential
+    sig = sl.poly_path([80.0 * np.eye(2), 1e-3 * np.eye(2)])
+    settings = sl.DEFAULTS.with_(project_every=4)
     with pytest.raises(StepTooLarge):
-        sl.fundamental_solution(sig, 1.0, step=0.25,
-                                settings=sl.DEFAULTS.with_(project_every=4))
+        sl.fundamental_solution(sig, 1.0, step=0.25, settings=settings)
+    with pytest.raises(StepTooLarge):
+        sl.FundamentalFlow(sig, settings=settings.with_(ode_step=0.25))
+
+
+def test_constancy_is_declared_by_constructors():
+    const = sl.constant_path(0.3 * np.eye(2))
+    moving = sl.poly_path([0.3 * np.eye(2), 1e-3 * np.eye(2)])
+    assert sl.zero_path(1).constant is not None
+    assert sl.poly_path([0.3 * np.eye(2), np.zeros((2, 2))]).constant is not None
+    assert moving.constant is None
+    assert sl.direct_sum_paths(const, sl.zero_path(1)).constant is not None
+    assert sl.direct_sum_paths(const, moving).constant is None
+    assert np.allclose(sp._shifted_path(const, 0.1).constant, 0.2 * np.eye(2))
+    assert sp._shifted_path(moving, 0.1).constant is None
 
 
 def test_phi_mu_examples():
