@@ -16,14 +16,13 @@ components carries l >= 1.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (ActionOutOfRange, ChainMapViolation, DimensionMismatch,
                      GradingNotInteger, IndexMismatch, MonotonicityViolation,
                      NegativeLambdaExponent, NotAComplex)
-from .novikov import (GradedFreeComplex, LaurentPoly, Z, Z2, L2, homology)
+from .novikov import (GradedFreeComplex, LaurentPoly, Z2, L2, homology)
 
 
 # -- Morse data ----------------------------------------------------------------

@@ -13,13 +13,12 @@ import numpy as np
 
 from .errors import FloerssError, SchemaError
 from . import schemas
-from . import symplin as sl
 from . import lagpath as lp
 from . import spectrum as sp
 from . import specseq as ss
 from . import obstruct as ob
 from . import chain as ch
-from .novikov import homology, Z2, L2
+from .novikov import homology, Z2
 
 
 def _num(x):
@@ -176,7 +175,7 @@ def cmd_ss(doc, args):
         raise SchemaError("filtration must be 'novikov' or 'action'",
                           found=filtration)
     r = int(doc.get("page", 1))
-    pg = ss.page(fc, r)
+    pg = ss.barcode(fc).page(r)
     final, collapse_r, conv = ss.e_infinity(fc)
     return {
         "kind": "page_table",

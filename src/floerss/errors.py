@@ -132,10 +132,6 @@ class WindowTooNarrow(FloerssError):
     pass
 
 
-class NoStabilization(FloerssError):
-    pass
-
-
 # -- obstruction engine ----------------------------------------------------------
 
 class SearchSpaceExceeded(FloerssError):

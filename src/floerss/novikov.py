@@ -6,14 +6,12 @@ kept in canonical form (no zero coefficients); the ring L2 is Euclidean
 with size = exponent span, which makes Smith diagonalization available.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .errors import (DivisionByZero, DimensionMismatch, NotAComplex,
-                     UnsupportedRing)
+from .errors import DivisionByZero, NotAComplex, UnsupportedRing
 
 Z2, Z, L2 = "Z2", "Z", "L2"
 

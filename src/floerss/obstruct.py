@@ -12,7 +12,7 @@ the stable dimensions satisfy the imposed constraints (quantum periodicity,
 or vanishing for displaceable pairs).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import HypothesisNotMet, SearchSpaceExceeded

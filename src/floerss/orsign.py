@@ -8,7 +8,7 @@ convention: walk the sequence keeping an oriented basis of the incoming
 image, complete it inside each space, and push the complement forward.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -1,7 +1,16 @@
 """Spectral sequences of bounded increasing filtrations over Z2, and the two
 concrete filtrations of pearl complexes: Novikov degree and action values.
 
-The page machinery is a literal subspace computation:
+Pages come from persistence pairs.  ``barcode`` reduces the boundary
+columns once in filtration order (Zomorodian-Carlsson) and pairs each
+nonzero reduced column tau with its lowest entry sigma = low(tau).  A pair
+of length L = level(tau) - level(sigma) >= 1 lives on E^1..E^L, where d^L
+is nonzero at the bidegree of tau; unpaired generators live on every page
+and make up E^infinity.  ``check_convergence`` compares E^infinity with the
+graded pieces of the filtered homology F^p H by ranks alone.
+
+The literal subspace computation is kept as the oracle of the tests and for
+explicit differential matrices:
 
   Z^r_{p,q} = F^p C_{p+q}  /\\  d^{-1} F^{p-r} C_{p+q-1}
   B^{r-1}_{p,q} = F^p C_{p+q} /\\ d F^{p+r-1} C_{p+q+1} = d Z^{r-1}_{p+r-1,q-r+2}
@@ -15,12 +24,13 @@ F^k = <p l^l : l >= -k>, lambda-periodicity E^r_{p,q} = E^r_{p-1,q-N+1}) and
 possibly nonzero differentials sit on pages r in N Z).
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, FiltrationViolated, NoStabilization,
-                     NotAComplex, WindowTooNarrow)
+from .errors import (DimensionMismatch, FiltrationViolated, NotAComplex,
+                     WindowTooNarrow)
 from . import gf2
 from .novikov import GradedFreeComplex, L2, Z2
 
@@ -52,17 +62,22 @@ class FilteredComplex:
         if check:
             if np.any(gf2.asgf2(D @ D)):
                 raise NotAComplex("d . d != 0 for the filtered complex")
-            for j in range(n):
-                for i in range(n):
-                    if D[i, j]:
-                        if degrees[i] != degrees[j] - 1:
-                            raise NotAComplex(
-                                f"boundary entry {i}<-{j} changes degree by "
-                                f"{degrees[i] - degrees[j]}")
-                        if levels[i] > levels[j]:
-                            raise FiltrationViolated(
-                                f"boundary entry {i}<-{j} raises the filtration "
-                                f"level {levels[j]} -> {levels[i]}")
+            # entries in column-major order, so the first offence is reported
+            cols, rows = np.nonzero(D.T)
+            deg = np.array(degrees, dtype=np.int64)
+            lev = np.array(levels, dtype=np.int64)
+            bad_deg = deg[rows] != deg[cols] - 1
+            bad = bad_deg | (lev[rows] > lev[cols])
+            if bad.any():
+                k = int(np.argmax(bad))
+                i, j = int(rows[k]), int(cols[k])
+                if bad_deg[k]:
+                    raise NotAComplex(
+                        f"boundary entry {i}<-{j} changes degree by "
+                        f"{degrees[i] - degrees[j]}")
+                raise FiltrationViolated(
+                    f"boundary entry {i}<-{j} raises the filtration "
+                    f"level {levels[j]} -> {levels[i]}")
         if names is None:
             names = tuple(f"e{k}" for k in range(n))
         return FilteredComplex(degrees=degrees, levels=levels, boundary=D,
@@ -248,48 +263,127 @@ def first_page_check(fc):
     return True
 
 
-def e_infinity(fc, max_extra=2):
-    """Iterate pages to stabilization; check property (c) against filtered
-    homology.  Returns (final page, collapse_r, convergence_ok)."""
-    lmin, lmax = fc.level_range()
-    spread = lmax - lmin + 1
-    rmax = spread + 1
-    pages = [page(fc, r) for r in range(1, rmax + 1)]
-    # by boundedness, d^r = 0 for r > spread; guard anyway
-    final = pages[-1]
-    if final.differentials:
-        for extra in range(max_extra):
-            nxt = page(fc, rmax + 1 + extra)
-            pages.append(nxt)
-            if not nxt.differentials:
-                final = nxt
+# -- persistence pairs -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PageDims:
+    """Nonzero dimensions of one page, without sections or differentials."""
+    r: int
+    table: dict                   # (p, q) -> dim > 0
+
+    def dims(self):
+        return dict(self.table)
+
+    def dim(self, p, q):
+        return self.table.get((p, q), 0)
+
+
+@dataclass(frozen=True)
+class Barcode:
+    """Persistence pairs of a filtered complex, by bidegree (p, q).
+
+    bars: (length, bidegree of sigma, bidegree of tau) for each pair with
+    length level(tau) - level(sigma) >= 1 (pairs inside one level are on no
+    page); essential: the bidegree of each unpaired generator.
+    """
+    bars: tuple
+    essential: tuple
+
+    def page(self, r):
+        """Dimensions of E^r: the unpaired generators plus both ends of
+        every pair of length >= r."""
+        if r < 1:
+            raise DimensionMismatch("pages are defined for r >= 1")
+        table = Counter(self.essential)
+        for length, s, t in self.bars:
+            if length >= r:
+                table[s] += 1
+                table[t] += 1
+        return PageDims(r=r, table=dict(table))
+
+    @property
+    def collapse_r(self):
+        """The first page equal to E^infinity."""
+        return max((length for length, _, _ in self.bars), default=0) + 1
+
+    def infinity(self):
+        return PageDims(r=self.collapse_r, table=dict(Counter(self.essential)))
+
+    def differentials(self, r):
+        """Bidegrees (p, q) at which d^r is nonzero."""
+        return {t for length, _, t in self.bars if length == r}
+
+
+def barcode(fc):
+    """Persistence pairs by one column reduction in filtration order.
+
+    The basis is sorted by (level, index); each column is a Python-int
+    bitset over those positions and is reduced by the earlier columns
+    sharing its lowest entry until it is zero or opens a new pivot."""
+    order = sorted(range(fc.size), key=lambda i: (fc.levels[i], i))
+    pos = {i: k for k, i in enumerate(order)}
+    cols = [0] * fc.size
+    for i, j in zip(*np.nonzero(fc.boundary)):
+        cols[pos[j]] |= 1 << pos[i]
+    pivots = {}
+    paired = set()
+    bars = []
+
+    def bideg(i):
+        return (fc.levels[i], fc.degrees[i] - fc.levels[i])
+
+    for k, col in enumerate(cols):
+        while col:
+            low = col.bit_length() - 1
+            if low not in pivots:
+                pivots[low] = col
+                sigma, tau = order[low], order[k]
+                paired.update((sigma, tau))
+                length = fc.levels[tau] - fc.levels[sigma]
+                if length:
+                    bars.append((length, bideg(sigma), bideg(tau)))
                 break
-        else:
-            raise NoStabilization("differentials persist beyond the bounded range")
-    collapse_r = 1
-    for k in range(len(pages) - 1, 0, -1):
-        if pages[k - 1].differentials:
-            collapse_r = pages[k - 1].r + 1
-            break
-    # property (c): E^infty_{p,q} = F^p H_{p+q} / F^{p-1} H_{p+q}
-    ok = True
-    H = homology_dims(fc)
-    for m in set(list(H.keys()) + [d for d in fc.degrees]):
-        cm = fc.degree_indices(m)
-        if not cm:
-            continue
-        up = fc.degree_indices(m + 1)
-        B = gf2.asgf2(fc.boundary @ _embed(fc, up)) if up else \
-            np.zeros((fc.size, 0), dtype=np.uint8)
-        prev_dim = None
-        for p in range(lmin - 1, lmax + 1):
-            Zp = _z_space(fc, p, m - p, 10 ** 9)  # cycles in F^p (r beyond range)
-            dimF = gf2.rank(gf2.sum_basis(Zp, B)) - gf2.rank(B)
-            if prev_dim is not None:
-                if final.dim(p, m - p) != dimF - prev_dim:
-                    ok = False
-            prev_dim = dimF
-    return final, collapse_r, ok
+            col ^= pivots[low]
+    essential = tuple(bideg(i) for i in range(fc.size) if i not in paired)
+    return Barcode(bars=tuple(bars), essential=essential)
+
+
+def check_convergence(fc, final):
+    """Property (c), E^infinity_{p,q} = F^p H_{p+q} / F^{p-1} H_{p+q}, by
+    ranks alone:
+
+      dim F^p H_m = |F^p C_m| - rank(d on F^p C_m) - rank d_{m+1}
+                    + rank(rows of d_{m+1} at levels above p).
+
+    dim F^p H_m changes only at the levels of C_m, so it is evaluated there."""
+    deg = np.array(fc.degrees, dtype=np.int64)
+    lev = np.array(fc.levels, dtype=np.int64)
+    expected = {}
+    for m in sorted(set(fc.degrees)):
+        cm = np.flatnonzero(deg == m)
+        cm = cm[np.argsort(lev[cm], kind="stable")]
+        lv = lev[cm]
+        d_m = fc.boundary[np.ix_(np.flatnonzero(deg == m - 1), cm)]
+        d_up = fc.boundary[np.ix_(cm, np.flatnonzero(deg == m + 1))]
+        rk_up = gf2.rank(d_up)
+        prev = 0
+        for p in np.unique(lv).tolist():
+            k = int(np.searchsorted(lv, p, side="right"))   # |F^p C_m|
+            dim_f = k - gf2.rank(d_m[:, :k]) - rk_up + gf2.rank(d_up[k:, :])
+            if dim_f != prev:
+                expected[(p, m - p)] = dim_f - prev
+            prev = dim_f
+    return expected == final.dims()
+
+
+def e_infinity(fc):
+    """E^infinity and the collapse page from the persistence pairs, with
+    property (c) checked against filtered homology.  Returns (final page,
+    collapse_r, convergence_ok)."""
+    bc = barcode(fc)
+    final = bc.infinity()
+    return final, bc.collapse_r, check_convergence(fc, final)
 
 
 # -- Novikov filtration -----------------------------------------------------------
@@ -428,22 +522,16 @@ def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
 
 def nontrivial_pages(fc, N, indexing="stretched", margin=1):
     """Pages r with a nonzero differential away from the window edges."""
-    lmin, lmax = fc.level_range()
-    spread = lmax - lmin + 1
+    bc = barcode(fc)
+    pad = margin * (N if indexing == "stretched" else 1)
     out = []
-    for r in range(1, spread + 1):
-        pg = page(fc, r)
-        dims = pg.dims()
-        if not dims:
-            continue
-        ps = sorted({p for p, _ in dims})
-        lo, hi = ps[0], ps[-1]
-        pad = margin * (N if indexing == "stretched" else 1)
-        for (p, q), M in pg.differentials.items():
-            if lo + pad < p < hi - pad and lo + pad < p - r < hi - pad:
-                out.append(r)
-                break
-    return sorted(set(out))
+    for r in sorted({length for length, _, _ in bc.bars}):
+        ps = [p for p, _ in bc.page(r).table]
+        lo, hi = min(ps), max(ps)
+        if any(lo + pad < p < hi - pad and lo + pad < p - r < hi - pad
+               for p, _ in bc.differentials(r)):
+            out.append(r)
+    return out
 
 
 # -- action filtration -------------------------------------------------------------

@@ -10,7 +10,7 @@ angle progression), and the spectral gap and kernel agree with those of
 A = J d/dt + sigma, which are reflection invariant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

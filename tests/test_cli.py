@@ -150,28 +150,59 @@ def test_determinism_byte_identical(graph_localization):
     assert runs[0] == runs[1]
 
 
-def test_ss_command(tmp_path, capsys):
-    doc = {"schema": "floerss/1", "kind": "ss", "filtration": "novikov",
-           "indexing": "stretched",
-           "pearl": {
-               "context": {"tau": 1.5, "N": 2},
-               "components": [
-                   {"name": "A", "dim": 0, "action": 0.0, "mu2": 0,
-                    "betti": [1]},
-                   {"name": "C", "dim": 0, "action": 0.4, "mu2": 2,
-                    "betti": [1]}],
-               "cascades": [{"from": "A:0.0", "to": "C:0.0", "sign": 1,
-                             "maslov2": 6, "area": 2.6}],
-               "normalize": False}}
+SS_DOC = {"schema": "floerss/1", "kind": "ss", "filtration": "novikov",
+          "indexing": "stretched",
+          "pearl": {
+              "context": {"tau": 1.5, "N": 2},
+              "components": [
+                  {"name": "A", "dim": 0, "action": 0.0, "mu2": 0,
+                   "betti": [1]},
+                  {"name": "C", "dim": 0, "action": 0.4, "mu2": 2,
+                   "betti": [1]}],
+              "cascades": [{"from": "A:0.0", "to": "C:0.0", "sign": 1,
+                            "maslov2": 6, "area": 2.6}],
+              "normalize": False}}
+
+# stdout of `floerss ss` on SS_DOC as printed by the literal page engine
+SS_JSON = (
+    '{"collapse_r": 3, "convergence_ok": true, "dims": {"(-2, 0)": 1, '
+    '"(-2, 1)": 1, "(-4, 0)": 1, "(-4, 1)": 1, "(-6, 0)": 1, "(-6, 1)": 1, '
+    '"(-8, 0)": 1, "(-8, 1)": 1, "(0, 0)": 1, "(0, 1)": 1, "(2, 0)": 1, '
+    '"(2, 1)": 1, "(4, 0)": 1, "(4, 1)": 1, "(6, 0)": 1, "(6, 1)": 1, '
+    '"(8, 0)": 1, "(8, 1)": 1}, "einf_dims": {"(-8, 0)": 1, "(8, 1)": 1}, '
+    '"kind": "page_table", "page": 1}\n')
+SS_TEXT = (
+    "q\\p | -8 -6 -4 -2  0  2  4  6  8\n"
+    "--------------------------------\n"
+    "   1|  1  1  1  1  1  1  1  1  1\n"
+    "   0|  1  1  1  1  1  1  1  1  1\n"
+    "collapse_r: 3\n"
+    "convergence_ok: True\n"
+    'einf_dims: {"(-8, 0)": 1, "(8, 1)": 1}\n'
+    "page: 1\n")
+
+
+def test_ss_command(tmp_path, capsys, monkeypatch):
+    from floerss import specseq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("literal page engine called")
+
+    monkeypatch.setattr(specseq, "page", refuse)
+    monkeypatch.setattr(specseq, "_z_space", refuse)
     p = tmp_path / "ss.json"
-    p.write_text(json.dumps(doc))
-    code, out, _ = run_cli(["ss", str(p), "--json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["convergence_ok"]
-    code, out, _ = run_cli(["ss", str(p)], capsys)
-    assert code == 0
-    assert "q\\p" in out
+    p.write_text(json.dumps(SS_DOC))
+    assert run_cli(["ss", str(p), "--json"], capsys) == (0, SS_JSON, "")
+    assert run_cli(["ss", str(p)], capsys) == (0, SS_TEXT, "")
+
+
+def test_ss_page_below_one_is_refused(tmp_path, capsys):
+    p = tmp_path / "ss0.json"
+    p.write_text(json.dumps(dict(SS_DOC, page=0)))
+    code, out, err = run_cli(["ss", str(p), "--json"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": "pages are defined for r >= 1"}
 
 
 def test_pozniak_and_quantum_commands(tmp_path, capsys):

@@ -262,6 +262,118 @@ def test_filtration_violation_guard():
                                  boundary=[[0, 0], [1, 0]])
 
 
+def test_build_reports_the_first_offending_entry_column_major():
+    with pytest.raises(NotAComplex) as exc:
+        ss.FilteredComplex.build(degrees=[0, 0], levels=[0, 0],
+                                 boundary=[[0, 1], [0, 0]])
+    assert str(exc.value) == "boundary entry 0<-1 changes degree by 0"
+    # entries 1<-0 and 0<-2 both raise the level (d . d = 0 through e3);
+    # column 0 comes first although row 0 would in row-major order
+    D = np.zeros((4, 4), dtype=np.uint8)
+    D[1, 0] = D[0, 2] = D[3, 2] = D[1, 3] = 1
+    with pytest.raises(FiltrationViolated) as exc:
+        ss.FilteredComplex.build(degrees=[1, 0, 2, 1], levels=[0, 1, -1, 1],
+                                 boundary=D)
+    assert str(exc.value) == ("boundary entry 1<-0 raises the filtration "
+                              "level 0 -> 1")
+    # a degree change in an earlier column wins over a later level raise
+    with pytest.raises(NotAComplex) as exc:
+        ss.FilteredComplex.build(degrees=[1, 1, 1, 0], levels=[0, 0, 0, 1],
+                                 boundary=[[0, 0, 0, 0], [1, 0, 0, 0],
+                                           [0, 0, 0, 0], [0, 0, 1, 0]])
+    assert str(exc.value) == "boundary entry 1<-0 changes degree by 0"
+
+
+# -- persistence pairs against the literal engine ------------------------------------
+
+
+def _literal_nontrivial_pages(pages, N, indexing, margin=1):
+    """nontrivial_pages' window-margin rule applied to literal pages."""
+    pad = margin * (N if indexing == "stretched" else 1)
+    out = []
+    for pg in pages:
+        dims = pg.dims()
+        if not dims:
+            continue
+        ps = sorted({p for p, _ in dims})
+        lo, hi = ps[0], ps[-1]
+        if any(lo + pad < p < hi - pad and lo + pad < p - pg.r < hi - pad
+               for p, _ in pg.differentials):
+            out.append(pg.r)
+    return out
+
+
+def _assert_barcode_matches_literal(fc, N=1, indexing="plain"):
+    lmin, lmax = fc.level_range()
+    spread = lmax - lmin + 1
+    bc = ss.barcode(fc)
+    pages = [ss.page(fc, r) for r in range(1, spread + 2)]
+    for pg in pages:
+        assert bc.page(pg.r).dims() == pg.dims(), pg.r
+        assert bc.differentials(pg.r) == set(pg.differentials), pg.r
+    assert not pages[-1].differentials
+    final, collapse_r, ok = ss.e_infinity(fc)
+    assert ok
+    assert final.dims() == pages[-1].dims()
+    assert collapse_r == max([pg.r + 1 for pg in pages if pg.differentials],
+                             default=1)
+    assert ss.nontrivial_pages(fc, N, indexing) == \
+        _literal_nontrivial_pages(pages[:-1], N, indexing)
+
+
+def test_barcode_matches_literal_pages_on_random_complexes():
+    rng = make_rng(63)
+    for _ in range(100):
+        _assert_barcode_matches_literal(_random_filtered_complex(rng))
+
+
+def test_barcode_matches_literal_pages_on_pearl_filtrations():
+    rng = make_rng(64)
+    for _ in range(10):
+        N = int(rng.integers(2, 4))
+        pd = _random_pearl_data(rng, N)
+        C = ch.pearl_complex(pd)
+        for indexing in ("plain", "stretched"):
+            fc = ss.novikov_filtration(C, indexing=indexing)
+            _assert_barcode_matches_literal(fc, N, indexing)
+        L = ch.local_pearl_complex(pd)
+        _assert_barcode_matches_literal(ss.action_filtration(L, pd))
+
+
+def test_convergence_check_refuses_an_entry_off_by_one():
+    rng = make_rng(65)
+    for _ in range(20):
+        fc = _random_filtered_complex(rng)
+        final, _, ok = ss.e_infinity(fc)
+        assert ok
+        dims = final.dims()
+        key = sorted(dims)[0]
+        for delta in (1, -1):
+            wrong = dict(dims)
+            wrong[key] += delta
+            wrong = {k: v for k, v in wrong.items() if v}
+            assert not ss.check_convergence(fc, ss.PageDims(final.r, wrong))
+        lmin, _ = fc.level_range()
+        extra = dict(dims)
+        extra[(lmin - 1, 0)] = 1
+        assert not ss.check_convergence(fc, ss.PageDims(final.r, extra))
+
+
+def test_fast_paths_build_no_literal_page(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("literal page engine called")
+
+    rng = make_rng(66)
+    fcs = [_random_filtered_complex(rng) for _ in range(3)]
+    C = ch.pearl_complex(_random_pearl_data(rng, 2))
+    fcs.append(ss.novikov_filtration(C, indexing="stretched"))
+    monkeypatch.setattr(ss, "page", refuse)
+    monkeypatch.setattr(ss, "_z_space", refuse)
+    for fc in fcs:
+        assert ss.e_infinity(fc)[2]
+        ss.nontrivial_pages(fc, 2)
+
+
 # -- valuation structure -------------------------------------------------------------------
 
 
