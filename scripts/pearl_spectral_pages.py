@@ -25,8 +25,9 @@ def main():
     print("== action filtration of the local pearl complex ==")
     L = ch.local_pearl_complex(pd)
     fc = ss.action_filtration(L, pd)
+    bc = ss.barcode(fc)
     for r in (1, 2):
-        pg = ss.page(fc, r)
+        pg = bc.page(r)
         print(f"page E^{r}:")
         print("\n".join(render_page_table(pg.dims())))
     final, collapse_r, ok = ss.e_infinity(fc)
@@ -37,7 +38,7 @@ def main():
     print("== Novikov filtration of the full pearl complex (stretched) ==")
     C = ch.pearl_complex(pd)
     fcn = ss.novikov_filtration(C, indexing="stretched")
-    p1 = ss.page(fcn, 1)
+    p1 = ss.barcode(fcn).page(1)
     print("page E^1 (lambda towers):")
     print("\n".join(render_page_table(p1.dims())))
     print("nonzero differentials at pages:",

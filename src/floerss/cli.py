@@ -91,7 +91,7 @@ def render_page_table(dims):
 def cmd_rs_index(doc, args):
     F0 = schemas.parse_path(schemas._need(doc, "F0", "rs_index"), "F0")
     F1 = schemas.parse_path(schemas._need(doc, "F1", "rs_index"), "F1")
-    grid = args.grid or doc.get("grid")
+    grid = args.grid or schemas.option(doc, "grid", int)
     mu = lp.rs_index(F0, F1, grid=grid)
     return {"kind": "rs_index", "rs_index": mu, "value": float(mu)}
 
@@ -99,7 +99,7 @@ def cmd_rs_index(doc, args):
 def cmd_maslov(doc, args):
     path = schemas.parse_path(schemas._need(doc, "path", "maslov"), "path")
     ref = schemas.parse_frame(schemas._need(doc, "ref", "maslov"), "ref")
-    m = lp.maslov_loop(path, ref, grid=args.grid or doc.get("grid"))
+    m = lp.maslov_loop(path, ref, grid=args.grid or schemas.option(doc, "grid", int))
     return {"kind": "maslov", "maslov": m}
 
 
@@ -107,14 +107,14 @@ def cmd_viterbo(doc, args):
     paths = {k: schemas.parse_path(schemas._need(doc, k, "viterbo"), k)
              for k in ("F0", "F1", "Fm", "Fp")}
     mu = lp.viterbo_index(paths["F0"], paths["F1"], paths["Fm"], paths["Fp"],
-                          grid=args.grid or doc.get("grid"))
+                          grid=args.grid or schemas.option(doc, "grid", int))
     return {"kind": "viterbo", "viterbo_index": mu, "value": float(mu)}
 
 
 def cmd_spectrum(doc, args):
     A = schemas.parse_operator(doc)
-    window = args.window or doc.get("window")
-    grid = args.grid or doc.get("grid")
+    window = args.window or schemas.option(doc, "window", float)
+    grid = args.grid or schemas.option(doc, "grid", int)
     rep = sp.eigenvalues(A, window=window, grid=grid)
     return {
         "kind": "spectrum",
@@ -126,18 +126,20 @@ def cmd_spectrum(doc, args):
 
 
 def cmd_index_formula(doc, args):
-    plus = doc["plus"]
-    minus = doc["minus"]
-    sig_p = schemas.parse_sigma(plus["sigma"], "plus.sigma")
-    sig_m = schemas.parse_sigma(minus["sigma"], "minus.sigma")
-    L0p = schemas.parse_frame(plus["L0"], "plus.L0")
-    L1p = schemas.parse_frame(plus["L1"], "plus.L1")
-    L0m = schemas.parse_frame(minus["L0"], "minus.L0")
-    L1m = schemas.parse_frame(minus["L1"], "minus.L1")
-    F0 = schemas.parse_path(doc["F0"], "F0")
-    F1 = schemas.parse_path(doc["F1"], "F1")
+    need = schemas._need
+    plus = need(doc, "plus", "index_formula")
+    minus = need(doc, "minus", "index_formula")
+    sig_p = schemas.parse_sigma(need(plus, "sigma", "plus"), "plus.sigma")
+    sig_m = schemas.parse_sigma(need(minus, "sigma", "minus"), "minus.sigma")
+    L0p = schemas.parse_frame(need(plus, "L0", "plus"), "plus.L0")
+    L1p = schemas.parse_frame(need(plus, "L1", "plus"), "plus.L1")
+    L0m = schemas.parse_frame(need(minus, "L0", "minus"), "minus.L0")
+    L1m = schemas.parse_frame(need(minus, "L1", "minus"), "minus.L1")
+    F0 = schemas.parse_path(need(doc, "F0", "index_formula"), "F0")
+    F1 = schemas.parse_path(need(doc, "F1", "index_formula"), "F1")
+    kernel_dims = schemas.option(doc, "kernel_dims", tuple)
     idx = sp.fredholm_index((sig_p, L0p, L1p), (sig_m, L0m, L1m), (F0, F1),
-                            kernel_dims=doc.get("kernel_dims"))
+                            kernel_dims=kernel_dims)
     return {"kind": "index_formula", "index": idx}
 
 
@@ -157,15 +159,15 @@ def cmd_morse(doc, args):
 
 def cmd_ss(doc, args):
     filtration = doc.get("filtration", "novikov")
-    pearl = schemas.parse_pearl(doc["pearl"], "pearl")
+    pearl = schemas.parse_pearl(schemas._need(doc, "pearl", "ss"), "pearl")
     if filtration == "novikov":
         C = ch.pearl_complex(pearl)
         window = None
         if args.lambda_window:
             window = (-args.lambda_window, args.lambda_window)
         elif doc.get("lambda_window"):
-            w = doc["lambda_window"]
-            window = (int(w[0]), int(w[1]))
+            window = schemas.option(doc, "lambda_window",
+                                    lambda w: (int(w[0]), int(w[1])))
         fc = ss.novikov_filtration(C, window=window,
                                    indexing=doc.get("indexing", "plain"))
     elif filtration == "action":
@@ -174,7 +176,8 @@ def cmd_ss(doc, args):
     else:
         raise SchemaError("filtration must be 'novikov' or 'action'",
                           found=filtration)
-    r = int(doc.get("page", 1))
+    r = schemas.option(doc, "page", int)
+    r = 1 if r is None else r
     pg = ss.barcode(fc).page(r)
     final, collapse_r, conv = ss.e_infinity(fc)
     return {
@@ -204,6 +207,8 @@ def cmd_intersection(doc, args):
         return {"kind": "quantum_cases",
                 "profiles": [{"dim": d, "betti": list(b)}
                              for d, b in res.profiles]}
+    if comps[0]["betti"] is None:
+        raise SchemaError("intersection needs a component with betti")
     shape = ob.PageShape.from_betti(comps[0]["betti"], datum["N"],
                                     offset=comps[0].get("mu", 0))
     return {"kind": "intersection",
@@ -218,6 +223,8 @@ def cmd_displace_check(doc, args):
 def cmd_pozniak(doc, args):
     datum = schemas.parse_intersection(doc)
     comp = datum["components"][0]
+    if comp["betti"] is None:
+        raise SchemaError("pozniak needs a component with betti")
     table = ob.pozniak(comp["betti"], datum["N"])
     return {"kind": "pozniak", "hf_betti": {str(k): v for k, v in table.items()}}
 

@@ -315,6 +315,8 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS, _scan=None):
     if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
         raise DimensionMismatch("paths must share interval and half-dimension")
     grid = settings.crossing_grid if grid is None else int(grid)
+    if grid < 1:
+        raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     tol = settings.crossing_accept_angle if tol is None else tol
     a, b = F0.a, F0.b
     length = b - a
@@ -453,6 +455,8 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
     [a, b] gives 0 (zero axiom).
     """
     grid = settings.crossing_grid if grid is None else int(grid)
+    if grid < 1:
+        raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     tol = settings.crossing_accept_angle
     ss = np.linspace(F0.a, F0.b, grid + 1)
     g, dims = _scan_pair(F0, F1, ss, tol)

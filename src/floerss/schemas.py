@@ -1,10 +1,15 @@
 """JSON schema family "floerss/1": parsing and validation of input files.
 
-Matrices are row-major nested arrays of numbers; half-integer degrees are
-doubled integers in fields named deg2/mu2; Laurent coefficients are maps
-exponent -> coefficient.  Schema violations raise SchemaError; the domain
-gates of the constructed objects raise their own errors.
+Matrices are row-major nested arrays of finite numbers; half-integer
+degrees are doubled integers in fields named deg2/mu2; Laurent coefficients
+are maps exponent -> coefficient.  Schema violations raise SchemaError: a
+missing key, and a field of the wrong JSON type or value that a parser
+cannot convert (the KeyError, TypeError, ValueError, IndexError,
+AttributeError or OverflowError it raises).  The domain gates of the
+constructed objects raise their own errors.
 """
+
+from functools import wraps
 
 import numpy as np
 
@@ -17,7 +22,25 @@ from . import chain as ch
 SCHEMA = "floerss/1"
 
 
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError,
+              OverflowError)
+
+
+def _schema_checked(parse):
+    """Report a field the parser cannot convert as a SchemaError."""
+    @wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except _MALFORMED as exc:
+            raise SchemaError(f"malformed input in {parse.__name__}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    return checked
+
+
 def _need(obj, key, where):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object", path=where)
     if key not in obj:
         raise SchemaError(f"missing key {key!r} in {where}", path=where,
                           expected=key, found=sorted(obj))
@@ -32,7 +55,24 @@ def _matrix(obj, where):
     if M.ndim != 2:
         raise SchemaError(f"{where}: expected a 2-d matrix, got shape {M.shape}",
                           path=where)
+    if M.size == 0 or not np.all(np.isfinite(M)):
+        raise SchemaError(f"{where}: expected a nonempty matrix of finite numbers",
+                          path=where)
     return M
+
+
+def _finite(x, where):
+    x = float(x)
+    if not np.isfinite(x):
+        raise SchemaError(f"{where}: expected a finite number, got {x}", path=where)
+    return x
+
+
+@_schema_checked
+def option(doc, key, cast):
+    """Optional field ``key`` of doc converted by cast; None if absent or null."""
+    value = doc.get(key)
+    return None if value is None else cast(value)
 
 
 def check_header(doc, kind=None):
@@ -45,10 +85,12 @@ def check_header(doc, kind=None):
     return doc
 
 
+@_schema_checked
 def parse_frame(obj, where="frame"):
     return sl.validate_lagrangian(_matrix(obj, where))
 
 
+@_schema_checked
 def parse_sigma(obj, where="sigma"):
     if "constant" in obj:
         return sl.constant_path(_matrix(obj["constant"], where))
@@ -58,8 +100,8 @@ def parse_sigma(obj, where="sigma"):
     raise SchemaError(f"{where}: need 'constant' or 'poly'", path=where)
 
 
-def _poly_eval(coeffs):
-    cs = [float(c) for c in coeffs]
+def _poly_eval(coeffs, where):
+    cs = [_finite(c, where) for c in coeffs]
 
     def f(s):
         acc, sk = 0.0, 1.0
@@ -73,6 +115,9 @@ def _poly_eval(coeffs):
 
 def _matrix_poly_eval(coeffs, where):
     mats = [_matrix(c, where) for c in coeffs]
+    if any(c.shape != (len(mats[0]),) * 2 for c in mats):
+        raise SchemaError(f"{where}: coefficients must be square matrices of "
+                          "one size", path=where)
 
     def f(s):
         acc = np.zeros_like(mats[0])
@@ -85,14 +130,15 @@ def _matrix_poly_eval(coeffs, where):
     return f
 
 
+@_schema_checked
 def parse_path(obj, where="path"):
-    a, b = (float(x) for x in _need(obj, "interval", where))
+    a, b = (_finite(x, where) for x in _need(obj, "interval", where))
     typ = _need(obj, "type", where)
     if typ == "constant":
         return lp.constant_lagrangian_path(
             parse_frame(_need(obj, "frame", where), where), a, b)
     if typ == "rotation":
-        theta = _poly_eval(_need(_need(obj, "theta", where), "poly", where))
+        theta = _poly_eval(_need(_need(obj, "theta", where), "poly", where), where)
         base = parse_frame(_need(obj, "base", where), where)
         return lp.rotation_path(theta, base, a, b)
     if typ == "graph":
@@ -103,12 +149,13 @@ def parse_path(obj, where="path"):
         base = parse_frame(_need(obj, "base", where), where)
         return lp.fundamental_image_path(sigma, base, a, b)
     if typ == "sampled":
-        samples = [(float(s["s"]), parse_frame(s["frame"], where))
+        samples = [(_finite(s["s"], where), parse_frame(s["frame"], where))
                    for s in _need(obj, "samples", where)]
         return lp.sampled_path(samples, a, b)
     raise SchemaError(f"{where}: unknown path type {typ!r}", path=where, found=typ)
 
 
+@_schema_checked
 def parse_operator(doc, where="operator"):
     n = int(_need(doc, "n", where))
     sigma = parse_sigma(_need(doc, "sigma", where), where)
@@ -131,6 +178,7 @@ def _laurent_coeff(c, where):
     return LaurentPoly.make(Z2, {0: int(c)})
 
 
+@_schema_checked
 def parse_complex(doc, where="complex"):
     ring = _need(doc, "ring", where)
     if ring not in (Z2, Z, L2):
@@ -155,6 +203,7 @@ def parse_complex(doc, where="complex"):
                                    require_graded=bool(doc.get("graded", True)))
 
 
+@_schema_checked
 def parse_morse(doc, where="morse"):
     cps = [(c["name"], int(c["index"]))
            for c in _need(doc, "critical_points", where)]
@@ -166,6 +215,7 @@ def parse_morse(doc, where="morse"):
     return ch.MorseData.build(cps, trs, ls)
 
 
+@_schema_checked
 def parse_pearl(doc, where="pearl"):
     ctx_doc = _need(doc, "context", where)
     ctx = ch.MonotoneContext(tau=float(_need(ctx_doc, "tau", where)),
@@ -187,16 +237,23 @@ def parse_pearl(doc, where="pearl"):
                               normalize=bool(doc.get("normalize", True)))
 
 
+@_schema_checked
 def parse_intersection(doc, where="intersection"):
     N = int(_need(doc, "N", where))
+    if N < 1:
+        raise SchemaError(f"{where}: N must be a positive integer", path=where,
+                          found=N)
     comps = []
     for c in _need(doc, "components", where):
+        dim, betti = c.get("dim"), c.get("betti")
         comps.append({
             "name": _need(c, "name", where),
-            "dim": c.get("dim"),
-            "betti": c.get("betti"),
+            "dim": None if dim is None else int(dim),
+            "betti": None if betti is None else [int(b) for b in betti],
             "mu": int(c.get("mu", 0)),
             "action_rank": int(c.get("action_rank", 1)),
         })
+    if not comps:
+        raise SchemaError(f"{where}: needs at least one component", path=where)
     return {"N": N, "components": comps,
             "period": int(doc.get("period", 0)) or None}

@@ -143,15 +143,17 @@ class SpectralPage:
         e = self.entries.get((p, q))
         return e.dim if e else 0
 
+    @property
+    def support(self):
+        return frozenset(self.entries)
+
 
 def _bidegrees(fc):
+    """Every (p, q) with p in the level range and p + q a generator degree:
+    the bidegrees on which the pages are defined."""
     lmin, lmax = fc.level_range()
-    out = set()
-    for i in range(fc.size):
-        m = fc.degrees[i]
-        for p in range(lmin, lmax + 1):
-            out.add((p, m - p))
-    return sorted(out)
+    return sorted((p, m - p) for m in set(fc.degrees)
+                  for p in range(lmin, lmax + 1))
 
 
 def page(fc, r):
@@ -268,9 +270,11 @@ def first_page_check(fc):
 
 @dataclass(frozen=True)
 class PageDims:
-    """Nonzero dimensions of one page, without sections or differentials."""
+    """Nonzero dimensions of one page, without sections or differentials;
+    ``support`` holds the bidegrees on which the page is defined."""
     r: int
     table: dict                   # (p, q) -> dim > 0
+    support: frozenset
 
     def dims(self):
         return dict(self.table)
@@ -285,10 +289,12 @@ class Barcode:
 
     bars: (length, bidegree of sigma, bidegree of tau) for each pair with
     length level(tau) - level(sigma) >= 1 (pairs inside one level are on no
-    page); essential: the bidegree of each unpaired generator.
+    page); essential: the bidegree of each unpaired generator; support: the
+    bidegrees on which the pages are defined.
     """
     bars: tuple
     essential: tuple
+    support: frozenset
 
     def page(self, r):
         """Dimensions of E^r: the unpaired generators plus both ends of
@@ -300,7 +306,7 @@ class Barcode:
             if length >= r:
                 table[s] += 1
                 table[t] += 1
-        return PageDims(r=r, table=dict(table))
+        return PageDims(r=r, table=dict(table), support=self.support)
 
     @property
     def collapse_r(self):
@@ -308,7 +314,8 @@ class Barcode:
         return max((length for length, _, _ in self.bars), default=0) + 1
 
     def infinity(self):
-        return PageDims(r=self.collapse_r, table=dict(Counter(self.essential)))
+        return PageDims(r=self.collapse_r, table=dict(Counter(self.essential)),
+                        support=self.support)
 
     def differentials(self, r):
         """Bidegrees (p, q) at which d^r is nonzero."""
@@ -346,7 +353,8 @@ def barcode(fc):
                 break
             col ^= pivots[low]
     essential = tuple(bideg(i) for i in range(fc.size) if i not in paired)
-    return Barcode(bars=tuple(bars), essential=essential)
+    return Barcode(bars=tuple(bars), essential=essential,
+                   support=frozenset(_bidegrees(fc)))
 
 
 def check_convergence(fc, final):
@@ -497,7 +505,10 @@ def check_boundedness_formula(fc, C, window, stretch=1):
 
 def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
     """Check E^r_{p,q} = E^r_{p-1, q-N+1} (plain) or E^r_{p,q} = E^r_{p-N,q}
-    (stretched) away from the window edges; returns the checked pairs."""
+    (stretched) away from the window edges; returns the checked pairs.
+
+    pg is a literal SpectralPage or a barcode's PageDims; a pair whose
+    lambda-image is off the page's support is skipped."""
     dims = pg.dims()
     if not dims:
         return True, []
@@ -506,13 +517,13 @@ def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
     step = N if indexing == "stretched" else 1
     checked = []
     ok = True
-    for (p, q), d in dims.items():
+    for (p, q), d in sorted(dims.items()):
         if p - step * margin <= lo or p + step * margin >= hi:
             continue
         # multiplication by lambda: plain (p, q) -> (p-1, q-N+1),
         # stretched (p, q) -> (p-N, q)
         other = (p - N, q) if indexing == "stretched" else (p - 1, q - (N - 1))
-        if pg.entries.get(other) is None:
+        if other not in pg.support:
             continue
         same = (pg.dim(*other) == d)
         checked.append(((p, q), other, d, pg.dim(*other)))

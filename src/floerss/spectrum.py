@@ -8,6 +8,17 @@ sigma + rho maps L0 to a subspace meeting L1.  With this sign the flat
 model sigma = 0, L1 = e^{alpha J} L0 reports exactly alpha + pi Z (the
 angle progression), and the spectral gap and kernel agree with those of
 A = J d/dt + sigma, which are reflection invariant.
+
+``eigenvalues`` scans a grid of rho with the gap function g(rho), the
+smallest principal-angle sine between Psi_{sigma+rho}(1) L0 and L1, and
+refines each local minimum by golden section.  g is stacked: one batched
+flow over all rho, one stacked ``validate_lagrangian`` of the image
+frames and one stacked SVD for their sines.  The golden section
+(``_golden``) evaluates two iterations per flow pass: the probes of one
+iteration and those of the next for either outcome, six points per
+bracket, with the comparisons applied in order, so the brackets, and
+with them the reported floats, are those of a search that makes one pass
+per iteration.
 """
 
 from dataclasses import dataclass
@@ -17,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DeltaNotBelowGap, DimensionMismatch, EndpointMismatch,
-                     NonIntegerIndex, WindowTooSmall)
+                     GridTooCoarse, NonIntegerIndex, WindowTooSmall)
 from . import symplin as sl
 from . import lagpath as lp
 
@@ -50,19 +61,46 @@ class SpectrumReport:
     kernel_dim: int
 
 
-def _gap_function(A, flows):
-    """rho -> smallest principal angle sine between Psi_{sigma+rho}(1) L0 and
-    L1, for a batch of rho; ``flows`` is ``symplin.shifted_flows`` of sigma."""
+def _angle_sines(A, flows):
+    """rhos -> the (B, n) ascending principal-angle sines between
+    Psi_{sigma+rho}(1) L0 and L1, for a batch of rho; ``flows`` is
+    ``symplin.shifted_flows`` of sigma.  The frames of the whole batch are
+    one stacked ``validate_lagrangian`` and the sines one stacked SVD."""
     L0, L1 = A.boundary
+    return lambda rhos: sl.principal_angle_sines(
+        sl.validate_lagrangian(flows(rhos) @ L0.frame), L1)
 
-    def g_batch(rhos):
-        out = np.empty(len(rhos))
-        for i, M in enumerate(flows(rhos)):
-            F = sl.apply_matrix(M, L0)
-            out[i] = sl.min_principal_angle_sin(F, L1)
-        return out
 
-    return g_batch
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _probes(lo, hi):
+    """The two golden-section probes of the brackets [lo, hi]."""
+    return hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+
+
+def _golden(g, los, his, tol):
+    """Golden-section search on the brackets [los, his] of a batched g until
+    every width is at most tol; returns the final (los, his).
+
+    Each pass makes one call of g on six points per bracket: the probes
+    x1, x2 of the current iteration, and the probes of the next one for
+    either outcome, (lo, x2) when f(x1) <= f(x2) and (x1, hi) otherwise.
+    The two comparisons are then applied in order, with the width test
+    between them, so the brackets are those of one iteration per call.
+    """
+    while len(los) and np.max(his - los) > tol:
+        x1, x2 = _probes(los, his)
+        (a1, a2), (b1, b2) = _probes(los, x2), _probes(x1, his)
+        f1, f2, fa1, fa2, fb1, fb2 = g(
+            np.concatenate([x1, x2, a1, a2, b1, b2])).reshape(6, -1)
+        left = f1 <= f2
+        los, his = np.where(left, los, x1), np.where(left, x2, his)
+        if np.max(his - los) > tol:
+            x1, x2 = np.where(left, a1, b1), np.where(left, a2, b2)
+            left = np.where(left, fa1 <= fa2, fb1 <= fb2)
+            los, his = np.where(left, los, x1), np.where(left, x2, his)
+    return los, his
 
 
 def eigenvalues(A, window=None, grid=None, tol=None, step=None,
@@ -72,12 +110,24 @@ def eigenvalues(A, window=None, grid=None, tol=None, step=None,
     Detection: rho is reported iff the fundamental solution of sigma + rho
     maps L0 to a subspace meeting L1 nontrivially; the multiplicity is the
     intersection dimension at the refined rho.
+
+    The gap function g(rho), the smallest principal-angle sine, is
+    evaluated for a whole batch of rho at once (``_angle_sines``).  One
+    scan over the grid brackets the local minima; ``_golden`` narrows them
+    to ``tol`` with one flow pass per two golden-section iterations, first
+    at the coarse step and then, for a non-constant sigma, again at the
+    fine ``settings.ode_step`` around each coarse minimum.  The
+    multiplicities are read off the same stacked sines at the fine step.
     """
     window = settings.spectrum_window if window is None else float(window)
     grid = settings.spectrum_grid if grid is None else int(grid)
     tol = settings.spectrum_refine_tol if tol is None else float(tol)
-    if window <= 0:
+    if not window > 0:
         raise WindowTooSmall("window must be positive")
+    if not np.isfinite(window):
+        raise WindowTooSmall(f"window must be finite, got {window}")
+    if grid < 1:
+        raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     if step is None:
         # keep ||generator|| * h small; the final polish below rechecks each
         # eigenvalue at the fine default step
@@ -86,64 +136,46 @@ def eigenvalues(A, window=None, grid=None, tol=None, step=None,
     else:
         step = float(step)
 
-    g_batch = _gap_function(A, sl.shifted_flows(A.sigma, step, settings=settings))
+    sines = _angle_sines(A, sl.shifted_flows(A.sigma, step, settings=settings))
+
+    def g(rhos):
+        return sines(rhos)[:, 0]
+
     rhos = np.linspace(-window, window, grid + 1)
-    g = g_batch(rhos)
+    gs = g(rhos)
 
     # bracket local minima
     brackets = []
     for i in range(1, grid):
-        if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 0.9:
+        if gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1] and gs[i] < 0.9:
             brackets.append((rhos[i - 1], rhos[i + 1]))
     for edge in (0, grid):
-        if g[edge] < 1e-6:
+        if gs[edge] < 1e-6:
             lo = rhos[max(edge - 1, 0)]
             hi = rhos[min(edge + 1, grid)]
             brackets.append((lo, hi))
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    los = np.array([b[0] for b in brackets])
-    his = np.array([b[1] for b in brackets])
-    while len(brackets) and np.max(his - los) > tol:
-        x1 = his - invphi * (his - los)
-        x2 = los + invphi * (his - los)
-        f1 = g_batch(x1)
-        f2 = g_batch(x2)
-        left = f1 <= f2
-        his = np.where(left, x2, his)
-        los = np.where(left, los, x1)
-
+    los, his = _golden(g, np.array([b[0] for b in brackets]),
+                       np.array([b[1] for b in brackets]), tol)
     found = []
     if len(brackets):
         centers = 0.5 * (los + his)
-        vals = g_batch(centers)
-        L0, L1 = A.boundary
-        accept = 10.0 * max(tol, 1e-9)
-        keep = vals < accept
+        keep = g(centers) < 10.0 * max(tol, 1e-9)
         centers = centers[keep]
         fine = settings.ode_step
         if len(centers):
-            fine_flows = sl.shifted_flows(A.sigma, fine, settings=settings)
+            fine_sines = _angle_sines(
+                A, sl.shifted_flows(A.sigma, fine, settings=settings))
             if fine < step and A.sigma.constant is None:
                 # batched polish at the fine step: each coarse minimum is
                 # within O(step^4) of the true eigenvalue
-                g_fine = _gap_function(A, fine_flows)
                 pad = max(1e3 * tol, 1e4 * step ** 4)
-                plo = centers - pad
-                phi = centers + pad
-                while np.max(phi - plo) > tol:
-                    x1 = phi - invphi * (phi - plo)
-                    x2 = plo + invphi * (phi - plo)
-                    f1 = g_fine(x1)
-                    f2 = g_fine(x2)
-                    left = f1 <= f2
-                    phi = np.where(left, x2, phi)
-                    plo = np.where(left, plo, x1)
+                plo, phi = _golden(lambda r: fine_sines(r)[:, 0],
+                                   centers - pad, centers + pad, tol)
                 centers = 0.5 * (plo + phi)
-            for rho, M in zip(centers, fine_flows(centers)):
-                F = sl.apply_matrix(M, L0)
-                mult = sl.intersection_dim(F, L1, tol=1e-6)
-                found.append((float(rho), max(mult, 1)))
+            mults = np.sum(fine_sines(centers) < 1e-6, axis=1)
+            found = [(float(rho), max(int(m), 1))
+                     for rho, m in zip(centers, mults)]
     # merge duplicates
     found.sort()
     merged = []

@@ -30,6 +30,7 @@ All values are immutable after construction and all operations are pure.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,11 +39,13 @@ from .errors import (DimensionMismatch, IntegrationFailure, NotFullRank,
                      NotIsotropic, NotSymmetric, StepTooLarge)
 
 
+@lru_cache(maxsize=None)
 def J_std(n):
-    """Standard complex structure on R^{2n}."""
+    """Standard complex structure on R^{2n} (one read-only array per n)."""
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
+    J.setflags(write=False)
     return J
 
 
@@ -67,7 +70,8 @@ def complex_diag(n, values):
 
 @dataclass(frozen=True)
 class LagrangianFrame:
-    """Orthonormal 2n x n frame spanning a Lagrangian subspace."""
+    """Orthonormal 2n x n frame spanning a Lagrangian subspace, or a
+    (..., 2n, n) stack of them (``validate_lagrangian`` of a stack)."""
 
     n: int
     frame: np.ndarray = field(repr=False)
@@ -90,33 +94,42 @@ class LagrangianFrame:
 def validate_lagrangian(M, tol=None):
     """Orthonormalize the columns of M and check the Lagrangian conditions.
 
+    M is one 2n x n matrix or a (..., 2n, n) stack of them; a stack gives
+    one LagrangianFrame whose ``frame`` is the stack of orthonormal frames.
     Raises NotFullRank when the columns are dependent and NotIsotropic with
-    the largest |omega(col_i, col_j)| when the span is not isotropic.
+    the largest |omega(col_i, col_j)| when the span is not isotropic; in a
+    stack the first bad member raises the error it raises alone.
     """
     tol = DEFAULTS.frame_tol if tol is None else tol
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != 2 * M.shape[1] or M.shape[1] == 0:
+    if M.ndim < 2 or M.shape[-2] != 2 * M.shape[-1] or M.shape[-1] == 0:
         raise DimensionMismatch(f"expected a 2n x n matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NotFullRank("frame has non-finite entries")
-    n = M.shape[1]
-    q, r = np.linalg.qr(M)
-    smin = np.min(np.abs(np.diag(r)))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if smin <= tol * scale:
-        raise NotFullRank(f"smallest column pivot {smin:.3e} below tolerance",
-                          smallest_pivot=smin)
-    gram = q.T @ J_std(n) @ q
-    worst = float(np.max(np.abs(gram)))
-    if worst > max(tol, 1e-12):
-        raise NotIsotropic(f"max |omega(col_i, col_j)| = {worst:.3e}", max_pairing=worst)
+    n = M.shape[-1]
+    S = M.reshape((-1, 2 * n, n))
+    top = np.abs(S).max(axis=(1, 2))
+    finite = np.isfinite(top)
+    all_finite = finite.all()
+    if not all_finite:
+        S = np.where(finite[:, None, None], S, 0.0)
+    q, r = np.linalg.qr(S)
+    smin = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1)
+    worst = np.abs(np.swapaxes(q, 1, 2) @ J_std(n) @ q).max(axis=(1, 2))
+    thin = smin <= tol * np.maximum(1.0, top)
+    lim = max(tol, 1e-12)
+    if not all_finite or thin.any() or worst.max() > lim:
+        i = int(np.argmax(~finite | thin | (worst > lim)))
+        if not finite[i]:
+            raise NotFullRank("frame has non-finite entries")
+        if thin[i]:
+            raise NotFullRank(f"smallest column pivot {smin[i]:.3e} below tolerance",
+                              smallest_pivot=smin[i])
+        raise NotIsotropic(f"max |omega(col_i, col_j)| = {worst[i]:.3e}",
+                           max_pairing=float(worst[i]))
     # fix a deterministic sign: make the largest entry of each column positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(q[:, j])))
-        if q[k, j] < 0:
-            q = q.copy()
-            q[:, j] = -q[:, j]
-    return LagrangianFrame(n=n, frame=q)
+    k = np.abs(q).argmax(axis=1)
+    lead = q.reshape(len(q), -1)[np.arange(len(q))[:, None], k * n + np.arange(n)]
+    q = np.where(lead[:, None, :] < 0, -q, q)
+    return LagrangianFrame(n=n, frame=q.reshape(M.shape))
 
 
 def horizontal(n):
@@ -158,11 +171,12 @@ def principal_angle_sines(F, G):
     """Sines of the principal angles between span(F) and span(G), ascending.
 
     Computed from the residual (1 - P_F) Q_G, which is accurate for tiny
-    angles where the cosine formula loses all precision.
+    angles where the cosine formula loses all precision.  Either frame may
+    be a stack; the sines are then a (..., n) stack.
     """
     if F.n != G.n:
         raise DimensionMismatch(f"half-dimensions differ: {F.n} != {G.n}")
-    resid = G.frame - F.frame @ (F.frame.T @ G.frame)
+    resid = G.frame - F.frame @ (np.swapaxes(F.frame, -1, -2) @ G.frame)
     s = np.linalg.svd(resid, compute_uv=False)
     return np.sort(np.clip(s, 0.0, 1.0))
 
@@ -188,11 +202,8 @@ def intersection_basis(F, G, tol=1e-6):
     Pairs principal vectors with angle below tol; intended for use at a
     refined crossing where the split against the nonzero angles is large.
     """
-    u, s, _ = np.linalg.svd(F.frame.T @ G.frame)
-    sel = np.arccos(np.clip(s, -1.0, 1.0)) < tol
-    # fall back to the sine criterion for the near-1 singular values
-    sines = principal_angle_sines(F, G)
-    k = int(np.sum(sines < tol))
+    u = np.linalg.svd(F.frame.T @ G.frame)[0]
+    k = int(np.sum(principal_angle_sines(F, G) < tol))
     if k == 0:
         return np.zeros((2 * F.n, 0))
     vecs = F.frame @ u[:, :k]

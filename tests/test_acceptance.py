@@ -260,7 +260,7 @@ def test_criterion_07_novikov_filtration():
         fc = ss.novikov_filtration(C, indexing="stretched")
         pages = ss.nontrivial_pages(fc, N, indexing="stretched")
         ok = ok and all(r % N == 0 for r in pages)
-        p1 = ss.page(fc, 1)
+        p1 = ss.barcode(fc).page(1)
         per, checked = ss.lambda_periodic_dims(p1, N, indexing="stretched")
         ok = ok and per and len(checked) > 0
     report(7, ok, "Novikov pages lambda-periodic in the middle window; "

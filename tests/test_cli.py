@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerss.cli import main
 
@@ -205,6 +211,55 @@ def test_ss_page_below_one_is_refused(tmp_path, capsys):
                                "message": "pages are defined for r >= 1"}
 
 
+SPECTRUM_POLY_DOC = {
+    "schema": "floerss/1", "kind": "spectrum", "n": 2,
+    "sigma": {"poly": [[[0.3, 0.1, 0.0, 0.2], [0.1, -0.2, 0.2, 0.0],
+                        [0.0, 0.2, 0.5, -0.1], [0.2, 0.0, -0.1, 0.1]],
+                       [[0.4, 0.0, 0.1, 0.0], [0.0, -0.3, 0.0, 0.2],
+                        [0.1, 0.0, 0.2, 0.0], [0.0, 0.2, 0.0, -0.1]]]},
+    "boundary": [[[1, 0], [0, 1], [0, 0], [0, 0]],
+                 [[1, 0], [0, 1], [0.5, 0.2], [0.2, -0.3]]],
+    "window": 6.283185307179586, "grid": 384}
+
+# the operator of test_spectrum::test_eigenvalues_of_probe_blind_operator
+_BUMP = [0.0, 0.0, 37.5, -312.5, 875.0, -1000.0, 400.0]
+SPECTRUM_BLIND_DOC = {
+    "schema": "floerss/1", "kind": "spectrum", "n": 1,
+    "sigma": {"poly": [[[0.0, 0.4], [0.4, 0.0]]]
+                      + [[[c, 0.0], [0.0, 0.0]] for c in _BUMP[1:]]},
+    "boundary": [[[1], [0]], [[0.955336489125606], [0.29552020666133955]]],
+    "window": 6.283185307179586, "grid": 384}
+
+# stdout of `floerss spectrum --json` on the two documents above, recorded
+# from the two-call-per-iteration golden refinement and per-rho frame loop
+SPECTRUM_POLY_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -6.233022275526093}, '
+    '{"multiplicity": 1, "rho": -3.4440185289691216}, '
+    '{"multiplicity": 1, "rho": -3.1011316038338244}, '
+    '{"multiplicity": 1, "rho": -0.10555819899639238}, '
+    '{"multiplicity": 1, "rho": 0.05374792785444242}, '
+    '{"multiplicity": 1, "rho": 2.86507855612438}, '
+    '{"multiplicity": 1, "rho": 3.210215085681858}, '
+    '{"multiplicity": 1, "rho": 5.9992692585991145}], '
+    '"gap": 0.05374792785444242, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+SPECTRUM_BLIND_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -5.940679950439206}, '
+    '{"multiplicity": 1, "rho": -2.73410074108981}, '
+    '{"multiplicity": 1, "rho": 0.28394736222420147}, '
+    '{"multiplicity": 1, "rho": 3.5980479814831416}], '
+    '"gap": 0.28394736222420147, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+
+
+def test_spectrum_output_is_unchanged(tmp_path, capsys):
+    for name, doc, want in (("poly", SPECTRUM_POLY_DOC, SPECTRUM_POLY_JSON),
+                            ("blind", SPECTRUM_BLIND_DOC, SPECTRUM_BLIND_JSON)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["spectrum", str(p), "--json"], capsys) == (0, want, ""), name
+
+
 def test_pozniak_and_quantum_commands(tmp_path, capsys):
     doc = {"schema": "floerss/1", "kind": "intersection", "N": 4,
            "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}
@@ -259,3 +314,204 @@ def test_benchmark_tracer_binds_every_layer():
     finally:
         tracer.uninstall()
     assert sl.fundamental_solution is original
+
+
+_SPEC = {"kind": "spectrum", "n": 1, "sigma": {"constant": [[0, 0], [0, 0]]},
+         "boundary": [[[1], [0]], [[0.5], [C]]], "window": 2.0, "grid": 16}
+_GRAPH = {"kind": "rs_index",
+          "F0": {"type": "graph", "interval": [0, 1],
+                 "B": {"poly": [[[-0.5]], [[1]]]}},
+          "F1": {"type": "constant", "interval": [0, 1], "frame": [[1], [0]]}}
+_CIRCLE = {"kind": "intersection", "N": 2,
+           "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}
+
+# inputs that escaped main with a traceback before the fuzz test below
+# found them: (command, document, exit code, error)
+ESCAPED = [
+    ("index-formula", {"kind": "index_formula"}, 2, "SchemaError"),
+    ("spectrum", dict(_SPEC, sigma={"constant": [[0, 0], [float("nan"), 0]]}),
+     2, "SchemaError"),
+    ("spectrum", dict(_SPEC, window=[]), 2, "SchemaError"),
+    ("spectrum", dict(_SPEC, grid=-1), 1, "GridTooCoarse"),
+    ("spectrum", dict(_SPEC, window=float("inf")), 1, "WindowTooSmall"),
+    ("rs-index", dict(_GRAPH, grid=0), 1, "GridTooCoarse"),
+    ("rs-index", dict(_GRAPH, grid=float("inf")), 2, "SchemaError"),
+    ("rs-index", dict(_GRAPH, F0={"type": "rotation", "interval": [0, 1],
+                                  "theta": {"poly": [float("nan"), 1]},
+                                  "base": [[1], [0]]}), 2, "SchemaError"),
+    ("homology", {"kind": "complex", "ring": "Z", "generators": [{"name": "a"}]},
+     2, "SchemaError"),
+    ("ss", dict(SS_DOC, pearl=dict(SS_DOC["pearl"], components=[2])), 2,
+     "SchemaError"),
+    ("pozniak", dict(_CIRCLE, components=[]), 2, "SchemaError"),
+    ("pozniak", dict(_CIRCLE, components=[{"name": "C", "dim": 1}]), 2,
+     "SchemaError"),
+    ("displace-check", dict(_CIRCLE, N=0.5), 2, "SchemaError"),
+]
+
+
+@pytest.mark.parametrize("cmd,doc,code,error", ESCAPED)
+def test_escaped_inputs_are_refused(tmp_path, capsys, cmd, doc, code, error):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
+    got, out, err = run_cli([cmd, str(p), "--json"], capsys)
+    assert (got, out, json.loads(err)["error"]) == (code, "", error)
+
+
+
+# -- fuzzing the floerss/1 schemas ----------------------------------------
+
+
+FUZZ_C = 0.8660254037844387
+FUZZ_TEMPLATES = [
+    ("spectrum", {"kind": "spectrum", "n": 1,
+                  "sigma": {"constant": [[0.2, 0.0], [0.0, 0.2]]},
+                  "boundary": [[[1], [0]], [[0.5], [FUZZ_C]]],
+                  "window": 2.0, "grid": 16}),
+    ("spectrum", {"kind": "spectrum", "n": 1,
+                  "sigma": {"poly": [[[2.0, 0.0], [0.0, 2.0]], [[0.1, 0.0], [0.0, 0.0]]]},
+                  "boundary": [[[1], [0]], [[1], [0]]],
+                  "window": 0.5, "grid": 8}),
+    ("rs-index", {"kind": "rs_index",
+                  "F0": {"type": "graph", "interval": [0, 1],
+                         "B": {"poly": [[[-0.5]], [[1]]]}},
+                  "F1": {"type": "constant", "interval": [0, 1],
+                         "frame": [[1], [0]]}, "grid": 16}),
+    ("rs-index", {"kind": "rs_index",
+                  "F0": {"type": "rotation", "interval": [0, 1],
+                         "theta": {"poly": [0.3, 2.0]}, "base": [[1], [0]]},
+                  "F1": {"type": "sampled", "interval": [0, 1],
+                         "samples": [{"s": 0, "frame": [[0], [1]]},
+                                     {"s": 1, "frame": [[0], [1]]}]},
+                  "grid": 16}),
+    ("maslov", {"kind": "maslov",
+                "path": {"type": "rotation", "interval": [0, 1],
+                         "theta": {"poly": [0.2, 3.141592653589793]},
+                         "base": [[1], [0]]},
+                "ref": [[1], [0]], "grid": 32}),
+    ("viterbo", {"kind": "viterbo",
+                 "F0": {"type": "rotation", "interval": [-1, 1],
+                        "theta": {"poly": [0.1, 1.0]}, "base": [[1], [0]]},
+                 "F1": {"type": "constant", "interval": [-1, 1],
+                        "frame": [[0.5], [FUZZ_C]]},
+                 "Fm": {"type": "rotation", "interval": [0, 1],
+                        "theta": {"poly": [0.0, 0.4]}, "base": [[1], [0]]},
+                 "Fp": {"type": "rotation", "interval": [0, 1],
+                        "theta": {"poly": [0.0, -0.4]}, "base": [[1], [0]]},
+                 "grid": 16}),
+    ("index-formula", {"kind": "index_formula",
+                       "plus": {"sigma": {"constant": [[0, 0], [0, 0]]},
+                                "L0": [[1], [0]], "L1": [[0], [1]]},
+                       "minus": {"sigma": {"constant": [[0, 0], [0, 0]]},
+                                 "L0": [[1], [0]], "L1": [[0], [1]]},
+                       "F0": {"type": "constant", "interval": [0, 1],
+                              "frame": [[1], [0]]},
+                       "F1": {"type": "constant", "interval": [0, 1],
+                              "frame": [[0], [1]]}}),
+    ("homology", {"kind": "complex", "ring": "Z",
+                  "generators": [{"name": "a", "deg2": 2}, {"name": "b", "deg2": 0}],
+                  "boundary": [{"from": "a", "to": "b", "coeff": 2}]}),
+    ("homology", {"kind": "complex", "ring": "L2", "N": 2,
+                  "generators": [{"name": "a", "deg2": 2}, {"name": "b", "deg2": 0}],
+                  "boundary": [{"from": "a", "to": "b", "coeff": {"0": 1, "1": 1}}]}),
+    ("morse", {"kind": "morse", "ring": "Z",
+               "critical_points": [{"name": "min", "index": 0},
+                                   {"name": "max", "index": 1}],
+               "trajectories": [{"from": "max", "to": "min", "sign": 1},
+                                {"from": "max", "to": "min", "sign": -1}]}),
+    ("ss", {"kind": "ss", "filtration": "novikov", "indexing": "stretched",
+            "pearl": {"context": {"tau": 1.5, "N": 2},
+                      "components": [
+                          {"name": "A", "dim": 0, "action": 0.0, "mu2": 0,
+                           "betti": [1]},
+                          {"name": "C", "dim": 0, "action": 0.4, "mu2": 2,
+                           "betti": [1]}],
+                      "cascades": [{"from": "A:0.0", "to": "C:0.0", "sign": 1,
+                                    "maslov2": 6, "area": 2.6}],
+                      "normalize": False}}),
+    ("intersection", {"kind": "intersection", "N": 2,
+                      "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}),
+    ("displace-check", {"kind": "intersection", "N": 2,
+                        "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}),
+    ("pozniak", {"kind": "intersection", "N": 4,
+                 "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}),
+    ("quantum-cases", {"kind": "intersection", "N": 4, "period": 2,
+                       "components": [
+                           {"name": "C", "dim": 0, "mu": 0, "action_rank": 1},
+                           {"name": "P", "dim": 0, "betti": [1], "mu": 2,
+                            "action_rank": 2}]}),
+]
+
+# replacement values: small numbers only, so no mutation asks for a large grid,
+# window, rank or complex
+FUZZ_ATOMS = [None, True, False, 0, 1, -1, 2, 3, 0.5, -2.5, float("nan"),
+              float("inf"), "", "x", "Z2", "novikov", [], [0], [[0]],
+              [[1], [0]], {}, {"poly": [0, 1]}, {"constant": [[0, 0], [0, 0]]}]
+
+
+def _paths(x, prefix=()):
+    yield prefix
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _paths(v, prefix + (i,))
+
+
+DELETE = object()
+
+
+def _mutate(doc, path, value):
+    """doc with the entry at path replaced by value, or deleted for DELETE."""
+    if not path:
+        return doc if value is DELETE else copy.deepcopy(value)
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+@st.composite
+def fuzz_jobs(draw):
+    cmd, body = draw(st.sampled_from(FUZZ_TEMPLATES))
+    doc = dict({"schema": "floerss/1"}, **body)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutate(doc, path, draw(st.sampled_from(FUZZ_ATOMS + [DELETE])))
+    as_json = draw(st.booleans())
+    return cmd, doc, as_json
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_jobs())
+def test_cli_contract_on_fuzzed_inputs(job):
+    # exit 0, 1 or 2; a refusal is one JSON object on stderr and nothing on
+    # stdout; two runs print the same bytes; no exception escapes main
+    cmd, doc, as_json = job
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [cmd, path] + (["--json"] if as_json else [])
+        first = _run_quiet(argv)
+        assert _run_quiet(argv) == first
+    code, out, err = first
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
+    else:
+        assert err == "" and out

@@ -149,7 +149,7 @@ def test_novikov_random_pearls_differentials_in_NZ():
         fc = ss.novikov_filtration(C, indexing="stretched")
         pages = ss.nontrivial_pages(fc, N, indexing="stretched")
         assert all(r % N == 0 for r in pages), (pages, N)
-        p1 = ss.page(fc, 1)
+        p1 = ss.barcode(fc).page(1)
         ok, _ = ss.lambda_periodic_dims(p1, N, indexing="stretched")
         assert ok
 
@@ -340,6 +340,33 @@ def test_barcode_matches_literal_pages_on_pearl_filtrations():
         _assert_barcode_matches_literal(ss.action_filtration(L, pd))
 
 
+def test_lambda_periodicity_of_barcode_and_literal_pages_agree():
+    rng = make_rng(64)
+    for _ in range(10):
+        N = int(rng.integers(2, 4))
+        C = ch.pearl_complex(_random_pearl_data(rng, N))
+        for indexing in ("plain", "stretched"):
+            fc = ss.novikov_filtration(C, indexing=indexing)
+            bc = ss.barcode(fc)
+            for r in (1, N + 1):
+                literal = ss.page(fc, r)
+                assert bc.page(r).support == literal.support
+                want = ss.lambda_periodic_dims(literal, N, indexing)
+                assert ss.lambda_periodic_dims(bc.page(r), N, indexing) == want
+                assert want[1] or r > 1
+
+
+def test_lambda_periodicity_checks_what_the_support_holds():
+    # plain indexing, N = 2: lambda moves (p, q) to (p - 1, q - 1)
+    table = {(p, 0): 1 for p in range(-3, 4)}
+    support = frozenset(table) | {(p, -1) for p in range(-3, 4)}
+    ok, checked = ss.lambda_periodic_dims(ss.PageDims(1, table, support), 2)
+    assert not ok
+    assert checked == [((p, 0), (p - 1, -1), 1, 0) for p in (-1, 0, 1)]
+    assert ss.lambda_periodic_dims(ss.PageDims(1, table, frozenset(table)), 2) \
+        == (True, [])
+
+
 def test_convergence_check_refuses_an_entry_off_by_one():
     rng = make_rng(65)
     for _ in range(20):
@@ -352,11 +379,11 @@ def test_convergence_check_refuses_an_entry_off_by_one():
             wrong = dict(dims)
             wrong[key] += delta
             wrong = {k: v for k, v in wrong.items() if v}
-            assert not ss.check_convergence(fc, ss.PageDims(final.r, wrong))
+            assert not ss.check_convergence(fc, ss.PageDims(final.r, wrong, final.support))
         lmin, _ = fc.level_range()
         extra = dict(dims)
         extra[(lmin - 1, 0)] = 1
-        assert not ss.check_convergence(fc, ss.PageDims(final.r, extra))
+        assert not ss.check_convergence(fc, ss.PageDims(final.r, extra, final.support))
 
 
 def test_fast_paths_build_no_literal_page(monkeypatch):

@@ -37,6 +37,50 @@ def test_validate_rejects_non_isotropic():
     assert err.value.payload["max_pairing"] > 0.5
 
 
+def _error_of(M):
+    try:
+        sl.validate_lagrangian(M)
+    except (NotFullRank, NotIsotropic) as exc:
+        return type(exc), str(exc), exc.payload
+    return None
+
+
+def test_validate_stack_matches_members():
+    rng = make_rng(8)
+    for n in (1, 2, 3, 4):
+        stack = np.stack([random_lagrangian(rng, n).frame @ (
+            rng.standard_normal((n, n)) + 2 * np.eye(n)) for _ in range(7)])
+        F = sl.validate_lagrangian(stack)
+        assert F.n == n and F.frame.shape == stack.shape
+        for M, Q in zip(stack, F.frame):
+            assert np.array_equal(sl.validate_lagrangian(M).frame, Q)
+        G = random_lagrangian(rng, n)
+        sines = sl.principal_angle_sines(F, G)
+        for k, M in enumerate(stack):
+            assert np.array_equal(
+                sl.principal_angle_sines(sl.validate_lagrangian(M), G), sines[k])
+
+
+def test_validate_stack_raises_for_its_first_bad_member():
+    rng = make_rng(9)
+    thin = np.ones((4, 2))
+    skew = np.zeros((4, 2))
+    skew[0, 0] = skew[2, 1] = 1.0
+    nonfinite = np.full((4, 2), np.nan)
+    for bad in (thin, skew, nonfinite):
+        for pos in (0, 3, 5):
+            stack = np.stack([random_lagrangian(rng, 2).frame for _ in range(6)])
+            stack[pos] = bad
+            # a later member of the other kind does not change the report
+            stack[-1] = skew if bad is thin else thin
+            if pos == 5:
+                stack[-1] = bad
+            want = _error_of(bad)
+            assert want is not None
+            assert _error_of(stack) == want
+            assert _error_of(stack.reshape(2, 3, 4, 2)) == want
+
+
 def test_intersection_dims():
     assert sl.intersection_dim(sl.horizontal(3), sl.vertical(3)) == 0
     assert sl.intersection_dim(sl.horizontal(3), sl.horizontal(3)) == 3
