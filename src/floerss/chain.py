@@ -61,9 +61,6 @@ class MorseData:
         return MorseData(critical_points=cps, trajectories=tuple(trs),
                          local_system=ls)
 
-    def index_of(self, name):
-        return dict(self.critical_points)[name]
-
 
 def _transport_rank(data):
     ranks = {np.asarray(M).shape[0] for M in data.local_system.values()} or {1}
@@ -155,32 +152,6 @@ def _dense_boundary(C):
     return D
 
 
-def induced_map_z2(F, Csrc, Cdst):
-    """Rank of the induced map on Z2 homology per degree (field coefficients)."""
-    from . import gf2
-    ds = _dense_boundary(Csrc) % 2
-    dd = _dense_boundary(Cdst) % 2
-    out = {}
-    degs = sorted({d for _, d in Csrc.generators})
-    for d2 in degs:
-        sc = [j for j, (_, dj) in enumerate(Csrc.generators) if dj == d2]
-        dc = [i for i, (_, di) in enumerate(Cdst.generators) if di == d2]
-        if not sc or not dc:
-            continue
-        zs = gf2.kernel(ds[:, sc][[j for j, (_, dj) in enumerate(Csrc.generators)
-                                   if dj == d2 - 2], :]
-                        if any(dj == d2 - 2 for _, dj in Csrc.generators)
-                        else np.zeros((0, len(sc)), dtype=np.uint8))
-        # cycles in the source, mapped over, reduced mod boundaries of target
-        bs = dd[:, [j for j, (_, dj) in enumerate(Cdst.generators) if dj == d2 + 2]]
-        bd = bs[dc, :] % 2 if bs.size else np.zeros((len(dc), 0), dtype=int)
-        img = (F[np.ix_(dc, sc)] @ zs) % 2
-        both = np.concatenate([bd % 2, img], axis=1)
-        out[d2] = int(gf2.rank(both.astype(np.uint8))
-                      - gf2.rank((bd % 2).astype(np.uint8)))
-    return out
-
-
 # -- pearl data -----------------------------------------------------------------
 
 
@@ -193,10 +164,6 @@ class MonotoneContext:
     def __post_init__(self):
         if self.tau <= 0 or self.N < 1:
             raise MonotonicityViolation("need tau > 0 and N >= 1")
-
-    @property
-    def main_theorem_hypothesis(self):
-        return self.N >= 3
 
 
 @dataclass(frozen=True)
@@ -231,9 +198,6 @@ class ComponentDatum:
                 raise NotAComplex(
                     f"component {name}: Morse homology {got} != betti {betti}")
         return c
-
-    def point_like(self):
-        return self.dim == 0
 
     def default_morse(self):
         """Perfect Morse data realizing the betti numbers (no trajectories)."""

@@ -24,7 +24,9 @@ class Settings:
     symplectic_drift_tol: float = 1e-10
     symplectic_drift_limit: float = 1e-3
 
-    # crossing detection / refinement
+    # crossing detection / refinement; rs_index uses only crossing_grid (its
+    # first sample grid) and crossing_accept_angle (an eigenvalue angle of
+    # the Souriau map below twice it is an intersection)
     crossing_grid: int = 256
     crossing_refine_tol: float = 1e-11     # bracket width for localization
     crossing_accept_angle: float = 1e-7    # sin(angle) below which a crossing is accepted

@@ -8,6 +8,17 @@ Gamma(F0, F1; s) = Gamma(F0, F1(s); s) - Gamma(F1, F0(s); s).
 With these signs the rotation path s -> e^{sJ} Lambda has crossing form +1
 and the graph path (Gr(B(s)), R^n x 0) localizes to
 (1/2) sign B(b) - (1/2) sign B(a).
+
+``rs_index`` does not look for crossings.  It reads the index off the
+Souriau map S(L) = U U^T, U = X + iY for an orthonormal frame [X; Y] of L
+(Arnold 1985; Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s)))
+is unitary, does not depend on the choice of frames, and has eigenvalue 1
+with multiplicity dim F0(s) /\\ F1(s).  The index is minus the winding of
+det W over 2 pi plus endpoint corrections from the eigenvalue angles of W
+at a and b, computed on one batched stack of frames (``LagrangianPath.frames``).
+``find_crossings``, ``crossing_form`` and ``signature_of`` locate crossings
+and evaluate their forms; they are independent of ``rs_index`` and serve as
+its test oracle.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +29,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import (DegenerateCrossing, DimensionMismatch, EndpointMismatch,
                      GraphDecompositionFailed, GridTooCoarse, IndexMismatch,
-                     NonIsolatedCrossings, NotALoop)
+                     NonIntegerIndex, NonIsolatedCrossings, NotALoop,
+                     NotFullRank)
 from . import symplin as sl
 
 
@@ -27,7 +39,12 @@ from . import symplin as sl
 
 @dataclass(frozen=True)
 class LagrangianPath:
-    """A path [a, b] -> Lagrangian Grassmannian, given by an evaluator."""
+    """A path [a, b] -> Lagrangian Grassmannian, given by an evaluator.
+
+    ``stack``, when given, maps an array of parameters to the (B, 2n, n)
+    stack of orthonormal frames at once; ``frames`` uses it, and falls back
+    to one evaluation per parameter without it.
+    """
 
     n: int
     a: float
@@ -35,9 +52,24 @@ class LagrangianPath:
     evaluator: callable = field(repr=False)  # s -> LagrangianFrame
     kind: str = "sampled"
     unitary: callable = field(default=None, repr=False)  # s -> complex n x n, optional
+    stack: callable = field(default=None, repr=False)  # ss -> (B, 2n, n), optional
 
     def __call__(self, s):
         return self.evaluator(s)
+
+    def frames(self, ss):
+        """Orthonormal frames at the parameters ss, as a (B, 2n, n) stack.
+
+        Raises NotFullRank when a frame has non-finite entries.
+        """
+        ss = np.asarray(ss, dtype=float)
+        if self.stack is not None:
+            out = self.stack(ss)
+        else:
+            out = np.stack([self(s).frame for s in ss])
+        if not np.all(np.isfinite(out)):
+            raise NotFullRank("frame has non-finite entries")
+        return out
 
     @property
     def start(self):
@@ -49,7 +81,8 @@ class LagrangianPath:
 
     def restrict(self, a, b):
         return LagrangianPath(n=self.n, a=a, b=b, evaluator=self.evaluator,
-                              kind=self.kind, unitary=self.unitary)
+                              kind=self.kind, unitary=self.unitary,
+                              stack=self.stack)
 
     def reversed(self):
         total = self.a + self.b
@@ -58,70 +91,84 @@ class LagrangianPath:
             evaluator=lambda s: self.evaluator(total - s),
             kind=self.kind,
             unitary=(None if self.unitary is None
-                     else (lambda s: self.unitary(total - s))))
+                     else (lambda s: self.unitary(total - s))),
+            stack=(None if self.stack is None
+                   else (lambda ss: self.stack(total - ss))))
+
+
+def _stacked_path(n, a, b, stack, kind, unitary=None):
+    """A path whose frames all come from ``stack``: one parameter is a stack
+    of one."""
+    return LagrangianPath(
+        n=n, a=a, b=b, kind=kind, unitary=unitary, stack=stack,
+        evaluator=lambda s: sl.LagrangianFrame(n=n, frame=stack(np.array([s]))[0]))
 
 
 def constant_lagrangian_path(frame, a=0.0, b=1.0):
-    return LagrangianPath(n=frame.n, a=a, b=b, evaluator=lambda s: frame,
-                          kind="constant")
+    return LagrangianPath(
+        n=frame.n, a=a, b=b, evaluator=lambda s: frame, kind="constant",
+        stack=lambda ss: np.broadcast_to(frame.frame, (len(ss),) + frame.frame.shape))
 
 
 def rotation_path(theta, base, a=0.0, b=1.0):
     """s -> e^{theta(s) J} . span(base); theta a scalar function."""
     n = base.n
+    X, Y = base.frame[:n, :], base.frame[n:, :]
 
-    def ev(s):
-        return sl.transform_frame(sl.rotation(n, theta(s)), base)
+    def stack(ss):
+        th = np.array([theta(s) for s in ss], dtype=float)[:, None, None]
+        c, s = np.cos(th), np.sin(th)
+        return np.concatenate([c * X - s * Y, s * X + c * Y], axis=1)
 
     # complex frame of e^{tJ} U0 is e^{it} U0; base columns give U0 columns
-    U0 = base.frame[:n, :] + 1j * base.frame[n:, :]
+    U0 = X + 1j * Y
 
     def uni(s):
         return np.exp(1j * theta(s)) * U0
 
-    return LagrangianPath(n=n, a=a, b=b, evaluator=ev, kind="rotation",
-                          unitary=uni)
+    return _stacked_path(n, a, b, stack, "rotation", unitary=uni)
 
 
 def graph_path(B, a=0.0, b=1.0):
     """s -> graph of the symmetric matrix B(s)."""
     B0 = np.asarray(B(a), dtype=float)
-    n = B0.shape[0]
-    return LagrangianPath(n=n, a=a, b=b,
-                          evaluator=lambda s: sl.graph_lagrangian(B(s)),
-                          kind="graph")
+    return _stacked_path(
+        B0.shape[0], a, b,
+        lambda ss: sl.graph_lagrangian(np.array([B(s) for s in ss],
+                                                dtype=float)).frame,
+        "graph")
 
 
-def fundamental_image_path(sigma, base, a=0.0, b=1.0, settings=DEFAULTS):
-    """t -> Psi(t) . span(base) for the fundamental solution of sigma."""
-    flow = sl.FundamentalFlow(sigma, settings=settings)
+def fundamental_image_path(flow, base, a=0.0, b=1.0):
+    """t -> Psi(t) . span(base) for a ``symplin.FundamentalFlow``."""
 
-    def ev(t):
-        return sl.transform_frame(flow(t), base)
+    def stack(ts):
+        return np.linalg.qr(flow.at(ts) @ base.frame)[0]
 
-    return LagrangianPath(n=sigma.n, a=a, b=b, evaluator=ev, kind="fundamental")
+    return _stacked_path(base.n, a, b, stack, "fundamental")
 
 
 def sampled_path(samples, a=None, b=None):
     """Piecewise-linear interpolation of (s, frame) samples, re-orthonormalized."""
     pts = sorted(samples, key=lambda p: p[0])
-    ss = [p[0] for p in pts]
-    frames = [p[1] for p in pts]
-    n = frames[0].n
+    ss = np.array([p[0] for p in pts], dtype=float)
+    Fs = np.stack([p[1].frame for p in pts])
+    n = pts[0][1].n
     a = ss[0] if a is None else a
     b = ss[-1] if b is None else b
+    last = len(ss) - 1
 
-    def ev(s):
-        if s <= ss[0]:
-            return frames[0]
-        if s >= ss[-1]:
-            return frames[-1]
-        k = int(np.searchsorted(ss, s, side="right")) - 1
-        t = (s - ss[k]) / (ss[k + 1] - ss[k])
-        M = (1 - t) * frames[k].frame + t * frames[k + 1].frame
-        return sl.validate_lagrangian(M)
+    def stack(x):
+        # outside (ss[0], ss[-1]) the end samples; inside ss[k] <= x < ss[k+1]
+        inner = (x > ss[0]) & (x < ss[-1])
+        k = np.where(inner, np.searchsorted(ss, x, side="right") - 1,
+                     np.where(x >= ss[-1], last, 0))
+        k1 = np.minimum(k + 1, last)
+        t = np.where(inner, (x - ss[k]) / np.where(inner, ss[k1] - ss[k], 1.0),
+                     0.0)[:, None, None]
+        return sl.validate_lagrangian((1 - t) * Fs[k] + t * Fs[k1]).frame
 
-    return LagrangianPath(n=n, a=a, b=b, evaluator=ev, kind="sampled")
+    return _stacked_path(n, a, b, stack, "sampled")
 
 
 def concatenate(p1, p2):
@@ -197,16 +244,9 @@ def _angle_gap(F0, F1, s):
     return sl.min_principal_angle_sin(F0(s), F1(s))
 
 
-def _scan_pair(F0, F1, ss, tol):
-    """One sweep: smallest principal-angle sine and intersection dimension
-    at every sample (both come from the same SVD)."""
-    g = np.empty(len(ss))
-    dims = np.empty(len(ss), dtype=int)
-    for k, s in enumerate(ss):
-        sines = sl.principal_angle_sines(F0(s), F1(s))
-        g[k] = sines[0]
-        dims[k] = int(np.sum(sines < tol))
-    return g, dims
+def _scan_pair(F0, F1, ss):
+    """One sweep: smallest principal-angle sine at every sample."""
+    return np.array([sl.principal_angle_sines(F0(s), F1(s))[0] for s in ss])
 
 
 def _golden_min(f, lo, hi, tol):
@@ -305,7 +345,7 @@ def signature_of(form, settings=DEFAULTS):
     return pos - neg, regular
 
 
-def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS, _scan=None):
+def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     """Locate all crossing times of the pair on [a, b].
 
     Grid scan of the smallest principal angle, golden-section refinement of
@@ -321,10 +361,7 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS, _scan=None):
     a, b = F0.a, F0.b
     length = b - a
     ss = np.linspace(a, b, grid + 1)
-    if _scan is not None:
-        g = _scan
-    else:
-        g, _ = _scan_pair(F0, F1, ss, tol)
+    g = _scan_pair(F0, F1, ss)
 
     plateau_mask = g < tol
     candidates = []   # (s_refined, from_bracket_index)
@@ -447,37 +484,95 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS, _scan=None):
     return crossings
 
 
+def souriau(frames):
+    """Souriau map S(L) = U U^T, U = X + iY, of a (..., 2n, n) stack of
+    orthonormal frames [X; Y]: a symmetric unitary matrix per frame that
+    does not depend on the choice of orthonormal frame of L."""
+    n = frames.shape[-1]
+    U = frames[..., :n, :] + 1j * frames[..., n:, :]
+    return U @ np.swapaxes(U, -1, -2)
+
+
+def _cell_turns(W0, W1):
+    """Eigenvalue angles of W0^H W1 for stacks of unitaries: per cell their
+    sum (the turn of det W) and the largest modulus."""
+    ang = np.angle(np.linalg.eigvals(np.swapaxes(W0.conj(), -1, -2) @ W1))
+    return ang.sum(axis=-1), np.abs(ang).max(axis=-1)
+
+
+_MAX_SAMPLES = 2 ** 14
+
+
 def rs_index(F0, F1, grid=None, settings=DEFAULTS):
     """Robbin-Salamon index of the pair, as an exact Fraction.
 
-    (1/2) sign Gamma(a) + sum over interior crossings of sign Gamma
-    + (1/2) sign Gamma(b).  Fast path: constant intersection dimension on
-    [a, b] gives 0 (zero axiom).
+    With W(s) = S(F1(s)) conj(S(F0(s))) (``souriau``) and phi_j the
+    eigenvalue angles of W,
+
+        mu_RS = -( wind(det W) / 2 pi + sum_j g(phi_j(b)) - sum_j g(phi_j(a)) ),
+
+    g(phi) = 1/2 - (phi mod 2 pi) / 2 pi, and g = 0 where |phi| is below
+    2 ``crossing_accept_angle`` (the pair intersects there).  This equals
+    (1/2) sign Gamma(a) + sum of sign Gamma over interior crossings
+    + (1/2) sign Gamma(b) whenever the crossings are regular, and it is
+    defined for every continuous path, degenerate or non-isolated
+    crossings included.
+
+    ``grid`` is the number of cells of the first sample grid on [a, b]; the
+    frames of all grid + 1 points are one stack.  The winding is the sum of
+    the eigenvalue angles of W_k^H W_{k+1} over the cells; a cell in which
+    one of them exceeds 1 rad is bisected until none does.  A path that
+    still turns that fast at a resolution of 2^14 samples is not continuous
+    and raises GridTooCoarse.
     """
+    if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
+        raise DimensionMismatch("paths must share interval and half-dimension")
     grid = settings.crossing_grid if grid is None else int(grid)
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
-    tol = settings.crossing_accept_angle
-    ss = np.linspace(F0.a, F0.b, grid + 1)
-    g, dims = _scan_pair(F0, F1, ss, tol)
-    if dims.min() == dims.max() and dims[0] > 0:
-        return Fraction(0)
-    crossings = find_crossings(F0, F1, grid=grid, settings=settings, _scan=g)
-    total = Fraction(0)
-    eps = 1e-9 * max(F0.b - F0.a, 1e-30)
-    for c in crossings:
-        if c.plateau:
-            raise NonIsolatedCrossings(
-                "plateau of positive intersection dimension inside the interval",
-                s=c.s)
-        if not c.regular:
-            raise DegenerateCrossing(
-                f"crossing form degenerate at s={c.s:.12g}; perturb and retry",
-                s=c.s)
-        weight = Fraction(1, 2) if (abs(c.s - F0.a) < eps or abs(c.s - F0.b) < eps) \
-            else Fraction(1)
-        total += weight * c.signature
-    return total
+    a, b = F0.a, F0.b
+
+    def W_at(ss):
+        return souriau(F1.frames(ss)) @ souriau(F0.frames(ss)).conj()
+
+    s = np.linspace(a, b, grid + 1)
+    W = W_at(s)
+    turn, worst = _cell_turns(W[:-1], W[1:])
+    while True:
+        bad = np.flatnonzero(worst > 1.0)
+        if not len(bad):
+            break
+        if (len(s) + len(bad) > _MAX_SAMPLES
+                or np.min(s[bad + 1] - s[bad]) < (b - a) / _MAX_SAMPLES):
+            raise GridTooCoarse(
+                "the Souriau map of the pair still turns by more than 1 rad "
+                f"in a cell at {_MAX_SAMPLES} samples; the path is not "
+                "continuous", samples=len(s))
+        mid = 0.5 * (s[bad] + s[bad + 1])
+        Wm = W_at(mid)
+        left, left_worst = _cell_turns(W[bad], Wm)
+        right, right_worst = _cell_turns(Wm, W[bad + 1])
+        # after the insertion cell bad[j] sits at bad[j] + j, its right half after it
+        at = bad + np.arange(len(bad))
+        s = np.insert(s, bad + 1, mid)
+        W = np.insert(W, bad + 1, Wm, axis=0)
+        turn = np.insert(turn, bad + 1, right)
+        worst = np.insert(worst, bad + 1, right_worst)
+        turn[at], worst[at] = left, left_worst
+
+    cut = 2.0 * settings.crossing_accept_angle
+
+    def g(Wend):
+        phi = np.angle(np.linalg.eigvals(Wend))
+        return float(np.sum(np.where(np.abs(phi) < cut, 0.0,
+                                     0.5 - np.mod(phi, 2 * np.pi) / (2 * np.pi))))
+
+    mu = -(float(np.sum(turn)) / (2 * np.pi) + g(W[-1]) - g(W[0]))
+    twice = round(2 * mu)
+    if abs(2 * mu - twice) > 2e-6:
+        raise NonIntegerIndex(f"Souriau count {mu!r} is not a half-integer",
+                              value=repr(mu))
+    return Fraction(twice, 2)
 
 
 def maslov_loop(F, ref, grid=None, settings=DEFAULTS):

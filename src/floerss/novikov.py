@@ -422,12 +422,6 @@ class GradedFreeComplex:
     def size(self):
         return len(self.generators)
 
-    def degrees2(self):
-        return sorted({d2 for _, d2 in self.generators})
-
-    def name_index(self):
-        return {nm: i for i, (nm, _) in enumerate(self.generators)}
-
 
 def verify_complex(C):
     """Exact check of d . d = 0; returns (ok, (row, col) certificate)."""

@@ -1,15 +1,13 @@
 """Finite-dimensional orientation sign calculus: determinant conventions for
 direct sums, exact sequences, fibre products, quotients, and boundaries.
 
-Exact arithmetic (Fraction) whenever the input matrices are rational;
-floating fallback with a determinant threshold otherwise.  The induced
+Floating-point arithmetic with a determinant threshold.  The induced
 orientation of an exact sequence uses the left-to-right splitting
 convention: walk the sequence keeping an oriented basis of the incoming
 image, complete it inside each space, and push the complement forward.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,10 +15,6 @@ from .errors import (DegenerateOutward, DimensionMismatch, NotExact,
                      NotIndependent, NotSubspace, NotTransverse)
 
 _DET_TOL = 1e-9
-
-
-def _is_rational(M):
-    return all(isinstance(x, (int, Fraction, np.integer)) for x in np.asarray(M, dtype=object).ravel())
 
 
 def _as_matrix(vectors, m):
@@ -112,14 +106,12 @@ def _complete_inside(span_matrix, inside_matrix):
     return inside_matrix[:, picked]
 
 
-def exact_seq_orient(spaces, maps, known=None, solve_for=None):
+def exact_seq_orient(spaces, maps):
     """Orientation bookkeeping of an exact sequence 0 -> X_1 -> ... -> X_k -> 0.
 
     ``spaces`` are BasedSpaces (their bases fix candidate orientations),
-    ``maps`` are matrices X_j -> X_{j+1} (ambient coordinates).  With
-    ``solve_for = u`` the function returns the sign s such that flipping
-    X_u's given orientation by s makes the convention product +1; with all
-    orientations known it returns the consistency sign of the sequence.
+    ``maps`` are matrices X_j -> X_{j+1} (ambient coordinates).  Returns the
+    consistency sign of the sequence.
     """
     k = len(spaces)
     if len(maps) != k - 1:
@@ -158,24 +150,9 @@ def exact_seq_orient(spaces, maps, known=None, solve_for=None):
             if C.shape[1] != 0:
                 raise NotExact("sequence does not end exactly")
     total = 1
-    for j, s in enumerate(signs):
+    for s in signs:
         total *= s
-    if solve_for is None:
-        return total
-    return total * signs[solve_for] * signs[solve_for]  # flipping twice = noop
-
-
-def induced_orientation(spaces, maps, unknown):
-    """BasedSpace for the unknown slot, oriented so the convention holds.
-
-    The unknown space's basis is used as the candidate; its sign is chosen
-    so that the product of the parity-separated splitting signs matches.
-    """
-    total = exact_seq_orient(spaces, maps)
-    X = spaces[unknown]
-    if total == 1:
-        return X
-    return X.flipped()
+    return total
 
 
 def fibre_orient(X, Y, Z, phi, psi):
@@ -188,9 +165,6 @@ def fibre_orient(X, Y, Z, phi, psi):
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     dx, dy, dz = X.dim, Y.dim, Z.dim
-    if phi.shape != (Z.m, X.m) and phi.shape != (dz, dx):
-        # accept maps given in basis coordinates
-        pass
     # work in basis coordinates of X (+) Y and Z
     A = np.zeros((dz, dx + dy))
     MX, MY, MZ = X.matrix(), Y.matrix(), Z.matrix()

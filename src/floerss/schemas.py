@@ -147,7 +147,7 @@ def parse_path(obj, where="path"):
     if typ == "fundamental":
         sigma = parse_sigma(_need(obj, "sigma", where), where)
         base = parse_frame(_need(obj, "base", where), where)
-        return lp.fundamental_image_path(sigma, base, a, b)
+        return lp.fundamental_image_path(sl.FundamentalFlow(sigma), base, a, b)
     if typ == "sampled":
         samples = [(_finite(s["s"], where), parse_frame(s["frame"], where))
                    for s in _need(obj, "samples", where)]

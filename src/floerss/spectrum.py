@@ -207,12 +207,16 @@ def spectral_gap(A, window=None, grid=None, tol=None, settings=DEFAULTS,
         "larger window", window=window)
 
 
+def _kernel_of(psi, L0, L1, tol=1e-6):
+    """dim(psi L0 /\\ L1) for the end state psi of a fundamental solution."""
+    return sl.intersection_dim(sl.apply_matrix(psi, L0), L1, tol=tol)
+
+
 def kernel_dim(A, tol=None, settings=DEFAULTS):
     """dim(Psi_sigma(1) L0 /\\ L1): kernel of J d/dt + sigma on the boundary pair."""
     tol = 1e-6 if tol is None else tol
     psi = sl.fundamental_solution(A.sigma, 1.0, settings=settings)
-    L0, L1 = A.boundary
-    return sl.intersection_dim(sl.apply_matrix(psi.entries, L0), L1, tol=tol)
+    return _kernel_of(psi.entries, *A.boundary, tol=tol)
 
 
 def _shifted_path(sigma, rho):
@@ -241,8 +245,8 @@ def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,
     c1 = lp.constant_lagrangian_path(L1, 0.0, 1.0)
 
     def mu_for(rho):
-        path = lp.fundamental_image_path(_shifted_path(A.sigma, rho), L0,
-                                         settings=settings)
+        flow = sl.FundamentalFlow(_shifted_path(A.sigma, rho), settings=settings)
+        path = lp.fundamental_image_path(flow, L0)
         return lp.rs_index(path, c1, grid=grid, settings=settings)
 
     mu0 = mu_for(0.0)
@@ -281,18 +285,22 @@ def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None,
 
     Ap = AsymptoticOperator(n=sig_p.n, sigma=sig_p, boundary=(L0p, L1p))
     Am = AsymptoticOperator(n=sig_m.n, sigma=sig_m, boundary=(L0m, L1m))
-    kp = kernel_dim(Ap, settings=settings)
-    km = kernel_dim(Am, settings=settings)
+    # one flow per operator gives both its kernel (the end state) and the
+    # frames of the path Psi(t) L0
+    flow_p = sl.FundamentalFlow(sig_p, settings=settings)
+    flow_m = sl.FundamentalFlow(sig_m, settings=settings)
+    kp = _kernel_of(flow_p(1.0), *Ap.boundary)
+    km = _kernel_of(flow_m(1.0), *Am.boundary)
     if kernel_dims is not None and tuple(kernel_dims) != (km, kp):
         raise DimensionMismatch(
             f"kernel_dims {tuple(kernel_dims)} disagree with computed ({km}, {kp})")
 
     c1p = lp.constant_lagrangian_path(L1p, 0.0, 1.0)
     c1m = lp.constant_lagrangian_path(L1m, 0.0, 1.0)
-    mu_p = lp.rs_index(lp.fundamental_image_path(sig_p, L0p, settings=settings),
-                       c1p, grid=grid, settings=settings)
-    mu_m = lp.rs_index(lp.fundamental_image_path(sig_m, L0m, settings=settings),
-                       c1m, grid=grid, settings=settings)
+    mu_p = lp.rs_index(lp.fundamental_image_path(flow_p, L0p), c1p, grid=grid,
+                       settings=settings)
+    mu_m = lp.rs_index(lp.fundamental_image_path(flow_m, L0m), c1m, grid=grid,
+                       settings=settings)
     mu_F = lp.rs_index(F0, F1, grid=grid, settings=settings)
     total = mu_p + mu_F - mu_m + Fraction(km, 2) + Fraction(kp, 2)
     if total.denominator != 1:

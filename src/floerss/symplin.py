@@ -23,8 +23,8 @@ Every fundamental solution comes from one flow mechanism:
   ``symplectic_drift_limit`` StepTooLarge is raised, above
   ``symplectic_drift_tol`` the state is projected back onto Sp(2n).
 * ``fundamental_solution`` (one shift), ``FundamentalFlow`` (every state
-  kept, t-queries by one partial step) and ``shifted_flows`` (the spectrum
-  scan) are the three entry points.
+  kept; a batch of t-queries is one partial step on a stack) and
+  ``shifted_flows`` (the spectrum scan) are the three entry points.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -212,16 +212,25 @@ def intersection_basis(F, G, tol=1e-6):
 
 
 def graph_lagrangian(B, tol=None):
-    """Frame of the graph {(x, Bx)} of a symmetric matrix B."""
+    """Frame of the graph {(x, Bx)} of a symmetric matrix B.
+
+    B may be a (..., n, n) stack; the result is then one stacked frame (see
+    ``validate_lagrangian``), and its first bad member raises the error it
+    raises alone.
+    """
     tol = DEFAULTS.frame_tol if tol is None else tol
     B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+    if B.ndim < 2 or B.shape[-2] != B.shape[-1]:
         raise DimensionMismatch(f"B must be square, got {B.shape}")
-    asym = float(np.max(np.abs(B - B.T))) if B.size else 0.0
-    if asym > max(tol, 1e-12) * max(1.0, float(np.max(np.abs(B)))):
-        raise NotSymmetric(f"max |B - B^T| = {asym:.3e}", asymmetry=asym)
-    n = B.shape[0]
-    M = np.vstack([np.eye(n), B])
+    n = B.shape[-1]
+    if B.size:
+        S = B.reshape((-1, n, n))
+        asym = np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2))
+        bad = asym > max(tol, 1e-12) * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+        if bad.any():
+            worst = float(asym[np.argmax(bad)])
+            raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
+    M = np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
     return validate_lagrangian(M, tol=tol)
 
 
@@ -429,7 +438,8 @@ class FundamentalFlow:
 
     A declared constant sigma is the exact one-parameter group.  Otherwise
     the RK4 state at every step of ``settings.ode_step`` is kept, and a query
-    is one partial RK4 step from the step below it.
+    is one partial RK4 step from the step below it; ``at`` answers a whole
+    batch of t with one partial step on the stack.
     """
 
     def __init__(self, sigma, settings=DEFAULTS):
@@ -443,16 +453,23 @@ class FundamentalFlow:
         self._states = _rk4(G, self._h, [0.0], settings, keep=True)[:, 0]
 
     def __call__(self, t):
-        t = min(max(t, 0.0), 1.0)
+        return self.at([t])[0]
+
+    def at(self, ts):
+        """Psi(t) for every t of ts (clipped to [0, 1]), as a (B, 2n, 2n) stack."""
+        ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
         if self._const_gen is not None:
-            return expm(t * self._const_gen)
-        k0 = int(np.floor(t / self._h + 1e-12))
+            return expm(ts[:, None, None] * self._const_gen)
+        k0 = np.floor(ts / self._h + 1e-12).astype(int)
         M = self._states[k0]
-        rem = t - k0 * self._h
-        if rem > 1e-15:
-            t0 = k0 * self._h
-            g = [self._J @ self.sigma(s) for s in (t0, t0 + 0.5 * rem, t0 + rem)]
-            M = _rk4_step(M, g[0], g[1], g[2], rem)
+        rem = ts - k0 * self._h
+        part = np.flatnonzero(rem > 1e-15)
+        if len(part):
+            t0, r = k0[part] * self._h, rem[part]
+            g = np.array([[self._J @ self.sigma(s) for s in (u, u + 0.5 * x, u + x)]
+                          for u, x in zip(t0, r)])
+            M[part] = _rk4_step(M[part], g[:, 0], g[:, 1], g[:, 2],
+                                r[:, None, None])
         return M
 
 

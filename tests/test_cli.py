@@ -515,3 +515,95 @@ def test_cli_contract_on_fuzzed_inputs(job):
         assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
     else:
         assert err == "" and out
+
+
+# -- index commands ------------------------------------------------------------
+
+_H2 = [[1, 0], [0, 1], [0, 0], [0, 0]]
+INDEX_DOCS = {
+    "graph": ("rs-index", {
+        "kind": "rs_index", "grid": 96,
+        "F0": {"type": "graph", "interval": [0, 1],
+               "B": {"poly": [[[0.0, 0.0], [0.0, 0.3]],
+                              [[1.0, 0.2], [0.2, -0.8]]]}},
+        "F1": {"type": "constant", "interval": [0, 1], "frame": _H2}}),
+    "rotation": ("rs-index", {
+        "kind": "rs_index", "grid": 128,
+        "F0": {"type": "rotation", "interval": [0, 2],
+               "theta": {"poly": [0.3, 2.0, -0.4]},
+               "base": [[1, 0], [0, C], [0, 0], [0, 0.5]]},
+        "F1": {"type": "constant", "interval": [0, 2], "frame": _H2}}),
+    "sampled": ("rs-index", {
+        "kind": "rs_index", "grid": 96,
+        "F0": {"type": "sampled", "interval": [0, 1],
+               "samples": [{"s": 0.0, "frame": [[0.98], [0.2]]},
+                           {"s": 0.25, "frame": [[0.76], [-0.64]]},
+                           {"s": 0.5, "frame": [[-0.03], [-1.0]]},
+                           {"s": 0.75, "frame": [[-0.8], [-0.6]]},
+                           {"s": 1.0, "frame": [[-0.97], [0.26]]}]},
+        "F1": {"type": "constant", "interval": [0, 1], "frame": [[1], [0]]}}),
+    "fundamental": ("rs-index", {
+        "kind": "rs_index", "grid": 128,
+        "F0": {"type": "fundamental", "interval": [0, 1],
+               "sigma": {"poly": [[[2.0, 0.1], [0.1, 2.5]],
+                                  [[1.5, 0.0], [0.0, 1.0]]]},
+               "base": [[1], [0]]},
+        "F1": {"type": "constant", "interval": [0, 1], "frame": [[C], [0.5]]}}),
+    "viterbo": ("viterbo", {
+        "kind": "viterbo", "grid": 96,
+        "F0": {"type": "rotation", "interval": [-1, 1],
+               "theta": {"poly": [0.1, 2.0]}, "base": [[1], [0]]},
+        "F1": {"type": "constant", "interval": [-1, 1], "frame": [[0.5], [C]]},
+        "Fm": {"type": "rotation", "interval": [0, 1],
+               "theta": {"poly": [-1.9, -0.5]}, "base": [[1], [0]]},
+        "Fp": {"type": "rotation", "interval": [0, 1],
+               "theta": {"poly": [2.1, -1.5]}, "base": [[1], [0]]}}),
+    "maslov": ("maslov", {
+        "kind": "maslov", "grid": 256,
+        "path": {"type": "rotation", "interval": [0, 1],
+                 "theta": {"poly": [0.2, 6.283185307179586]}, "base": _H2},
+        "ref": [[C, 0], [0, 1], [0.5, 0], [0, 0]]}),
+    "index-formula": ("index-formula", {
+        "kind": "index_formula",
+        "plus": {"sigma": {"constant": [[1.2, 0], [0, 1.2]]},
+                 "L0": [[1], [0]], "L1": [[1], [0]]},
+        "minus": {"sigma": {"poly": [[[0.4, 0], [0, 0.4]], [[0.6, 0], [0, 0.6]]]},
+                  "L0": [[1], [0]], "L1": [[1], [0]]},
+        "F0": {"type": "constant", "interval": [0, 1], "frame": [[1], [0]]},
+        "F1": {"type": "rotation", "interval": [0, 1],
+               "theta": {"poly": [0.0, 3.141592653589793]}, "base": [[1], [0]]}}),
+}
+
+# stdout of the documents above, text and --json, recorded from the
+# crossing-form engine (golden-section refinement of principal-angle minima)
+INDEX_STDOUT = {
+    "graph": (
+        'rs_index: -1/2\nvalue: -0.5\n',
+        '{"kind": "rs_index", "rs_index": {"den": 2, "num": -1}, "value": -0.5}\n'),
+    "rotation": (
+        'rs_index: 1\nvalue: 1\n',
+        '{"kind": "rs_index", "rs_index": {"den": 1, "num": 1}, "value": 1.0}\n'),
+    "sampled": (
+        'rs_index: -1\nvalue: -1\n',
+        '{"kind": "rs_index", "rs_index": {"den": 1, "num": -1}, "value": -1.0}\n'),
+    "fundamental": (
+        'rs_index: 1\nvalue: 1\n',
+        '{"kind": "rs_index", "rs_index": {"den": 1, "num": 1}, "value": 1.0}\n'),
+    "viterbo": (
+        'value: 1\nviterbo_index: 1\n',
+        '{"kind": "viterbo", "value": 1.0, "viterbo_index": {"den": 1, "num": 1}}\n'),
+    "maslov": (
+        'maslov: 4\n',
+        '{"kind": "maslov", "maslov": 4}\n'),
+    "index-formula": (
+        'index: -1\n',
+        '{"index": -1, "kind": "index_formula"}\n'),
+}
+
+
+def test_index_commands_output_is_unchanged(tmp_path, capsys):
+    for name, (cmd, doc) in INDEX_DOCS.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
+        for flags, want in zip(([], ["--json"]), INDEX_STDOUT[name]):
+            assert run_cli([cmd, str(p)] + flags, capsys) == (0, want, ""), name

@@ -117,6 +117,18 @@ def test_graph_rejects_asymmetric():
         sl.graph_lagrangian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_graph_stack_matches_members():
+    rng = make_rng(42)
+    Bs = np.array([0.5 * (M + M.T) for M in rng.standard_normal((6, 3, 3))])
+    stacked = sl.graph_lagrangian(Bs).frame
+    for B, frame in zip(Bs, stacked):
+        assert np.array_equal(frame, sl.graph_lagrangian(B).frame)
+    Bs[4, 0, 1] += 1.0
+    with pytest.raises(NotSymmetric) as err:
+        sl.graph_lagrangian(Bs)
+    assert abs(err.value.payload["asymmetry"] - 1.0) < 1e-12
+
+
 def test_frames_isotropic_property():
     rng = make_rng(2)
     for _ in range(30):
@@ -144,6 +156,29 @@ def test_fundamental_solution_constant_multiple():
         dPsi = (flow(t + h) - flow(t - h)) / (2 * h)
         res = sl.J_std(1) @ dPsi + flow.sigma(t) @ flow(t)
         assert np.max(np.abs(res)) < 1e-8
+
+
+def test_flow_stacked_query_matches_single_queries():
+    # one partial RK4 step on a stack equals the per-t step from the kept
+    # state below each t, and the exact exponential of a constant sigma
+    ts = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-4, 0.3337, 0.9999]])
+    sigma = random_sigma_poly(make_rng(43), 2, degree=2)
+    flow = sl.FundamentalFlow(sigma)
+    stack = flow.at(ts)
+    J = sl.J_std(2)
+    for t, M in zip(ts, stack):
+        k0 = int(np.floor(t / flow._h + 1e-12))
+        want = flow._states[k0]
+        rem = t - k0 * flow._h
+        if rem > 1e-15:
+            t0 = k0 * flow._h
+            want = sl._rk4_step(want, J @ sigma(t0), J @ sigma(t0 + 0.5 * rem),
+                                J @ sigma(t0 + rem), rem)
+        assert np.max(np.abs(M - want)) < 1e-13
+        assert np.max(np.abs(M - flow(t))) < 1e-13
+    const = sl.FundamentalFlow(sl.constant_path(np.diag([0.7, -0.4, 1.1, 0.2])))
+    for t, M in zip(ts, const.at(ts)):
+        assert np.max(np.abs(M - const(t))) < 1e-13
 
 
 def test_fundamental_solution_delta_shift_path():
