@@ -312,8 +312,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
-        schemas.check_header(doc, expected_kind)
-        result = fn(doc, args)
+        # overflow and NaN are refused by the typed checks, never by warnings
+        with np.errstate(all="ignore"):
+            schemas.check_header(doc, expected_kind)
+            result = fn(doc, args)
     except SchemaError as exc:
         print(json.dumps(_jsonable(exc.as_dict()), sort_keys=True),
               file=sys.stderr)

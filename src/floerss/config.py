@@ -24,13 +24,14 @@ class Settings:
     symplectic_drift_tol: float = 1e-10
     symplectic_drift_limit: float = 1e-3
 
-    # crossing detection / refinement; rs_index uses only crossing_grid (its
-    # first sample grid) and crossing_accept_angle (an eigenvalue angle of
-    # the Souriau map below twice it is an intersection)
+    # crossings: rs_index and find_crossings sample the Souriau map on one
+    # first grid of crossing_grid cells; an eigenvalue angle of the map below
+    # twice crossing_accept_angle is an intersection, and find_crossings
+    # bisects the other crossings to crossing_refine_tol (relative to
+    # max(interval length, 1))
     crossing_grid: int = 256
     crossing_refine_tol: float = 1e-11     # bracket width for localization
     crossing_accept_angle: float = 1e-7    # sin(angle) below which a crossing is accepted
-    crossing_merge_tol_rel: float = 1e-6   # relative to interval length
     degeneracy_tol: float = 1e-6           # relative eigenvalue cutoff of the crossing form
     degeneracy_abs: float = 1e-8           # absolute floor (finite-difference noise)
     fd_step_rel: float = 1e-5              # finite-difference step, relative to interval

@@ -9,16 +9,21 @@ With these signs the rotation path s -> e^{sJ} Lambda has crossing form +1
 and the graph path (Gr(B(s)), R^n x 0) localizes to
 (1/2) sign B(b) - (1/2) sign B(a).
 
-``rs_index`` does not look for crossings.  It reads the index off the
-Souriau map S(L) = U U^T, U = X + iY for an orthonormal frame [X; Y] of L
-(Arnold 1985; Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s)))
-is unitary, does not depend on the choice of frames, and has eigenvalue 1
-with multiplicity dim F0(s) /\\ F1(s).  The index is minus the winding of
-det W over 2 pi plus endpoint corrections from the eigenvalue angles of W
-at a and b, computed on one batched stack of frames (``LagrangianPath.frames``).
-``find_crossings``, ``crossing_form`` and ``signature_of`` locate crossings
-and evaluate their forms; they are independent of ``rs_index`` and serve as
-its test oracle.
+Indices and crossings are both read off the Souriau map S(L) = U U^T,
+U = X + iY for an orthonormal frame [X; Y] of L (Arnold 1985;
+Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s))) is unitary,
+does not depend on the choice of frames, and has eigenvalue 1 with
+multiplicity dim F0(s) /\\ F1(s).  One sampler (``_souriau_samples``)
+evaluates W on one batched stack of frames (``LagrangianPath.frames``) and
+bisects the cells where it turns fast.  ``rs_index`` is minus the winding
+of det W over 2 pi plus endpoint corrections from the eigenvalue angles of
+W at a and b; it looks for no crossings.  ``find_crossings`` locates the
+samples on the intersection and the cells where an eigenvalue angle passes
+0, bisects those on the net passage count, and evaluates ``crossing_form``
+and ``signature_of`` at the located points.  A tangency strictly between
+two samples is not located; it adds 0 to the index.  The crossing forms
+are computed by finite differences of the paths, not from W, and serve as
+the test oracle of ``rs_index``.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +33,8 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DegenerateCrossing, DimensionMismatch, EndpointMismatch,
-                     GraphDecompositionFailed, GridTooCoarse, IndexMismatch,
-                     NonIntegerIndex, NonIsolatedCrossings, NotALoop,
-                     NotFullRank)
+                     GraphDecompositionFailed, GridTooCoarse, NonIntegerIndex,
+                     NonIsolatedCrossings, NotALoop, NotFullRank)
 from . import symplin as sl
 
 
@@ -51,7 +55,6 @@ class LagrangianPath:
     b: float
     evaluator: callable = field(repr=False)  # s -> LagrangianFrame
     kind: str = "sampled"
-    unitary: callable = field(default=None, repr=False)  # s -> complex n x n, optional
     stack: callable = field(default=None, repr=False)  # ss -> (B, 2n, n), optional
 
     def __call__(self, s):
@@ -81,8 +84,7 @@ class LagrangianPath:
 
     def restrict(self, a, b):
         return LagrangianPath(n=self.n, a=a, b=b, evaluator=self.evaluator,
-                              kind=self.kind, unitary=self.unitary,
-                              stack=self.stack)
+                              kind=self.kind, stack=self.stack)
 
     def reversed(self):
         total = self.a + self.b
@@ -90,17 +92,15 @@ class LagrangianPath:
             n=self.n, a=self.a, b=self.b,
             evaluator=lambda s: self.evaluator(total - s),
             kind=self.kind,
-            unitary=(None if self.unitary is None
-                     else (lambda s: self.unitary(total - s))),
             stack=(None if self.stack is None
                    else (lambda ss: self.stack(total - ss))))
 
 
-def _stacked_path(n, a, b, stack, kind, unitary=None):
+def _stacked_path(n, a, b, stack, kind):
     """A path whose frames all come from ``stack``: one parameter is a stack
     of one."""
     return LagrangianPath(
-        n=n, a=a, b=b, kind=kind, unitary=unitary, stack=stack,
+        n=n, a=a, b=b, kind=kind, stack=stack,
         evaluator=lambda s: sl.LagrangianFrame(n=n, frame=stack(np.array([s]))[0]))
 
 
@@ -120,13 +120,7 @@ def rotation_path(theta, base, a=0.0, b=1.0):
         c, s = np.cos(th), np.sin(th)
         return np.concatenate([c * X - s * Y, s * X + c * Y], axis=1)
 
-    # complex frame of e^{tJ} U0 is e^{it} U0; base columns give U0 columns
-    U0 = X + 1j * Y
-
-    def uni(s):
-        return np.exp(1j * theta(s)) * U0
-
-    return _stacked_path(n, a, b, stack, "rotation", unitary=uni)
+    return _stacked_path(n, a, b, stack, "rotation")
 
 
 def graph_path(B, a=0.0, b=1.0):
@@ -240,34 +234,6 @@ class Crossing:
     plateau: bool = False
 
 
-def _angle_gap(F0, F1, s):
-    return sl.min_principal_angle_sin(F0(s), F1(s))
-
-
-def _scan_pair(F0, F1, ss):
-    """One sweep: smallest principal-angle sine at every sample."""
-    return np.array([sl.principal_angle_sines(F0(s), F1(s))[0] for s in ss])
-
-
-def _golden_min(f, lo, hi, tol):
-    """Golden-section minimum of a V-shaped function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 def graph_coordinates(F, s, ref_frame, cond_limit=1e8):
     """Write F(sigma) near s as a graph over span(Q) = span(ref_frame).
 
@@ -345,145 +311,6 @@ def signature_of(form, settings=DEFAULTS):
     return pos - neg, regular
 
 
-def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
-    """Locate all crossing times of the pair on [a, b].
-
-    Grid scan of the smallest principal angle, golden-section refinement of
-    each local minimum, explicit endpoint inspection, merging of duplicates.
-    Raises GridTooCoarse when two distinct grid dips collapse to one point.
-    """
-    if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
-        raise DimensionMismatch("paths must share interval and half-dimension")
-    grid = settings.crossing_grid if grid is None else int(grid)
-    if grid < 1:
-        raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
-    tol = settings.crossing_accept_angle if tol is None else tol
-    a, b = F0.a, F0.b
-    length = b - a
-    ss = np.linspace(a, b, grid + 1)
-    g = _scan_pair(F0, F1, ss)
-
-    plateau_mask = g < tol
-    candidates = []   # (s_refined, from_bracket_index)
-    # candidate cells: interior local minima, every vertex with a small gap
-    # (a crossing can hide behind the lower flank of a neighboring one --
-    # grid aliasing), and the two boundary cells which never register as
-    # grid local minima.  Adjacent candidates merge into runs; each run is
-    # mini-scanned once so that several crossings separated by a saddle
-    # below the grid resolution are all found.
-    near = max(3.0 / grid, 10 * tol)
-    picked = {i for i in range(1, grid)
-              if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 0.5}
-    picked |= {i for i in range(1, grid) if g[i] < near}
-    picked |= {0, grid}
-    runs = []
-    for i in sorted(picked):
-        if runs and i - runs[-1][1] <= 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    refine_tol = settings.crossing_refine_tol * max(length, 1.0)
-    for i0, i1 in runs:
-        lo = ss[max(i0 - 1, 0)]
-        hi = ss[min(i1 + 1, grid)]
-        if i1 > i0 and np.all(g[i0:i1 + 1] < tol):
-            # plateau stretch: one representative candidate is enough
-            candidates.append((ss[i0], i0))
-            continue
-        cell = (b - a) / grid if grid else 1.0
-        cells = max(i1 - i0 + 2, 2)
-        if min(g[max(i0 - 1, 0):min(i1 + 2, grid + 1)]) < 0.1:
-            m = 8 * cells
-            sub = np.linspace(lo, hi, m + 1)
-            gv = np.array([_angle_gap(F0, F1, s) for s in sub])
-            dips = [k for k in range(1, m)
-                    if gv[k] <= gv[k - 1] and gv[k] <= gv[k + 1]
-                    and gv[k] < 0.5]
-            for edge in (0, m):
-                if gv[edge] < near:
-                    dips.append(edge)
-            # twin crossings closer than the sub-scan spacing hide inside a
-            # single dip; rescan each dip neighborhood at 16x resolution
-            spans = []
-            for k in dips:
-                flo = sub[max(k - 2, 0)]
-                fhi = sub[min(k + 2, m)]
-                fine = np.linspace(flo, fhi, 65)
-                fv = np.array([_angle_gap(F0, F1, s) for s in fine])
-                fdips = [j for j in range(1, 64)
-                         if fv[j] <= fv[j - 1] and fv[j] <= fv[j + 1]]
-                if not fdips:
-                    fdips = [int(np.argmin(fv))]
-                spans.extend((fine[max(j - 1, 0)], fine[min(j + 1, 64)])
-                             for j in fdips)
-        else:
-            spans = [(lo, hi)]
-        for klo, khi in spans:
-            s_star, val = _golden_min(lambda s: _angle_gap(F0, F1, s),
-                                      klo, khi, refine_tol)
-            if val < tol:
-                # index the candidate by its refined location so duplicates
-                # of the same crossing merge regardless of which run or the
-                # explicit endpoint inspection produced them
-                candidates.append((s_star, int(round((s_star - a) / cell))))
-    # endpoints, always inspected explicitly
-    for s_end, idx in ((a, 0), (b, grid)):
-        if _angle_gap(F0, F1, s_end) < tol:
-            candidates.append((s_end, idx))
-
-    merge_tol = settings.crossing_merge_tol_rel * max(length, 1e-30)
-    candidates.sort(key=lambda c: c[0])
-    merged = []
-    for s_star, idx in candidates:
-        if merged and abs(s_star - merged[-1][0]) < merge_tol:
-            prev_idx = merged[-1][1]
-            if abs(idx - prev_idx) > 2:
-                raise GridTooCoarse(
-                    "two refined crossings collide at merge tolerance; increase grid",
-                    s=float(s_star))
-            continue
-        merged.append((s_star, idx))
-
-    # plateau detection: a run of grid points with vanishing angle
-    runs = []
-    i = 0
-    while i <= grid:
-        if plateau_mask[i]:
-            j = i
-            while j + 1 <= grid and plateau_mask[j + 1]:
-                j += 1
-            if j > i:
-                runs.append((ss[i], ss[j], i, j))
-            i = j + 1
-        else:
-            i += 1
-
-    crossings = []
-    for s_star, _ in merged:
-        in_plateau = any(lo - merge_tol <= s_star <= hi + merge_tol
-                         for lo, hi, _, _ in runs)
-        A0, A1 = F0(s_star), F1(s_star)
-        basis = sl.intersection_basis(A0, A1)
-        if basis.shape[1] == 0:
-            continue
-        form, basis = crossing_form(F0, F1, s_star, settings=settings, basis=basis)
-        sig, regular = signature_of(form, settings)
-        crossings.append(Crossing(s=float(s_star), intersection_basis=basis,
-                                  form=form, signature=sig,
-                                  regular=regular and not in_plateau,
-                                  dim=basis.shape[1], plateau=in_plateau))
-    if runs and not crossings:
-        # pure plateau with no refined minima recorded (constant pair)
-        lo, hi, _, _ = runs[0]
-        A0, A1 = F0(lo), F1(lo)
-        basis = sl.intersection_basis(A0, A1)
-        crossings.append(Crossing(s=float(lo), intersection_basis=basis,
-                                  form=np.zeros((basis.shape[1],) * 2),
-                                  signature=0, regular=False,
-                                  dim=basis.shape[1], plateau=True))
-    return crossings
-
-
 def souriau(frames):
     """Souriau map S(L) = U U^T, U = X + iY, of a (..., 2n, n) stack of
     orthonormal frames [X; Y]: a symmetric unitary matrix per frame that
@@ -500,30 +327,32 @@ def _cell_turns(W0, W1):
     return ang.sum(axis=-1), np.abs(ang).max(axis=-1)
 
 
+def _angles(W):
+    """Eigenvalue angles of a stack of unitaries."""
+    return np.angle(np.linalg.eigvals(W))
+
+
+def _h(phi, cut=0.0):
+    """sum_j 1/2 - (phi_j mod 2 pi) / 2 pi over a stack of eigenvalue
+    angles, leaving out the angles below ``cut``."""
+    return np.sum(np.where(np.abs(phi) < cut, 0.0,
+                           0.5 - np.mod(phi, 2 * np.pi) / (2 * np.pi)), axis=-1)
+
+
 _MAX_SAMPLES = 2 ** 14
 
 
-def rs_index(F0, F1, grid=None, settings=DEFAULTS):
-    """Robbin-Salamon index of the pair, as an exact Fraction.
+def _souriau_samples(F0, F1, grid, settings):
+    """W(s) = S(F1(s)) conj(S(F0(s))) of the pair on samples close enough to
+    follow its eigenvalues.
 
-    With W(s) = S(F1(s)) conj(S(F0(s))) (``souriau``) and phi_j the
-    eigenvalue angles of W,
-
-        mu_RS = -( wind(det W) / 2 pi + sum_j g(phi_j(b)) - sum_j g(phi_j(a)) ),
-
-    g(phi) = 1/2 - (phi mod 2 pi) / 2 pi, and g = 0 where |phi| is below
-    2 ``crossing_accept_angle`` (the pair intersects there).  This equals
-    (1/2) sign Gamma(a) + sum of sign Gamma over interior crossings
-    + (1/2) sign Gamma(b) whenever the crossings are regular, and it is
-    defined for every continuous path, degenerate or non-isolated
-    crossings included.
-
-    ``grid`` is the number of cells of the first sample grid on [a, b]; the
-    frames of all grid + 1 points are one stack.  The winding is the sum of
-    the eigenvalue angles of W_k^H W_{k+1} over the cells; a cell in which
-    one of them exceeds 1 rad is bisected until none does.  A path that
-    still turns that fast at a resolution of 2^14 samples is not continuous
-    and raises GridTooCoarse.
+    Returns (s, W, turn, W_at): the samples, W at each, the turn of det W
+    over each cell (the sum of the eigenvalue angles of W_k^H W_{k+1}) and
+    the stacked evaluator of W.  The first grid has ``grid`` cells, and the
+    frames of its grid + 1 points are one stack; a cell in which one of the
+    angles exceeds 1 rad is bisected until none does.  A path that still
+    turns that fast at a resolution of 2^14 samples is not continuous and
+    raises GridTooCoarse.
     """
     if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
         raise DimensionMismatch("paths must share interval and half-dimension")
@@ -541,7 +370,7 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
     while True:
         bad = np.flatnonzero(worst > 1.0)
         if not len(bad):
-            break
+            return s, W, turn, W_at
         if (len(s) + len(bad) > _MAX_SAMPLES
                 or np.min(s[bad + 1] - s[bad]) < (b - a) / _MAX_SAMPLES):
             raise GridTooCoarse(
@@ -560,14 +389,92 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
         worst = np.insert(worst, bad + 1, right_worst)
         turn[at], worst[at] = left, left_worst
 
+
+def _passages(turn, h0, h1):
+    """Net number of eigenvalue angles of W passing 0 counterclockwise in a
+    cell, from its turn and h at its ends (an integer)."""
+    return np.rint(turn / (2 * np.pi) + h1 - h0)
+
+
+def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
+    """Locate the crossings of the pair on [a, b] and evaluate their forms.
+
+    The samples are those of ``rs_index``.  A sample at which an eigenvalue
+    angle of W is below 2 tol (``crossing_accept_angle`` by default) lies on
+    F0 /\\ F1; a run of two or more such samples is a plateau, reported once
+    at its first sample.  Every other cell is located by the net number of
+    eigenvalue angles passing 0 in it, turn / 2 pi + h(W_{k+1}) - h(W_k)
+    with h as in ``rs_index`` but no cut; cells where it is nonzero
+    are bisected on that count to ``crossing_refine_tol`` max(b - a, 1),
+    keeping both halves when both count, and the crossing is the midpoint
+    of the last bracket.  Passages that cancel inside one cell (a tangency
+    strictly between samples) are not located; they add 0 to the index.
+    """
+    s, W, turn, W_at = _souriau_samples(F0, F1, grid, settings)
+    cut = 2.0 * (settings.crossing_accept_angle if tol is None else tol)
+    phi = _angles(W)
+    on = np.min(np.abs(phi), axis=-1) < cut
+    idx = np.flatnonzero(on)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if len(idx) else []
+    located = [(float(s[r[0]]), len(r) > 1) for r in runs]
+
+    # brackets are index pairs into the samples; midpoints are appended
+    h = _h(phi)
+    lo = np.flatnonzero((_passages(turn, h[:-1], h[1:]) != 0) & ~on[:-1] & ~on[1:])
+    hi = lo + 1
+    width = settings.crossing_refine_tol * max(F0.b - F0.a, 1.0)
+    while True:
+        wide = s[hi] - s[lo] > width
+        if not wide.any():
+            break
+        l, r = lo[wide], hi[wide]
+        m = len(s) + np.arange(len(l))
+        s = np.concatenate([s, 0.5 * (s[l] + s[r])])
+        W = np.concatenate([W, W_at(s[m])])
+        h = np.concatenate([h, _h(_angles(W[m]))])
+        left = _passages(_cell_turns(W[l], W[m])[0], h[l], h[m]) != 0
+        right = _passages(_cell_turns(W[m], W[r])[0], h[m], h[r]) != 0
+        lo = np.concatenate([lo[~wide], l[left], m[right]])
+        hi = np.concatenate([hi[~wide], m[left], r[right]])
+    located += [(float(x), False) for x in 0.5 * (s[lo] + s[hi])]
+
+    crossings = []
+    for s_star, plateau in sorted(located):
+        basis = sl.intersection_basis(F0(s_star), F1(s_star))
+        if basis.shape[1] == 0:
+            continue
+        form, basis = crossing_form(F0, F1, s_star, settings=settings, basis=basis)
+        sig, regular = signature_of(form, settings)
+        crossings.append(Crossing(s=s_star, intersection_basis=basis,
+                                  form=form, signature=sig,
+                                  regular=regular and not plateau,
+                                  dim=basis.shape[1], plateau=plateau))
+    return crossings
+
+
+def rs_index(F0, F1, grid=None, settings=DEFAULTS):
+    """Robbin-Salamon index of the pair, as an exact Fraction.
+
+    With W(s) = S(F1(s)) conj(S(F0(s))) (``souriau``) and phi_j the
+    eigenvalue angles of W,
+
+        mu_RS = -( wind(det W) / 2 pi + sum_j g(phi_j(b)) - sum_j g(phi_j(a)) ),
+
+    g(phi) = 1/2 - (phi mod 2 pi) / 2 pi, and g = 0 where |phi| is below
+    2 ``crossing_accept_angle`` (the pair intersects there).  This equals
+    (1/2) sign Gamma(a) + sum of sign Gamma over interior crossings
+    + (1/2) sign Gamma(b) whenever the crossings are regular, and it is
+    defined for every continuous path, degenerate or non-isolated
+    crossings included.
+
+    ``grid`` is the number of cells of the first sample grid on [a, b]
+    (``_souriau_samples``); the winding is the sum of the turns of det W
+    over the cells.
+    """
+    _, W, turn, _ = _souriau_samples(F0, F1, grid, settings)
     cut = 2.0 * settings.crossing_accept_angle
-
-    def g(Wend):
-        phi = np.angle(np.linalg.eigvals(Wend))
-        return float(np.sum(np.where(np.abs(phi) < cut, 0.0,
-                                     0.5 - np.mod(phi, 2 * np.pi) / (2 * np.pi))))
-
-    mu = -(float(np.sum(turn)) / (2 * np.pi) + g(W[-1]) - g(W[0]))
+    mu = -(float(np.sum(turn)) / (2 * np.pi)
+           + float(_h(_angles(W[-1]), cut)) - float(_h(_angles(W[0]), cut)))
     twice = round(2 * mu)
     if abs(2 * mu - twice) > 2e-6:
         raise NonIntegerIndex(f"Souriau count {mu!r} is not a half-integer",
@@ -576,46 +483,14 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
 
 
 def maslov_loop(F, ref, grid=None, settings=DEFAULTS):
-    """Maslov index of a closed path, via rs_index against a constant reference.
-
-    When the path carries a unitary frame, the winding of det^2 of the frame
-    is computed as well and a mismatch raises an internal error.
-    """
+    """Maslov index of a closed path, via rs_index against a constant reference."""
     if not F.start.equals(F.end, tol=1e-7):
         raise NotALoop("path endpoints span different subspaces")
     mu = rs_index(F, constant_lagrangian_path(ref, F.a, F.b),
                   grid=grid, settings=settings)
-    if F.unitary is not None:
-        w = winding_det_squared(F)
-        if mu != w:
-            raise IndexMismatch(
-                f"crossing count {mu} disagrees with det^2 winding {w}",
-                crossing_count=str(mu), winding=w)
     if mu.denominator != 1:
         raise NonIsolatedCrossings(f"loop index {mu} is not an integer")
     return int(mu)
-
-
-def winding_det_squared(F, samples=512):
-    """Winding number of s -> det(U(s))^2 for a unitary frame path.
-
-    The sample count doubles until no step turns det^2 by more than 2.5 rad;
-    a frame that still jumps at 2^14 samples is not continuous and raises
-    GridTooCoarse.
-    """
-    ss = np.linspace(F.a, F.b, samples + 1)
-    vals = np.array([np.linalg.det(F.unitary(s)) ** 2 for s in ss])
-    args = np.angle(vals)
-    darg = np.diff(args)
-    darg = (darg + np.pi) % (2 * np.pi) - np.pi
-    if np.max(np.abs(darg)) > 2.5:
-        if samples >= 2 ** 14:
-            raise GridTooCoarse(
-                f"det^2 of the unitary frame jumps at {samples} samples; "
-                "the frame is not continuous", samples=samples)
-        return winding_det_squared(F, samples=2 * samples)
-    total = float(np.sum(darg))
-    return int(round(total / (2 * np.pi)))
 
 
 def diagonal_loop(psi, a=0.0, b=1.0):
@@ -643,20 +518,7 @@ def diagonal_loop(psi, a=0.0, b=1.0):
             M[n:, k] = w.imag
         return sl.validate_lagrangian(M)
 
-    def uni(s):
-        # unitary frame with columns spanning the loop over R
-        P = np.asarray(psi(s))
-        U = np.zeros((n, n), dtype=complex)
-        for j in range(n0):
-            z = np.zeros(n0, dtype=complex)
-            z[j] = 1.0
-            U[:, 2 * j] = np.concatenate([np.conj(z), P @ z]) / np.sqrt(2)
-            zi = 1j * z
-            U[:, 2 * j + 1] = np.concatenate([np.conj(zi), P @ zi]) / np.sqrt(2)
-        return U
-
-    return LagrangianPath(n=n, a=a, b=b, evaluator=ev, kind="diagonal",
-                          unitary=uni)
+    return LagrangianPath(n=n, a=a, b=b, evaluator=ev, kind="diagonal")
 
 
 def viterbo_index(F0, F1, Fm, Fp, grid=None, settings=DEFAULTS):

@@ -156,7 +156,8 @@ def transform_frame(A, F):
 
     For trusted transforms (rotations, integrated flows, elementary
     symplectic products) the image is Lagrangian by construction; skipping
-    the isotropy check matters inside crossing scans.
+    the isotropy check matters for transformed and perturbed paths, which
+    are evaluated once per sample.
     """
     q, _ = np.linalg.qr(A @ F.frame)
     return LagrangianFrame(n=F.n, frame=q)

@@ -156,6 +156,23 @@ def test_determinism_byte_identical(graph_localization):
     assert runs[0] == runs[1]
 
 
+def test_overflow_gives_one_json_error_on_stderr(tmp_path):
+    # 1e308 + 1e308 s overflows in the polynomial evaluation; numpy's
+    # RuntimeWarnings must not reach stderr ahead of the error object
+    doc = {"schema": "floerss/1", "kind": "rs_index",
+           "F0": {"type": "graph", "interval": [0, 1],
+                  "B": {"poly": [[[1e308]], [[1e308]]]}},
+           "F1": {"type": "constant", "interval": [0, 1],
+                  "frame": [[1], [0]]}}
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "floerss.cli", "rs-index", str(p)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "NotFullRank"
+
+
 SS_DOC = {"schema": "floerss/1", "kind": "ss", "filtration": "novikov",
           "indexing": "stretched",
           "pearl": {

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -8,9 +7,7 @@ from fractions import Fraction
 from floerss import lagpath as lp
 from floerss.config import DEFAULTS
 from floerss import symplin as sl
-from floerss.errors import (DegenerateCrossing, EndpointMismatch, GridTooCoarse,
-                            IndexMismatch, NonIsolatedCrossings, NotALoop,
-                            NotFullRank)
+from floerss.errors import EndpointMismatch, GridTooCoarse, NotALoop, NotFullRank
 
 from conftest import (make_rng, random_half_symmetric, random_lagrangian,
                       random_path, random_symplectic)
@@ -109,10 +106,7 @@ def test_rs_localization_exact_formula():
 
         Fg = lp.graph_path(B, 0.0, 1.0)
         Fh = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
-        try:
-            mu = lp.rs_index(Fg, Fh, grid=96)
-        except (DegenerateCrossing, NonIsolatedCrossings):
-            continue
+        mu = lp.rs_index(Fg, Fh, grid=96)
         expected = Fraction(_sign(B(1.0)) - _sign(B(0.0)), 2)
         assert mu == expected
         done += 1
@@ -134,12 +128,9 @@ def test_rs_concatenation_axiom():
         c = float(rng.uniform(0.35, 0.65))
         if sl.intersection_dim(F0(c), F1(c), tol=1e-4) > 0:
             continue
-        try:
-            total = lp.rs_index(F0, F1, grid=128)
-            left = lp.rs_index(F0.restrict(0.0, c), F1.restrict(0.0, c), grid=96)
-            right = lp.rs_index(F0.restrict(c, 1.0), F1.restrict(c, 1.0), grid=96)
-        except (DegenerateCrossing, NonIsolatedCrossings):
-            continue
+        total = lp.rs_index(F0, F1, grid=128)
+        left = lp.rs_index(F0.restrict(0.0, c), F1.restrict(0.0, c), grid=96)
+        right = lp.rs_index(F0.restrict(c, 1.0), F1.restrict(c, 1.0), grid=96)
         assert total == left + right
         done += 1
 
@@ -152,13 +143,10 @@ def test_rs_direct_sum_axiom():
         F1a = random_path(rng, 1, scale=0.7)
         F0b = random_path(rng, 1, scale=1.1)
         F1b = random_path(rng, 1, scale=0.8)
-        try:
-            mu_a = lp.rs_index(F0a, F1a, grid=96)
-            mu_b = lp.rs_index(F0b, F1b, grid=96)
-            mu_sum = lp.rs_index(lp.direct_sum_path(F0a, F0b),
-                                 lp.direct_sum_path(F1a, F1b), grid=128)
-        except (DegenerateCrossing, NonIsolatedCrossings):
-            continue
+        mu_a = lp.rs_index(F0a, F1a, grid=96)
+        mu_b = lp.rs_index(F0b, F1b, grid=96)
+        mu_sum = lp.rs_index(lp.direct_sum_path(F0a, F0b),
+                             lp.direct_sum_path(F1a, F1b), grid=128)
         assert mu_sum == mu_a + mu_b
         done += 1
 
@@ -171,12 +159,9 @@ def test_rs_naturality_axiom():
         F0 = random_path(rng, n, scale=1.3)
         F1 = random_path(rng, n, scale=0.8)
         Psi = random_symplectic(rng, n)
-        try:
-            base = lp.rs_index(F0, F1, grid=96)
-            moved = lp.rs_index(lp.transform_path(Psi, F0),
-                                lp.transform_path(Psi, F1), grid=96)
-        except (DegenerateCrossing, NonIsolatedCrossings):
-            continue
+        base = lp.rs_index(F0, F1, grid=96)
+        moved = lp.rs_index(lp.transform_path(Psi, F0),
+                            lp.transform_path(Psi, F1), grid=96)
         assert moved == base
         done += 1
 
@@ -192,17 +177,11 @@ def test_rs_homotopy_under_perturbation():
             continue
         if sl.intersection_dim(F0(1.0), F1(1.0), tol=1e-4) > 0:
             continue
-        try:
-            base = lp.rs_index(F0, F1, grid=96)
-        except (DegenerateCrossing, NonIsolatedCrossings):
-            continue
+        base = lp.rs_index(F0, F1, grid=96)
         ok = True
         for delta in (1e-2, 5e-3, 2.5e-3):
             pert = lp.perturb_path(F0, delta, fix_endpoints=True)
-            try:
-                if lp.rs_index(pert, F1, grid=96) != base:
-                    ok = False
-            except (DegenerateCrossing, NonIsolatedCrossings):
+            if lp.rs_index(pert, F1, grid=96) != base:
                 ok = False
         assert ok
         done += 1
@@ -279,14 +258,19 @@ def test_rs_flat_min_angle_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def test_rs_sampled_path_crossing_beside_a_near_line():
-    # validate_lagrangian flips the sign of line 1's column between the
-    # samples at s = 1/2 and 5/8, so the interpolated line turns forward
-    # through a crossing there while line 0 sits near its own crossing
+def _near_line_path():
+    """A 2-line sampled path: validate_lagrangian flips the sign of line 1's
+    column between the samples at s = 1/2 and 5/8, so the interpolated line
+    turns forward through a crossing there while line 0 sits near its own
+    crossing."""
     samples = [(k / 8, sl.validate_lagrangian(_lines([-0.39 * k / 8,
                                                       0.1 - 1.5 * k / 8])))
                for k in range(9)]
-    P = lp.sampled_path(samples)
+    return lp.sampled_path(samples)
+
+
+def test_rs_sampled_path_crossing_beside_a_near_line():
+    P = _near_line_path()
     H2 = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
     # oracle: follow each column's line angle, unwrapped mod pi
     ss = np.linspace(0.0, 1.0, 20001)
@@ -296,6 +280,11 @@ def test_rs_sampled_path_crossing_beside_a_near_line():
     exact = sum(_h(y[-1, j]) - _h(y[0, j]) for j in range(2))
     assert exact == Fraction(-1, 2)
     assert lp.rs_index(P, H2, grid=96) == exact
+
+
+def test_find_crossings_beside_a_near_line():
+    H2 = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
+    assert crossing_sum(_near_line_path(), H2, 96) == Fraction(-1, 2)
 
 
 def crossing_sum(F0, F1, grid):
@@ -330,10 +319,26 @@ def _separated(Y, ss, sep_time=0.04, sep_angle=0.1):
     return not np.any(np.diff(times) < sep_time)
 
 
+def _exact_crossings(coef, graph):
+    """Sorted (s, sign y_j'(s)) at the crossings on [0, 1] of lines whose
+    angle y_j, or tan y_j for a graph path, is the polynomial in s with the
+    coefficients coef[j] (increasing powers)."""
+    out = []
+    for c in coef:
+        P = np.polynomial.Polynomial(c)
+        for k in ([0] if graph else range(-4, 5)):
+            for root in (P - k * np.pi).roots():
+                if abs(root.imag) < 1e-12 and -1e-12 <= root.real <= 1 + 1e-12:
+                    s = min(max(float(root.real), 0.0), 1.0)
+                    out.append((s, int(np.sign(P.deriv()(s)))))
+    return sorted(out)
+
+
 def _line_model_paths(rng, kind, n):
     """A line-model path O . lines(y(s)) on [0, 1] against the horizontal,
     O a real orthogonal matrix acting on x and y alike, with its exact RS
-    index sum_j h(y_j(1)) - h(y_j(0))."""
+    index sum_j h(y_j(1)) - h(y_j(0)) and, except for sampled paths, its
+    exact crossings (``_exact_crossings``)."""
     O = np.linalg.qr(rng.standard_normal((n, n)))[0]
     OO = np.kron(np.eye(2), O)
     a = rng.uniform(-2.0, 2.0, n)
@@ -345,11 +350,13 @@ def _line_model_paths(rng, kind, n):
         path = lp.rotation_path(lambda s: r[0] * s,
                                 sl.LagrangianFrame(n=n, frame=OO @ _lines(a)))
         y = lambda s: a + r[0] * s
+        crossings = _exact_crossings(np.stack([a, r], axis=1), False)
     elif kind == "graph":
         # lines at angles atan(p + q s), crossing where p + q s = 0
         p, q = np.tan(0.5 * a), rng.uniform(-3.0, 3.0, n)
         path = lp.graph_path(lambda s: O @ np.diag(p + q * s) @ O.T)
         y = lambda s: np.arctan(p + q * s)
+        crossings = _exact_crossings(np.stack([p, q], axis=1), True)
     elif kind == "sampled":
         # continuous column signs, steps below 0.7 rad: the interpolation
         # follows each line the short way
@@ -357,6 +364,7 @@ def _line_model_paths(rng, kind, n):
         path = lp.sampled_path([(k, sl.LagrangianFrame(n=n, frame=OO @ _lines(a + r * k)))
                                 for k in ks])
         y = lambda s: a + r * s
+        crossings = None
     else:
         # sigma = O diag(c) O^T on x and y turns line j by int_0^t c_j
         c0, c1 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
@@ -364,12 +372,13 @@ def _line_model_paths(rng, kind, n):
         flow = sl.FundamentalFlow(sl.poly_path(coeffs))
         path = lp.fundamental_image_path(flow, sl.LagrangianFrame(n=n, frame=OO @ _lines(a)))
         y = lambda s: a + c0 * s + 0.5 * c1 * s * s
+        crossings = _exact_crossings(np.stack([a, c0, 0.5 * c1], axis=1), False)
     ss = np.linspace(0.0, 1.0, 2001)
     Y = np.array([y(s) for s in ss])
     if not _separated(Y, ss):
         return None
     exact = sum(_h(Y[-1, j]) - _h(Y[0, j]) for j in range(n))
-    return path, exact
+    return path, exact, crossings
 
 
 def test_rs_index_matches_crossing_forms_on_line_models():
@@ -381,11 +390,32 @@ def test_rs_index_matches_crossing_forms_on_line_models():
         made = _line_model_paths(rng, kind, n)
         if made is None:
             continue
-        F, exact = made
+        F, exact, _ = made
         H = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
         forms = crossing_sum(F, H, 96)
         assert forms is not None, kind
         assert lp.rs_index(F, H, grid=96) == forms == exact, kind
+        done[kind] += 1
+
+
+def test_find_crossings_at_exact_line_model_times():
+    # times and signatures from the line angles alone, not the Souriau map
+    rng = make_rng(21)
+    done = {k: 0 for k in ("rotation", "graph", "fundamental")}
+    while min(done.values()) < 20:
+        kind = min(done, key=done.get)
+        n = int(rng.integers(1, 4))
+        made = _line_model_paths(rng, kind, n)
+        if made is None:
+            continue
+        F, _, exact = made
+        H = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
+        found = lp.find_crossings(F, H, grid=96)
+        assert len(found) == len(exact), kind
+        for c, (s, sign) in zip(found, exact):
+            assert abs(c.s - s) < 1e-9 and c.dim == 1, kind
+            if 0.0 < s < 1.0:
+                assert c.regular and c.signature == sign, kind
         done[kind] += 1
 
 
@@ -456,20 +486,14 @@ def test_maslov_not_a_loop():
         lp.maslov_loop(arc, sl.rotate_frame(H1, 0.7))
 
 
-def test_maslov_unitary_mismatch_is_typed():
-    loop = lp.rotation_path(lambda s: s, H1, 0.0, np.pi)
-    bogus = dataclasses.replace(loop, unitary=lambda s: np.eye(1, dtype=complex))
-    with pytest.raises(IndexMismatch):
-        lp.maslov_loop(bogus, sl.rotate_frame(H1, 0.7))
-
-
 def test_winding_of_discontinuous_frame_is_refused():
-    # det^2 jumps by pi at s = 1/2 at every resolution
+    # the loop jumps to the vertical on [1/3, 2/3), so its Souriau map jumps
+    # by pi at every resolution
     jump = lp.LagrangianPath(
-        n=1, a=0.0, b=1.0, evaluator=lambda s: H1,
-        unitary=lambda s: np.array([[1.0 if s < 0.5 else 1j]]))
+        n=1, a=0.0, b=1.0,
+        evaluator=lambda s: sl.vertical(1) if 1 / 3 <= s < 2 / 3 else H1)
     with pytest.raises(GridTooCoarse):
-        lp.winding_det_squared(jump)
+        lp.maslov_loop(jump, sl.rotate_frame(H1, 0.7))
 
 
 @pytest.mark.parametrize("w", [-2, -1, 0, 1, 2])
@@ -477,8 +501,9 @@ def test_maslov_diagonal_loops(w):
     loop = lp.diagonal_loop(lambda s: np.array([[np.exp(2j * np.pi * w * s)]]))
     ref = sl.apply_matrix(random_symplectic(make_rng(18 + w), 2),
                           sl.horizontal(2))
-    assert lp.winding_det_squared(loop) == 2 * w
-    assert lp.maslov_loop(loop, ref, grid=max(256, 128 * (abs(w) + 1))) == 2 * w
+    grid = max(256, 128 * (abs(w) + 1))
+    assert crossing_sum(loop, lp.constant_lagrangian_path(ref), grid) == 2 * w
+    assert lp.maslov_loop(loop, ref, grid=grid) == 2 * w
 
 
 # -- Viterbo -------------------------------------------------------------------------
@@ -516,30 +541,27 @@ def test_viterbo_halfintegrality_and_concatenation():
     done = 0
     while done < 50:
         n = int(rng.integers(1, 3))
-        try:
-            F0a, F1a, Fma, Fpa = _random_viterbo_data(rng, n)
-            # concatenation needs a regular structure at the junction:
-            # the glued pair must be transverse there
-            if sl.intersection_dim(F0a.end, F1a.end, tol=1e-4) > 0:
-                continue
-            mua = lp.viterbo_index(F0a, F1a, Fma, Fpa, grid=96)
-            # half-integrality: mu + (dim C- + dim C+)/2 is an integer
-            dm = sl.intersection_dim(Fma.end, F1a.start, tol=1e-6)
-            dp = sl.intersection_dim(Fpa.end, F1a.end, tol=1e-6)
-            assert (2 * mua + dm + dp) % 2 == 0
-
-            # glue a second strip sharing the middle asymptotic data
-            F0b = _shifted_random_path(rng, n, F0a.end)
-            F1b = _shifted_random_path(rng, n, F1a.end)
-            Fpb = lp.LagrangianPath(n=n, a=0.0, b=1.0,
-                                    evaluator=lambda t, e=F0b.end:
-                                    sl.apply_matrix(sl.rotation(n, 0.4 * t), e))
-            mub = lp.viterbo_index(F0b, F1b, Fpa, Fpb, grid=96)
-            glued0 = lp.concatenate(F0a, _reparam(F0b, 1.0, 3.0))
-            glued1 = lp.concatenate(F1a, _reparam(F1b, 1.0, 3.0))
-            mu_glued = lp.viterbo_index(glued0, glued1, Fma, Fpb, grid=192)
-        except (DegenerateCrossing, NonIsolatedCrossings):
+        F0a, F1a, Fma, Fpa = _random_viterbo_data(rng, n)
+        # concatenation needs a regular structure at the junction:
+        # the glued pair must be transverse there
+        if sl.intersection_dim(F0a.end, F1a.end, tol=1e-4) > 0:
             continue
+        mua = lp.viterbo_index(F0a, F1a, Fma, Fpa, grid=96)
+        # half-integrality: mu + (dim C- + dim C+)/2 is an integer
+        dm = sl.intersection_dim(Fma.end, F1a.start, tol=1e-6)
+        dp = sl.intersection_dim(Fpa.end, F1a.end, tol=1e-6)
+        assert (2 * mua + dm + dp) % 2 == 0
+
+        # glue a second strip sharing the middle asymptotic data
+        F0b = _shifted_random_path(rng, n, F0a.end)
+        F1b = _shifted_random_path(rng, n, F1a.end)
+        Fpb = lp.LagrangianPath(n=n, a=0.0, b=1.0,
+                                evaluator=lambda t, e=F0b.end, n=n:
+                                sl.apply_matrix(sl.rotation(n, 0.4 * t), e))
+        mub = lp.viterbo_index(F0b, F1b, Fpa, Fpb, grid=96)
+        glued0 = lp.concatenate(F0a, _reparam(F0b, 1.0, 3.0))
+        glued1 = lp.concatenate(F1a, _reparam(F1b, 1.0, 3.0))
+        mu_glued = lp.viterbo_index(glued0, glued1, Fma, Fpb, grid=192)
         assert mu_glued == mua + mub
         done += 1
 

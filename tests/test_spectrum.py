@@ -323,23 +323,16 @@ def test_glued_vs_broken_index():
         F1a = _pin_end(F1a, Lmid[1])
         F0b, F1b = _random_strip_data(rng, n, sig_mid, sig_p, Lmid, Lmid)
         Lp = (F0b.end, F1b.end)
-        try:
-            ind0 = sp.fredholm_index((sig_mid, Lmid[0], Lmid[1]),
-                                     (sig_m, Lm[0], Lm[1]), (F0a, F1a), grid=128)
-            ind1 = sp.fredholm_index((sig_p, Lp[0], Lp[1]),
-                                     (sig_mid, Lmid[0], Lmid[1]), (F0b, F1b),
-                                     grid=128)
-            glued0 = lp.concatenate(F0a, _shift(F0b, 1.0, 3.0))
-            glued1 = lp.concatenate(F1a, _shift(F1b, 1.0, 3.0))
-            indR = sp.fredholm_index((sig_p, Lp[0], Lp[1]),
-                                     (sig_m, Lm[0], Lm[1]), (glued0, glued1),
-                                     grid=256)
-        except Exception as exc:
-            from floerss.errors import (DegenerateCrossing,
-                                        NonIsolatedCrossings)
-            if isinstance(exc, (DegenerateCrossing, NonIsolatedCrossings)):
-                continue
-            raise
+        ind0 = sp.fredholm_index((sig_mid, Lmid[0], Lmid[1]),
+                                 (sig_m, Lm[0], Lm[1]), (F0a, F1a), grid=128)
+        ind1 = sp.fredholm_index((sig_p, Lp[0], Lp[1]),
+                                 (sig_mid, Lmid[0], Lmid[1]), (F0b, F1b),
+                                 grid=128)
+        glued0 = lp.concatenate(F0a, _shift(F0b, 1.0, 3.0))
+        glued1 = lp.concatenate(F1a, _shift(F1b, 1.0, 3.0))
+        indR = sp.fredholm_index((sig_p, Lp[0], Lp[1]),
+                                 (sig_m, Lm[0], Lm[1]), (glued0, glued1),
+                                 grid=256)
         A_mid = sp.AsymptoticOperator(n=n, sigma=sig_mid, boundary=Lmid)
         k_mid = sp.kernel_dim(A_mid)
         assert indR == ind0 + ind1 - k_mid
