@@ -19,8 +19,9 @@ bisects the cells where it turns fast.  ``rs_index`` is minus the winding
 of det W over 2 pi plus endpoint corrections from the eigenvalue angles of
 W at a and b; it looks for no crossings.  ``find_crossings`` locates the
 samples on the intersection and the cells where an eigenvalue angle passes
-0, bisects those on the net passage count, and evaluates ``crossing_form``
-and ``signature_of`` at the located points.  A tangency strictly between
+0, bisects those on the net passage count (``_bisect_passages``, which
+``spectrum.eigenvalues`` shares), and evaluates ``crossing_form`` and
+``signature_of`` at the located points.  A tangency strictly between
 two samples is not located; it adds 0 to the index.  The crossing forms
 are computed by finite differences of the paths, not from W, and serve as
 the test oracle of ``rs_index``.
@@ -85,15 +86,6 @@ class LagrangianPath:
     def restrict(self, a, b):
         return LagrangianPath(n=self.n, a=a, b=b, evaluator=self.evaluator,
                               kind=self.kind, stack=self.stack)
-
-    def reversed(self):
-        total = self.a + self.b
-        return LagrangianPath(
-            n=self.n, a=self.a, b=self.b,
-            evaluator=lambda s: self.evaluator(total - s),
-            kind=self.kind,
-            stack=(None if self.stack is None
-                   else (lambda ss: self.stack(total - ss))))
 
 
 def _stacked_path(n, a, b, stack, kind):
@@ -396,21 +388,49 @@ def _passages(turn, h0, h1):
     return np.rint(turn / (2 * np.pi) + h1 - h0)
 
 
+def _bisect_passages(W_at, s, W, cells, width):
+    """Bisect the cells [s[k], s[k + 1]], k in ``cells``, of the samples s
+    of the stacked evaluator W_at (W = W_at(s)) on their net passage counts
+    (``_passages``) until no bracket is wider than ``width``.  Each round
+    evaluates all midpoints in one stacked call and keeps every half whose
+    count is nonzero.  Returns the final brackets and their counts.
+    """
+    # brackets are index pairs into the samples; midpoints are appended
+    h = _h(_angles(W))
+    count = _passages(_cell_turns(W[cells], W[cells + 1])[0], h[cells],
+                      h[cells + 1])
+    lo, count = cells[count != 0], count[count != 0]
+    hi = lo + 1
+    while True:
+        wide = s[hi] - s[lo] > width
+        if not wide.any():
+            return s[lo], s[hi], count
+        l, r = lo[wide], hi[wide]
+        m = len(s) + np.arange(len(l))
+        s = np.concatenate([s, 0.5 * (s[l] + s[r])])
+        W = np.concatenate([W, W_at(s[m])])
+        h = np.concatenate([h, _h(_angles(W[m]))])
+        left = _passages(_cell_turns(W[l], W[m])[0], h[l], h[m])
+        right = _passages(_cell_turns(W[m], W[r])[0], h[m], h[r])
+        lo = np.concatenate([lo[~wide], l[left != 0], m[right != 0]])
+        hi = np.concatenate([hi[~wide], m[left != 0], r[right != 0]])
+        count = np.concatenate([count[~wide], left[left != 0],
+                                right[right != 0]])
+
+
 def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     """Locate the crossings of the pair on [a, b] and evaluate their forms.
 
     The samples are those of ``rs_index``.  A sample at which an eigenvalue
     angle of W is below 2 tol (``crossing_accept_angle`` by default) lies on
     F0 /\\ F1; a run of two or more such samples is a plateau, reported once
-    at its first sample.  Every other cell is located by the net number of
-    eigenvalue angles passing 0 in it, turn / 2 pi + h(W_{k+1}) - h(W_k)
-    with h as in ``rs_index`` but no cut; cells where it is nonzero
-    are bisected on that count to ``crossing_refine_tol`` max(b - a, 1),
-    keeping both halves when both count, and the crossing is the midpoint
-    of the last bracket.  Passages that cancel inside one cell (a tangency
-    strictly between samples) are not located; they add 0 to the index.
+    at its first sample.  The other cells are bisected on their passage
+    counts (``_bisect_passages``) to ``crossing_refine_tol`` max(b - a, 1),
+    and a crossing is the midpoint of a last bracket.  Passages that cancel
+    inside one cell (a tangency strictly between samples) are not located;
+    they add 0 to the index.
     """
-    s, W, turn, W_at = _souriau_samples(F0, F1, grid, settings)
+    s, W, _, W_at = _souriau_samples(F0, F1, grid, settings)
     cut = 2.0 * (settings.crossing_accept_angle if tol is None else tol)
     phi = _angles(W)
     on = np.min(np.abs(phi), axis=-1) < cut
@@ -418,25 +438,10 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if len(idx) else []
     located = [(float(s[r[0]]), len(r) > 1) for r in runs]
 
-    # brackets are index pairs into the samples; midpoints are appended
-    h = _h(phi)
-    lo = np.flatnonzero((_passages(turn, h[:-1], h[1:]) != 0) & ~on[:-1] & ~on[1:])
-    hi = lo + 1
-    width = settings.crossing_refine_tol * max(F0.b - F0.a, 1.0)
-    while True:
-        wide = s[hi] - s[lo] > width
-        if not wide.any():
-            break
-        l, r = lo[wide], hi[wide]
-        m = len(s) + np.arange(len(l))
-        s = np.concatenate([s, 0.5 * (s[l] + s[r])])
-        W = np.concatenate([W, W_at(s[m])])
-        h = np.concatenate([h, _h(_angles(W[m]))])
-        left = _passages(_cell_turns(W[l], W[m])[0], h[l], h[m]) != 0
-        right = _passages(_cell_turns(W[m], W[r])[0], h[m], h[r]) != 0
-        lo = np.concatenate([lo[~wide], l[left], m[right]])
-        hi = np.concatenate([hi[~wide], m[left], r[right]])
-    located += [(float(x), False) for x in 0.5 * (s[lo] + s[hi])]
+    los, his, _ = _bisect_passages(
+        W_at, s, W, np.flatnonzero(~on[:-1] & ~on[1:]),
+        settings.crossing_refine_tol * max(F0.b - F0.a, 1.0))
+    located += [(float(x), False) for x in 0.5 * (los + his)]
 
     crossings = []
     for s_star, plateau in sorted(located):

@@ -156,10 +156,6 @@ class _RingZ:
         return a * b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def normalize(a):
         """(unit u, canonical a') with a = u a', canonical positive."""
         return (-1, -a) if a < 0 else (1, a)
@@ -167,10 +163,6 @@ class _RingZ:
     @staticmethod
     def divides(a, b):
         return a != 0 and b % a == 0
-
-    @staticmethod
-    def exact_div(a, b):
-        return a // b
 
 
 class _RingL2:
@@ -202,10 +194,6 @@ class _RingL2:
         return a * b
 
     @staticmethod
-    def neg(a):
-        return a
-
-    @staticmethod
     def normalize(a):
         """Unit-normalize to lowest exponent zero (monic over Z2 automatic)."""
         if a.is_zero():
@@ -219,13 +207,6 @@ class _RingL2:
             return False
         _, r = laurent_divmod(b, a)
         return r.is_zero()
-
-    @staticmethod
-    def exact_div(a, b):
-        q, r = laurent_divmod(a, b)
-        if not r.is_zero():
-            raise DivisionByZero("exact division failed")
-        return q
 
 
 def _ring_ops(ring):

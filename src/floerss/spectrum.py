@@ -9,16 +9,16 @@ model sigma = 0, L1 = e^{alpha J} L0 reports exactly alpha + pi Z (the
 angle progression), and the spectral gap and kernel agree with those of
 A = J d/dt + sigma, which are reflection invariant.
 
-``eigenvalues`` scans a grid of rho with the gap function g(rho), the
-smallest principal-angle sine between Psi_{sigma+rho}(1) L0 and L1, and
-refines each local minimum by golden section.  g is stacked: one batched
-flow over all rho, one stacked ``validate_lagrangian`` of the image
-frames and one stacked SVD for their sines.  The golden section
-(``_golden``) evaluates two iterations per flow pass: the probes of one
-iteration and those of the next for either outcome, six points per
-bracket, with the comparisons applied in order, so the brackets, and
-with them the reported floats, are those of a search that makes one pass
-per iteration.
+``eigenvalues`` counts eigenvalues as crossings: rho -> Psi_{sigma+rho}(1) L0
+is a positive path, so the eigenvalues in a rho-interval are the net
+number of eigenvalue angles of the Souriau map of that path against L1
+that pass 1 (Robbin-Salamon, "The spectral flow and the Maslov index",
+Bull. LMS 1995).  It uses the locator of ``lagpath.find_crossings``: one
+stacked scan of the Souriau map over the window
+(``lagpath._souriau_samples``) and bisection on the passage counts of the
+cells (``lagpath._bisect_passages``).
+A count does not depend on how far apart the eigenvalues in a cell are,
+so eigenvalues closer than one grid cell are all found.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,8 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DeltaNotBelowGap, DimensionMismatch, EndpointMismatch,
-                     GridTooCoarse, NonIntegerIndex, WindowTooSmall)
+                     GridTooCoarse, NonIntegerIndex, StepTooLarge,
+                     WindowTooSmall)
 from . import symplin as sl
 from . import lagpath as lp
 
@@ -61,63 +62,27 @@ class SpectrumReport:
     kernel_dim: int
 
 
-def _angle_sines(A, flows):
-    """rhos -> the (B, n) ascending principal-angle sines between
-    Psi_{sigma+rho}(1) L0 and L1, for a batch of rho; ``flows`` is
-    ``symplin.shifted_flows`` of sigma.  The frames of the whole batch are
-    one stacked ``validate_lagrangian`` and the sines one stacked SVD."""
-    L0, L1 = A.boundary
-    return lambda rhos: sl.principal_angle_sines(
-        sl.validate_lagrangian(flows(rhos) @ L0.frame), L1)
+def _merge(los, his, counts):
+    """Union of the brackets that overlap or touch, with summed counts."""
+    order = np.argsort(los)
+    los, his, counts = los[order], his[order], counts[order]
+    first = np.flatnonzero(np.r_[True, los[1:] > np.maximum.accumulate(his)[:-1]])
+    return (los[first], np.maximum.reduceat(his, first),
+            np.add.reduceat(counts, first))
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
+    """Eigenvalues in [-window, window] with their multiplicities, counted
+    as in the module docstring on ``grid`` cells of the window and one more
+    cell at each end, so that eigenvalues at +-window are kept.
 
-
-def _probes(lo, hi):
-    """The two golden-section probes of the brackets [lo, hi]."""
-    return hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-
-
-def _golden(g, los, his, tol):
-    """Golden-section search on the brackets [los, his] of a batched g until
-    every width is at most tol; returns the final (los, his).
-
-    Each pass makes one call of g on six points per bracket: the probes
-    x1, x2 of the current iteration, and the probes of the next one for
-    either outcome, (lo, x2) when f(x1) <= f(x2) and (x1, hi) otherwise.
-    The two comparisons are then applied in order, with the width test
-    between them, so the brackets are those of one iteration per call.
-    """
-    while len(los) and np.max(his - los) > tol:
-        x1, x2 = _probes(los, his)
-        (a1, a2), (b1, b2) = _probes(los, x2), _probes(x1, his)
-        f1, f2, fa1, fa2, fb1, fb2 = g(
-            np.concatenate([x1, x2, a1, a2, b1, b2])).reshape(6, -1)
-        left = f1 <= f2
-        los, his = np.where(left, los, x1), np.where(left, x2, his)
-        if np.max(his - los) > tol:
-            x1, x2 = np.where(left, a1, b1), np.where(left, a2, b2)
-            left = np.where(left, fa1 <= fa2, fb1 <= fb2)
-            los, his = np.where(left, los, x1), np.where(left, x2, his)
-    return los, his
-
-
-def eigenvalues(A, window=None, grid=None, tol=None, step=None,
-                settings=DEFAULTS):
-    """Scan [-window, window] for eigenvalues; refine by golden section.
-
-    Detection: rho is reported iff the fundamental solution of sigma + rho
-    maps L0 to a subspace meeting L1 nontrivially; the multiplicity is the
-    intersection dimension at the refined rho.
-
-    The gap function g(rho), the smallest principal-angle sine, is
-    evaluated for a whole batch of rho at once (``_angle_sines``).  One
-    scan over the grid brackets the local minima; ``_golden`` narrows them
-    to ``tol`` with one flow pass per two golden-section iterations, first
-    at the coarse step and then, for a non-constant sigma, again at the
-    fine ``settings.ode_step`` around each coarse minimum.  The
-    multiplicities are read off the same stacked sines at the fine step.
+    For a non-constant sigma the scan's flow has a coarse step: its
+    brackets stop at a pad of O(step^4), are widened by the pad, merged
+    where they overlap and bisected to ``tol`` on the flow at
+    ``settings.ode_step``, which must count as many eigenvalues in each
+    merged bracket (else StepTooLarge).  An eigenvalue is the midpoint of a
+    final bracket, brackets that touch being one, and its multiplicity is
+    the bracket's count.
     """
     window = settings.spectrum_window if window is None else float(window)
     grid = settings.spectrum_grid if grid is None else int(grid)
@@ -128,67 +93,54 @@ def eigenvalues(A, window=None, grid=None, tol=None, step=None,
         raise WindowTooSmall(f"window must be finite, got {window}")
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
-    if step is None:
-        # keep ||generator|| * h small; the final polish below rechecks each
-        # eigenvalue at the fine default step
-        smax = max(float(np.max(np.abs(A.sigma(t)))) for t in np.linspace(0, 1, 5))
-        step = float(np.clip(0.05 / max(window + smax, 1.0), 1e-3, 1e-2))
-    else:
-        step = float(step)
+    # keep ||generator|| * h small on the scan
+    smax = max(float(np.max(np.abs(A.sigma(t)))) for t in np.linspace(0, 1, 5))
+    step = float(np.clip(0.05 / max(window + smax, 1.0), 1e-3, 1e-2))
+    two_steps = settings.ode_step < step and A.sigma.constant is None
+    pad = max(1e3 * tol, 1e4 * step ** 4)
+    L0, L1 = A.boundary
+    reach = window * (1.0 + 2.0 / grid)
 
-    sines = _angle_sines(A, sl.shifted_flows(A.sigma, step, settings=settings))
+    def image(h):
+        """rho -> Psi_{sigma+rho}(1) L0 with the flow at step h: one flow
+        pass and one stacked ``validate_lagrangian`` per batch of rho."""
+        flows = sl.shifted_flows(A.sigma, h, settings=settings)
+        return lp._stacked_path(
+            A.n, -reach, reach,
+            lambda rhos: sl.validate_lagrangian(flows(rhos) @ L0.frame).frame,
+            "spectral")
 
-    def g(rhos):
-        return sines(rhos)[:, 0]
+    ref = lp.constant_lagrangian_path(L1, -reach, reach)
+    s, W, _, W_at = lp._souriau_samples(image(step), ref, grid + 2, settings)
+    los, his, counts = lp._bisect_passages(W_at, s, W, np.arange(len(s) - 1),
+                                           pad if two_steps else tol)
+    if two_steps and len(los):
+        los, his, coarse = _merge(los - pad, his + pad, counts)
+        fine = image(settings.ode_step)
 
-    rhos = np.linspace(-window, window, grid + 1)
-    gs = g(rhos)
+        def W_fine(rhos):
+            return lp.souriau(ref.frames(rhos)) @ lp.souriau(fine.frames(rhos)).conj()
 
-    # bracket local minima
-    brackets = []
-    for i in range(1, grid):
-        if gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1] and gs[i] < 0.9:
-            brackets.append((rhos[i - 1], rhos[i + 1]))
-    for edge in (0, grid):
-        if gs[edge] < 1e-6:
-            lo = rhos[max(edge - 1, 0)]
-            hi = rhos[min(edge + 1, grid)]
-            brackets.append((lo, hi))
-
-    los, his = _golden(g, np.array([b[0] for b in brackets]),
-                       np.array([b[1] for b in brackets]), tol)
+        s = np.ravel(np.column_stack([los, his]))
+        los, his, counts = lp._bisect_passages(
+            W_fine, s, W_fine(s), 2 * np.arange(len(coarse)), tol)
+        owner = np.searchsorted(s[0::2], los, side="right") - 1
+        if not np.array_equal(
+                np.bincount(owner, counts, minlength=len(coarse)), coarse):
+            raise StepTooLarge(
+                f"eigenvalue counts at step {settings.ode_step} differ from "
+                f"those at the scan step {step}")
     found = []
-    if len(brackets):
-        centers = 0.5 * (los + his)
-        keep = g(centers) < 10.0 * max(tol, 1e-9)
-        centers = centers[keep]
-        fine = settings.ode_step
-        if len(centers):
-            fine_sines = _angle_sines(
-                A, sl.shifted_flows(A.sigma, fine, settings=settings))
-            if fine < step and A.sigma.constant is None:
-                # batched polish at the fine step: each coarse minimum is
-                # within O(step^4) of the true eigenvalue
-                pad = max(1e3 * tol, 1e4 * step ** 4)
-                plo, phi = _golden(lambda r: fine_sines(r)[:, 0],
-                                   centers - pad, centers + pad, tol)
-                centers = 0.5 * (plo + phi)
-            mults = np.sum(fine_sines(centers) < 1e-6, axis=1)
-            found = [(float(rho), max(int(m), 1))
-                     for rho, m in zip(centers, mults)]
-    # merge duplicates
-    found.sort()
-    merged = []
-    for rho, m in found:
-        if merged and abs(rho - merged[-1][0]) < 50 * tol:
-            continue
-        merged.append((rho, m))
-    merged = [(r, m) for r, m in merged if abs(r) <= window + 10 * tol]
+    if len(los):
+        # the path is positive, so eigenvalue angles pass 0 clockwise only
+        los, his, counts = _merge(los, his, counts)
+        found = [(float(rho), int(-m)) for rho, m in zip(0.5 * (los + his), counts)
+                 if abs(rho) <= window + 10 * tol]
 
-    kd = sum(m for r, m in merged if abs(r) < settings.zero_eigen_tol)
-    nonzero = [abs(r) for r, m in merged if abs(r) >= settings.zero_eigen_tol]
+    kd = sum(m for r, m in found if abs(r) < settings.zero_eigen_tol)
+    nonzero = [abs(r) for r, m in found if abs(r) >= settings.zero_eigen_tol]
     gap = min(nonzero) if nonzero else None
-    return SpectrumReport(window=(-window, window), eigenvalues=tuple(merged),
+    return SpectrumReport(window=(-window, window), eigenvalues=tuple(found),
                           gap=gap, kernel_dim=kd)
 
 

@@ -248,8 +248,30 @@ SPECTRUM_BLIND_DOC = {
     "window": 6.283185307179586, "grid": 384}
 
 # stdout of `floerss spectrum --json` on the two documents above, recorded
-# from the two-call-per-iteration golden refinement and per-rho frame loop
+# from the eigenvalue locator that bisects the Souriau passage counts
 SPECTRUM_POLY_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -6.233022274418772}, '
+    '{"multiplicity": 1, "rho": -3.444018526165836}, '
+    '{"multiplicity": 1, "rho": -3.1011316063179075}, '
+    '{"multiplicity": 1, "rho": -0.10555820228835211}, '
+    '{"multiplicity": 1, "rho": 0.053747927269635454}, '
+    '{"multiplicity": 1, "rho": 2.8650785567084576}, '
+    '{"multiplicity": 1, "rho": 3.210215082626731}, '
+    '{"multiplicity": 1, "rho": 5.999269261195883}], '
+    '"gap": 0.053747927269635454, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+SPECTRUM_BLIND_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -5.9406799492047355}, '
+    '{"multiplicity": 1, "rho": -2.7341007427025312}, '
+    '{"multiplicity": 1, "rho": 0.28394735665860965}, '
+    '{"multiplicity": 1, "rho": 3.5980479826956273}], '
+    '"gap": 0.28394735665860965, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+
+# the same stdout from the earlier locator (golden-section refinement of the
+# minima of the smallest principal-angle sine); its floats differ from the
+# ones above by less than the refinement tolerance 1e-8
+SPECTRUM_POLY_JSON_GOLDEN = (
     '{"eigenvalues": [{"multiplicity": 1, "rho": -6.233022275526093}, '
     '{"multiplicity": 1, "rho": -3.4440185289691216}, '
     '{"multiplicity": 1, "rho": -3.1011316038338244}, '
@@ -260,7 +282,7 @@ SPECTRUM_POLY_JSON = (
     '{"multiplicity": 1, "rho": 5.9992692585991145}], '
     '"gap": 0.05374792785444242, "kernel_dim": 0, "kind": "spectrum", '
     '"window": [-6.283185307179586, 6.283185307179586]}\n')
-SPECTRUM_BLIND_JSON = (
+SPECTRUM_BLIND_JSON_GOLDEN = (
     '{"eigenvalues": [{"multiplicity": 1, "rho": -5.940679950439206}, '
     '{"multiplicity": 1, "rho": -2.73410074108981}, '
     '{"multiplicity": 1, "rho": 0.28394736222420147}, '
@@ -270,11 +292,22 @@ SPECTRUM_BLIND_JSON = (
 
 
 def test_spectrum_output_is_unchanged(tmp_path, capsys):
-    for name, doc, want in (("poly", SPECTRUM_POLY_DOC, SPECTRUM_POLY_JSON),
-                            ("blind", SPECTRUM_BLIND_DOC, SPECTRUM_BLIND_JSON)):
+    for name, doc, want, golden in (
+            ("poly", SPECTRUM_POLY_DOC, SPECTRUM_POLY_JSON,
+             SPECTRUM_POLY_JSON_GOLDEN),
+            ("blind", SPECTRUM_BLIND_DOC, SPECTRUM_BLIND_JSON,
+             SPECTRUM_BLIND_JSON_GOLDEN)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["spectrum", str(p), "--json"], capsys) == (0, want, ""), name
+        new, old = json.loads(want), json.loads(golden)
+        assert new["window"] == old["window"], name
+        assert new["kernel_dim"] == old["kernel_dim"], name
+        assert ([e["multiplicity"] for e in new["eigenvalues"]]
+                == [e["multiplicity"] for e in old["eigenvalues"]]), name
+        for e, f in zip(new["eigenvalues"], old["eigenvalues"]):
+            assert abs(e["rho"] - f["rho"]) < 1e-8, name
+        assert abs(new["gap"] - old["gap"]) < 1e-8, name
 
 
 def test_pozniak_and_quantum_commands(tmp_path, capsys):

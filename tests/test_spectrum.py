@@ -75,89 +75,33 @@ def test_eigenvalues_of_probe_blind_operator():
     assert rep.kernel_dim == sp.kernel_dim(A)
 
 
-def _golden_reference(g, los, his, tol, calls):
-    """Golden section with one iteration, and two calls of g, per step."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    while len(los) and np.max(his - los) > tol:
-        x1 = his - invphi * (his - los)
-        x2 = los + invphi * (his - los)
-        left = g(x1) <= g(x2)
-        calls.append(1)
-        his = np.where(left, x2, his)
-        los = np.where(left, los, x1)
-    return los, his
+def test_close_pair_eigenvalues_are_all_counted():
+    # L1 the lines at angles 0.4 and 0.4 + d: the eigenvalues are the two
+    # progressions 0.4 + pi Z and 0.4 + d + pi Z, pairs closer than one
+    # scan cell (4 pi / 384) that a minimum of the gap function cannot
+    # tell apart
+    line = sl.horizontal(1)
+    for d in (0.03, 0.01, 0.003, 0.001):
+        L1 = sl.direct_sum_frames(sl.rotate_frame(line, 0.4),
+                                  sl.rotate_frame(line, 0.4 + d))
+        A = sp.AsymptoticOperator(n=2, sigma=sl.zero_path(2),
+                                  boundary=(sl.horizontal(2), L1))
+        rep = sp.eigenvalues(A, window=2 * np.pi, grid=384)
+        want = sorted(alpha + np.pi * k for alpha in (0.4, 0.4 + d)
+                      for k in (-2, -1, 0, 1))
+        assert [m for _, m in rep.eigenvalues] == [1] * 8, d
+        for (rho, _), e in zip(rep.eigenvalues, want):
+            assert abs(rho - e) < 1e-8, (d, rho, e)
+        assert abs(rep.gap - 0.4) < 1e-8 and rep.kernel_dim == 0
 
 
-def _assert_golden_matches_reference(g, los, his, tol):
-    steps, passes = [], []
-
-    def counted(x):
-        passes.append(len(x))
-        return g(x)
-
-    ref = _golden_reference(g, los, his, tol, steps)
-    got = sp._golden(counted, los, his, tol)
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-    # one call of g per two iterations, six points per bracket each
-    assert len(passes) == (len(steps) + 1) // 2
-    assert all(k == 6 * len(los) for k in passes)
-
-
-def test_golden_matches_one_iteration_per_call_on_v_shapes():
-    rng = make_rng(38)
-    for trial in range(60):
-        B = int(rng.integers(1, 7))
-        edges = np.sort(rng.uniform(-10, 10, 2 * B))
-        los, his = edges[0::2], edges[1::2]
-        centers = rng.uniform(los, his)
-        slopes = rng.uniform(0.1, 5.0, (2, B))
-        digits = int(rng.integers(2, 12))   # coarse rounding makes ties
-
-        def g(x):
-            k = np.clip(np.searchsorted(los, x, side="right") - 1, 0, B - 1)
-            d = x - centers[k]
-            v = np.where(d < 0, -slopes[0, k] * d, slopes[1, k] * d)
-            return np.round(v, digits)
-
-        tol = 10.0 ** -rng.integers(3, 11)
-        _assert_golden_matches_reference(g, los, his, tol)
-
-
-def test_golden_matches_one_iteration_per_call_on_a_gap_function():
-    rng = make_rng(39)
-    sig = random_sigma_poly(rng, 2, degree=1, scale=0.6)
-    A = sp.AsymptoticOperator(n=2, sigma=sig, boundary=(random_lagrangian(rng, 2),
-                                                        random_lagrangian(rng, 2)))
-    sines = sp._angle_sines(A, sl.shifted_flows(sig, 1e-2))
-
-    def g(rhos):
-        return sines(rhos)[:, 0]
-
-    rhos = np.linspace(-2 * np.pi, 2 * np.pi, 65)
-    gs = g(rhos)
-    mins = [i for i in range(1, 64) if gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1]]
-    assert mins
-    los = np.array([rhos[i - 1] for i in mins])
-    his = np.array([rhos[i + 1] for i in mins])
-    _assert_golden_matches_reference(g, los, his, 1e-8)
-
-
-def test_stacked_gap_function_matches_the_frame_loop():
-    rng = make_rng(40)
-    for n in (1, 2, 3, 4):
-        L0, L1 = random_lagrangian(rng, n), random_lagrangian(rng, n)
-        S = rng.standard_normal((12, 2 * n, 2 * n))
-        stack = sl.expm(0.8 * sl.J_std(n) @ (S + np.swapaxes(S, 1, 2)))
-        stack[5] = np.eye(2 * n)    # L0 onto itself
-        frames = [sl.apply_matrix(M, L0) for M in stack]
-        for L in (L0, L1):
-            A = sp.AsymptoticOperator(n=n, sigma=sl.zero_path(n), boundary=(L0, L))
-            got = sp._angle_sines(A, lambda rhos: stack)(np.zeros(12))
-            assert np.array_equal(
-                got[:, 0], [sl.min_principal_angle_sin(F, L) for F in frames])
-            mults = [sl.intersection_dim(F, L, tol=1e-6) for F in frames]
-            assert np.array_equal(np.sum(got < 1e-6, axis=1), mults)
-        assert sl.intersection_dim(frames[5], L0, tol=1e-6) == n
+def test_eigenvalues_at_the_window_ends_are_kept():
+    rep = sp.eigenvalues(sp.flat_model(0.0), window=2 * np.pi, grid=384)
+    got = [r for r, _ in rep.eigenvalues]
+    assert len(got) == 5
+    for r, e in zip(got, np.pi * np.arange(-2, 3)):
+        assert abs(r - e) < 1e-8
+    assert all(m == 1 for _, m in rep.eigenvalues) and rep.kernel_dim == 1
 
 
 def test_no_short_window_holds_two_eigenvalues():
