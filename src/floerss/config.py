@@ -18,7 +18,9 @@ class Settings:
     # `ode_step` from J sigma sampled once on its stage grid.  Every
     # `project_every` steps and after the last one, a drift
     # max |M^T J M - J| above `symplectic_drift_limit` raises StepTooLarge
-    # and one above `symplectic_drift_tol` projects back onto Sp(2n).
+    # and one above `symplectic_drift_tol` projects back onto Sp(2n); the
+    # RK4 takes its steps in blocks of step maps, and no block crosses one
+    # of these checkpoints.
     ode_step: float = 1e-3
     project_every: int = 100
     symplectic_drift_tol: float = 1e-10

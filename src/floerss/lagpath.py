@@ -34,8 +34,8 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DegenerateCrossing, DimensionMismatch, EndpointMismatch,
-                     GraphDecompositionFailed, GridTooCoarse, NonIntegerIndex,
-                     NonIsolatedCrossings, NotALoop, NotFullRank)
+                     GraphDecompositionFailed, GridTooCoarse, IntegrationFailure,
+                     NonIntegerIndex, NonIsolatedCrossings, NotALoop, NotFullRank)
 from . import symplin as sl
 
 
@@ -126,7 +126,12 @@ def graph_path(B, a=0.0, b=1.0):
 
 
 def fundamental_image_path(flow, base, a=0.0, b=1.0):
-    """t -> Psi(t) . span(base) for a ``symplin.FundamentalFlow``."""
+    """t -> Psi(t) . span(base) for a ``symplin.FundamentalFlow``, on an
+    interval whose ends lie in [0, 1], where the flow is defined (else
+    IntegrationFailure)."""
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise IntegrationFailure(
+            f"the flow is defined on [0, 1], not on [{a}, {b}]", interval=[a, b])
 
     def stack(ts):
         return np.linalg.qr(flow.at(ts) @ base.frame)[0]

@@ -145,6 +145,9 @@ def parse_path(obj, where="path"):
         B = _matrix_poly_eval(_need(_need(obj, "B", where), "poly", where), where)
         return lp.graph_path(B, a, b)
     if typ == "fundamental":
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+            raise SchemaError(f"{where}: a fundamental path lives on [0, 1], "
+                              f"got interval [{a}, {b}]", path=where)
         sigma = parse_sigma(_need(obj, "sigma", where), where)
         base = parse_frame(_need(obj, "base", where), where)
         return lp.fundamental_image_path(sl.FundamentalFlow(sigma), base, a, b)

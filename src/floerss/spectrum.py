@@ -94,7 +94,7 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     # keep ||generator|| * h small on the scan
-    smax = max(float(np.max(np.abs(A.sigma(t)))) for t in np.linspace(0, 1, 5))
+    smax = float(np.max(np.abs(A.sigma.samples(np.linspace(0, 1, 5)))))
     step = float(np.clip(0.05 / max(window + smax, 1.0), 1e-3, 1e-2))
     two_steps = settings.ode_step < step and A.sigma.constant is None
     pad = max(1e3 * tol, 1e4 * step ** 4)
@@ -176,7 +176,7 @@ def _shifted_path(sigma, rho):
     n = sigma.n
     eye = np.eye(2 * n)
     constant = None if sigma.constant is None else sigma.constant - rho * eye
-    return sl.SymmetricPath(n=n, eval=lambda t: sigma(t) - rho * eye,
+    return sl.SymmetricPath(n=n, stack=lambda ts: sigma.samples(ts) - rho * eye,
                             breakpoints=sigma.breakpoints, constant=constant)
 
 
@@ -273,22 +273,17 @@ def strip_index(mu_vit, dim_cm, dim_cp):
 # -- gap inequality check ------------------------------------------------------
 
 
-def _kernel_functions(A, settings):
-    """Kernel eigenfunctions t -> Psi(t) v for v in L0 /\\ Psi(1)^{-1} L1."""
+def _kernel_functions(A, ts, settings):
+    """Values at ts of the kernel eigenfunctions t -> Psi(t) v for a basis
+    of v in L0 /\\ Psi(1)^{-1} L1, as a (k, len(ts), 2n) stack."""
     flow = sl.FundamentalFlow(A.sigma, settings=settings)
     L0, L1 = A.boundary
     psi1 = flow(1.0)
     F = sl.apply_matrix(psi1, L0)
     basis = sl.intersection_basis(F, L1, tol=1e-6)
-    if basis.shape[1] == 0:
-        return []
     # pull back to initial conditions in L0
     v0 = np.linalg.solve(psi1, basis)
-    out = []
-    for j in range(v0.shape[1]):
-        v = v0[:, j]
-        out.append(lambda t, v=v: flow(t) @ v)
-    return out
+    return np.moveaxis(flow.at(ts) @ v0, -1, 0)
 
 
 def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
@@ -304,7 +299,6 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
     n = A.n
     L0, L1 = A.boundary
     iota = spectral_gap(A, settings=settings)
-    kf = _kernel_functions(A, settings)
 
     m = settings.quad_nodes
     ts = np.linspace(0.0, 1.0, m + 1)
@@ -314,8 +308,8 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
     P0c = np.eye(2 * n) - L0.projector      # projection killing the L0 part
     P1c = np.eye(2 * n) - L1.projector
     J = sl.J_std(n)
-    sig_vals = np.stack([A.sigma(t) for t in ts])
-    kern_vals = [np.stack([f(t) for t in ts]) for f in kf]
+    sig_vals = A.sigma.samples(ts)
+    kern_vals = _kernel_functions(A, ts, settings)
 
     def rand_test_function():
         # trig sum with boundary correction, then L^2 kernel projection

@@ -409,6 +409,25 @@ def test_escaped_inputs_are_refused(tmp_path, capsys, cmd, doc, code, error):
 
 
 
+def test_fundamental_paths_leaving_the_unit_interval_are_refused(tmp_path, capsys):
+    # the flow is defined on [0, 1]; past it the path was the flow clipped to
+    # [0, 1], and [0, 4] (the line passes the horizontal at t = pi) read 1/2
+    def doc(interval):
+        return {"schema": "floerss/1", "kind": "rs_index",
+                "F0": {"type": "fundamental", "interval": interval,
+                       "sigma": {"constant": [[1, 0], [0, 1]]}, "base": [[1], [0]]},
+                "F1": {"type": "constant", "interval": interval,
+                       "frame": [[1], [0]]}}
+
+    p = tmp_path / "fundamental.json"
+    for interval in ([0, 4], [-3, 1]):
+        p.write_text(json.dumps(doc(interval)))
+        code, out, err = run_cli(["rs-index", str(p), "--json"], capsys)
+        assert (code, out, json.loads(err)["error"]) == (2, "", "SchemaError")
+    p.write_text(json.dumps(doc([0.25, 0.75])))
+    assert run_cli(["rs-index", str(p)], capsys) == (0, "rs_index: 0\nvalue: 0\n", "")
+
+
 # -- fuzzing the floerss/1 schemas ----------------------------------------
 
 

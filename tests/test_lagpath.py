@@ -7,7 +7,8 @@ from fractions import Fraction
 from floerss import lagpath as lp
 from floerss.config import DEFAULTS
 from floerss import symplin as sl
-from floerss.errors import EndpointMismatch, GridTooCoarse, NotALoop, NotFullRank
+from floerss.errors import (EndpointMismatch, GridTooCoarse, IntegrationFailure,
+                            NotALoop, NotFullRank)
 
 from conftest import (make_rng, random_half_symmetric, random_lagrangian,
                       random_path, random_symplectic)
@@ -380,6 +381,14 @@ def _line_model_paths(rng, kind, n):
     exact = sum(_h(Y[-1, j]) - _h(Y[0, j]) for j in range(n))
     return path, exact, crossings
 
+
+def test_fundamental_image_path_stays_in_the_unit_interval():
+    flow = sl.FundamentalFlow(sl.constant_path(np.eye(2)))
+    h = sl.horizontal(1)
+    for a, b in ((0.0, 4.0), (-3.0, 1.0)):
+        with pytest.raises(IntegrationFailure):
+            lp.fundamental_image_path(flow, h, a, b)
+    assert lp.fundamental_image_path(flow, h, 0.25, 0.75).frames([0.5]).shape == (1, 2, 1)
 
 def test_rs_index_matches_crossing_forms_on_line_models():
     rng = make_rng(20)

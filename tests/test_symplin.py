@@ -6,7 +6,7 @@ from floerss import spectrum as sp
 from floerss import symplin as sl
 from floerss.errors import NotFullRank, NotIsotropic, NotSymmetric, StepTooLarge
 
-from conftest import make_rng, random_lagrangian, random_sigma_poly
+from conftest import make_rng, random_lagrangian, random_sigma_poly, random_symmetric
 
 
 def test_validate_standard_frames():
@@ -158,9 +158,120 @@ def test_fundamental_solution_constant_multiple():
         assert np.max(np.abs(res)) < 1e-8
 
 
+def _rk4_step(M, g1, g2, g4, h):
+    """One classical RK4 step of dM/dt = g(t) M applied to M, the reference
+    for the step maps of ``symplin``."""
+    k1 = g1 @ M
+    k2 = g2 @ (M + 0.5 * h * k1)
+    k3 = g2 @ (M + 0.5 * h * k2)
+    k4 = g4 @ (M + h * k3)
+    return M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _per_step_rk4(G, h, rhos, settings, keep):
+    """``sl._rk4`` one step at a time: the same drift check and projection
+    every ``project_every`` steps and after the last one."""
+    d = G.shape[-1]
+    J = sl.J_std(d // 2)
+    rhoJ = np.asarray(rhos, dtype=float)[:, None, None] * J
+    nsteps = (len(G) - 1) // 2
+    M = np.broadcast_to(np.eye(d), rhoJ.shape).copy()
+    states = [M]
+    for k in range(nsteps):
+        M = _rk4_step(M, G[2 * k] + rhoJ, G[2 * k + 1] + rhoJ, G[2 * k + 2] + rhoJ, h)
+        if (k + 1) % settings.project_every == 0 or k == nsteps - 1:
+            off = sl._drift(M, J) > settings.symplectic_drift_tol
+            if off.any():
+                M[off] = sl.project_symplectic(M[off])
+        states.append(M)
+    return np.stack(states) if keep else M
+
+
+def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
+    # blocks of step maps agree with one step at a time, on step counts that
+    # are not multiples of a block, with and without every state kept, and
+    # with drift tolerance 0 (a projection at every checkpoint); the drift
+    # is checked exactly at the checkpoints
+    checks = []
+    drift = sl._drift
+    monkeypatch.setattr(sl, "_drift", lambda M, J: checks.append(1) or drift(M, J))
+    rng = make_rng(44)
+    for n in (1, 2, 3, 4):
+        sigma = random_sigma_poly(rng, n, degree=2)
+        for nsteps in (176, 177, 1000):
+            h, G = sl._stage_samples(sigma, 1.0, 1.0 / nsteps)
+            assert len(G) == 2 * nsteps + 1
+            for B in (1, 4 * n, 387):
+                rhos = np.linspace(-12.0, 12.0, B)
+                for tol in (sl.DEFAULTS.symplectic_drift_tol, 0.0):
+                    settings = sl.DEFAULTS.with_(symplectic_drift_tol=tol)
+                    # every state of a 387-wide batch does not fit in a test
+                    for keep in (False, True) if B < 387 else (False,):
+                        want = _per_step_rk4(G, h, rhos, settings, keep)
+                        del checks[:]
+                        got = sl._rk4(G, h, rhos, settings, keep=keep)
+                        assert len(checks) == -(-nsteps // settings.project_every)
+                        assert got.shape == want.shape
+                        assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_step_map_blocks_stay_within_the_budget(monkeypatch):
+    # the stacks of step maps hold at most _BLOCK_ENTRIES entries, or one
+    # step when a single step is larger, and cover every step once
+    sizes = []
+    step_maps = sl._step_maps
+
+    def recorder(g1, g2, g4, h):
+        sizes.append(g1.shape)
+        return step_maps(g1, g2, g4, h)
+
+    monkeypatch.setattr(sl, "_step_maps", recorder)
+    sigma = random_sigma_poly(make_rng(45), 4, degree=2)
+    for B in (387, 16, 1):
+        del sizes[:]
+        sl.shifted_flows(sigma, 1e-3)(np.linspace(-12.0, 12.0, B))
+        per_step = B * 8 * 8
+        assert all(shape[1:] == (B, 8, 8) for shape in sizes)
+        assert max(shape[0] for shape in sizes) == max(
+            1, min(sl._BLOCK_ENTRIES // per_step, sl.DEFAULTS.project_every))
+        assert sum(shape[0] for shape in sizes) == 1000
+
+
+def _scalar_poly(coeffs, t):
+    """sum_k coeffs[k] t^k, one t at a time, symmetrized."""
+    S = np.zeros_like(coeffs[0])
+    tk = 1.0
+    for c in coeffs:
+        S = S + tk * c
+        tk *= t
+    return 0.5 * (S + S.T)
+
+
+def test_symmetric_path_samples_match_single_calls():
+    rng = make_rng(46)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 13), [1e-4, 0.3337, 0.9999]])
+    paths = []
+    for degree in (0, 1, 2, 3):
+        coeffs = [random_symmetric(rng, 2) for _ in range(degree + 1)]
+        poly = sl.poly_path(coeffs)
+        # a poly path's values are bitwise those of the one-t formula
+        assert np.array_equal(poly.samples(ts),
+                              np.stack([_scalar_poly(coeffs, t) for t in ts]))
+        paths.append(poly)
+    const = sl.constant_path(random_symmetric(rng, 2))
+    moving = random_sigma_poly(rng, 2, degree=2)
+    paths += [const, sp._shifted_path(moving, 0.3), sp._shifted_path(const, -1.1),
+              sl.mu_action(2, moving), sl.direct_sum_paths(moving, const)]
+    for path in paths:
+        stack = path.samples(ts)
+        assert stack.shape == (len(ts), 2 * path.n, 2 * path.n)
+        assert np.array_equal(stack, np.stack([path(t) for t in ts]))
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+
+
 def test_flow_stacked_query_matches_single_queries():
-    # one partial RK4 step on a stack equals the per-t step from the kept
-    # state below each t, and the exact exponential of a constant sigma
+    # one stack of partial step maps equals the per-t RK4 step from the
+    # kept state below each t, and the exact exponential of a constant sigma
     ts = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-4, 0.3337, 0.9999]])
     sigma = random_sigma_poly(make_rng(43), 2, degree=2)
     flow = sl.FundamentalFlow(sigma)
@@ -172,8 +283,8 @@ def test_flow_stacked_query_matches_single_queries():
         rem = t - k0 * flow._h
         if rem > 1e-15:
             t0 = k0 * flow._h
-            want = sl._rk4_step(want, J @ sigma(t0), J @ sigma(t0 + 0.5 * rem),
-                                J @ sigma(t0 + rem), rem)
+            want = _rk4_step(want, J @ sigma(t0), J @ sigma(t0 + 0.5 * rem),
+                             J @ sigma(t0 + rem), rem)
         assert np.max(np.abs(M - want)) < 1e-13
         assert np.max(np.abs(M - flow(t))) < 1e-13
     const = sl.FundamentalFlow(sl.constant_path(np.diag([0.7, -0.4, 1.1, 0.2])))
