@@ -91,7 +91,7 @@ def render_page_table(dims):
 def cmd_rs_index(doc, args):
     F0 = schemas.parse_path(schemas._need(doc, "F0", "rs_index"), "F0")
     F1 = schemas.parse_path(schemas._need(doc, "F1", "rs_index"), "F1")
-    grid = args.grid or schemas.option(doc, "grid", int)
+    grid = schemas.option(doc, "grid", int, args.grid)
     mu = lp.rs_index(F0, F1, grid=grid)
     return {"kind": "rs_index", "rs_index": mu, "value": float(mu)}
 
@@ -99,7 +99,7 @@ def cmd_rs_index(doc, args):
 def cmd_maslov(doc, args):
     path = schemas.parse_path(schemas._need(doc, "path", "maslov"), "path")
     ref = schemas.parse_frame(schemas._need(doc, "ref", "maslov"), "ref")
-    m = lp.maslov_loop(path, ref, grid=args.grid or schemas.option(doc, "grid", int))
+    m = lp.maslov_loop(path, ref, grid=schemas.option(doc, "grid", int, args.grid))
     return {"kind": "maslov", "maslov": m}
 
 
@@ -107,14 +107,14 @@ def cmd_viterbo(doc, args):
     paths = {k: schemas.parse_path(schemas._need(doc, k, "viterbo"), k)
              for k in ("F0", "F1", "Fm", "Fp")}
     mu = lp.viterbo_index(paths["F0"], paths["F1"], paths["Fm"], paths["Fp"],
-                          grid=args.grid or schemas.option(doc, "grid", int))
+                          grid=schemas.option(doc, "grid", int, args.grid))
     return {"kind": "viterbo", "viterbo_index": mu, "value": float(mu)}
 
 
 def cmd_spectrum(doc, args):
     A = schemas.parse_operator(doc)
-    window = args.window or schemas.option(doc, "window", float)
-    grid = args.grid or schemas.option(doc, "grid", int)
+    window = schemas.option(doc, "window", float, args.window)
+    grid = schemas.option(doc, "grid", int, args.grid)
     rep = sp.eigenvalues(A, window=window, grid=grid)
     return {
         "kind": "spectrum",
@@ -163,7 +163,7 @@ def cmd_ss(doc, args):
     if filtration == "novikov":
         C = ch.pearl_complex(pearl)
         window = None
-        if args.lambda_window:
+        if args.lambda_window is not None:
             window = (-args.lambda_window, args.lambda_window)
         elif doc.get("lambda_window"):
             window = schemas.option(doc, "lambda_window",

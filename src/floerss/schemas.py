@@ -69,9 +69,10 @@ def _finite(x, where):
 
 
 @_schema_checked
-def option(doc, key, cast):
-    """Optional field ``key`` of doc converted by cast; None if absent or null."""
-    value = doc.get(key)
+def option(doc, key, cast, flag=None):
+    """Optional field ``key`` of doc converted by cast; None if absent or
+    null.  A command-line ``flag`` value other than None (0 included) wins."""
+    value = doc.get(key) if flag is None else flag
     return None if value is None else cast(value)
 
 

@@ -116,6 +116,7 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
                                            pad if two_steps else tol)
     if two_steps and len(los):
         los, his, coarse = _merge(los - pad, his + pad, counts)
+        del W, W_at  # the coarse flow's coefficients, before the fine ones exist
         fine = image(settings.ode_step)
 
         def W_fine(rhos):

@@ -19,10 +19,11 @@ Every fundamental solution comes from one flow mechanism:
 * Any other path is sampled once, J sigma(t) on the RK4 stage grid
   t = k h / 2 in one ``SymmetricPath.samples`` call, and integrated by one
   batched classical RK4 over a batch of shifts rho (generator
-  J sigma + rho J).  The RK4 step is a matrix, M_{k+1} = P_k M_k
-  (``_step_maps``), and the maps of a block of steps are computed as one
-  stack, so the cost of a step is arithmetic on stacks rather than
-  interpreter dispatch.  Every ``project_every`` steps and after the last
+  J sigma + rho J).  The RK4 step is a matrix, M_{k+1} = P_k(rho) M_k, and
+  a polynomial of degree 4 in rho whose matrix coefficients
+  (``_step_maps``) are built once per flow from the samples; a pass
+  evaluates them for a block of steps as one stack and pays one product
+  per member and step.  Every ``project_every`` steps and after the last
   step the symplectic drift is checked: above ``symplectic_drift_limit``
   StepTooLarge is raised, above ``symplectic_drift_tol`` the state is
   projected back onto Sp(2n).
@@ -355,7 +356,7 @@ def expm(G):
     G is one matrix or a (B, d, d) stack; a stack shares one scaling
     exponent, set by its largest norm.
     """
-    norm = float(np.max(np.sum(np.abs(G), axis=-1))) if G.size else 0.0
+    norm = float(np.max(np.sum(np.abs(G), axis=-1), initial=0.0))
     s = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.25))))
     T = G / (2 ** s)
     out = np.broadcast_to(np.eye(G.shape[-1]), G.shape).copy()
@@ -363,7 +364,7 @@ def expm(G):
     for k in range(1, 18):
         term = term @ T / k
         out = out + term
-        if np.max(np.abs(term)) < 1e-18:
+        if np.max(np.abs(term), initial=0.0) < 1e-18:
             break
     for _ in range(s):
         out = out @ out
@@ -380,69 +381,106 @@ def _stage_samples(sigma, t, step):
     return h, J_std(sigma.n) @ sigma.samples(0.5 * h * np.arange(2 * nsteps + 1))
 
 
-# Most entries (steps x B x d x d) in one block of step maps of ``_rk4``; a
-# block is one step when a single step already holds more.  The bound holds
-# the memory of a pass down: 2^15 raised the peak RSS of 100 spectrum jobs
-# by 0.5 MB and was no faster.
+# Most entries (steps x B x d x d) in one block of evaluated step maps of
+# ``_rk4``, or one step when a single step holds more; 2^15 raised the peak
+# RSS of 100 spectrum jobs by 0.5 MB and was no faster.  ``_coefficients``
+# builds the coefficients in chunks of at most _CHUNK_ENTRIES entries.
 _BLOCK_ENTRIES = 2 ** 14
+_CHUNK_ENTRIES = 2 ** 12
 
 
-def _step_maps(g1, g2, g4, h):
-    """The classical RK4 steps of dM/dt = g(t) M as matrices P, so that
-    M_{k+1} = P M_k: with stage generators g1, g2, g4 ((..., d, d) stacks)
-    and step h (a scalar or a (..., 1, 1) stack),
-    P = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = g1, k2 = g2 (I + h/2 k1),
-    k3 = g2 (I + h/2 k2) and k4 = g4 (I + h k3)."""
+def _step_maps(g1, g2, g4, h, shifted=False):
+    """The classical RK4 steps of dM/dt = (g(t) + rho J) M as polynomials in
+    rho, M_{k+1} = P(rho) M_k: with stage generators g1, g2, g4 ((s, d, d)
+    stacks) and step h (a scalar or an (s, 1, 1, 1) stack),
+    P = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = g1 + rho J,
+    k2 = (g2 + rho J)(I + h/2 k1), k3 = (g2 + rho J)(I + h/2 k2) and
+    k4 = (g4 + rho J)(I + h k3).  Returns the (s, m, d, d) coefficients C,
+    P(rho) = sum_j rho^j C[:, j] + (h^4 / 24) rho^4 I: m = 4 if shifted,
+    else m = 1, the rho-free step maps P(0) alone."""
     # sums in place: on a large stack every temporary is a fresh allocation
-    eye = np.eye(g1.shape[-1])
-    x = np.multiply(g1, 0.5 * h)
-    x += eye
-    k2 = g2 @ x
-    np.multiply(k2, 0.5 * h, out=x)
-    x += eye
-    k3 = g2 @ x
-    np.multiply(k3, h, out=x)
-    x += eye
-    k4 = g4 @ x
+    d = g1.shape[-1]
+    J, eye = J_std(d // 2), np.eye(d)
+    k1 = np.zeros((len(g1), 4 if shifted else 1, d, d))
+    k1[:, 0] = g1
+    k1[:, 1:2] = J
+    ks, x = [k1], np.empty_like(k1)
+    for g, c in ((g2, 0.5 * h), (g2, 0.5 * h), (g4, h)):
+        np.multiply(ks[-1], c, out=x)
+        x[:, 0] += eye
+        # (g + rho J) x, truncated after the last coefficient
+        ks.append(g[:, None] @ x)
+        ks[-1][:, 1:] += J @ x[:, :-1]
+    k2, k3, k4 = ks[1:]
     k2 *= 2.0
-    k2 += g1
+    k2 += k1
     k3 *= 2.0
     k2 += k3
     k2 += k4
     k2 *= h / 6.0
-    k2 += eye
+    k2[:, 0] += eye
     return k2
 
 
-def _rk4(G, h, rhos, settings, keep=False):
+def _coefficients(sigma, t, step, shifted=False):
+    """(h, C): the step map coefficients (``_step_maps``) of every RK4 step
+    of sigma on [0, t], (nsteps, m, d, d), built from the stage samples
+    (``_stage_samples``) in chunks of at most ``_CHUNK_ENTRIES`` entries
+    per temporary stack; the samples are dropped once C exists."""
+    h, G = _stage_samples(sigma, t, step)
+    nsteps = (len(G) - 1) // 2
+    C = np.empty((nsteps, 4 if shifted else 1) + G.shape[1:])
+    span = max(1, _CHUNK_ENTRIES // C[0].size)
+    for k in range(0, nsteps, span):
+        end = min(k + span, nsteps)
+        C[k:end] = _step_maps(G[2 * k:2 * end:2], G[2 * k + 1:2 * end:2],
+                              G[2 * k + 2:2 * end + 1:2], h, shifted)
+    return h, C
+
+
+def _evaluate(C, powers, top):
+    """The step maps of the (s, m, d, d) coefficients C (``_step_maps``) at
+    B shifts rho, as an (s, B, d, d) stack: one product of C with the
+    powers rho^0 .. rho^(m - 1) (the rows of powers), plus, when m = 4,
+    top, the (B, d * d) flattened terms (h^4 / 24) rho^4 I."""
+    s, m, d = C.shape[:3]
+    if m == 1:  # rho-free: powers is [[1, 0, ...]]
+        return C
+    P = powers[:, :m] @ C.reshape(s, m, d * d)
+    P += top
+    return P.reshape(s, len(powers), d, d)
+
+
+def _rk4(C, h, rhos, settings, keep=False):
     """Integrate dM/dt = (G(t) + rho J) M, M(0) = 1, for each rho in rhos.
 
-    G holds the stage samples of ``_stage_samples``.  The steps are taken
-    in blocks: the step maps of a block (``_step_maps``) are one stack of
-    at most ``_BLOCK_ENTRIES`` entries; without keep they are multiplied
-    pairwise and applied to M once, with keep one at a time.  No block
-    crosses a checkpoint: every ``settings.project_every`` steps and after
-    the last one, the drift max |M^T J M - J| of each member is checked:
-    above ``symplectic_drift_limit`` the step is too large (StepTooLarge),
-    above ``symplectic_drift_tol`` the member is projected back onto
-    Sp(2n).  Returns the (B, d, d) end states, or with keep every state,
-    shaped (nsteps + 1, B, d, d).
+    C holds the step map coefficients of the stage samples G of ``h``
+    (``_coefficients``; rho-free ones serve rhos = [0] only).  The steps
+    are taken in blocks: the step maps of a block, evaluated at every rho
+    (``_evaluate``), are one stack of at most ``_BLOCK_ENTRIES`` entries;
+    without keep they are multiplied pairwise and applied to M once, with
+    keep one at a time.  No block crosses a checkpoint: every
+    ``settings.project_every`` steps and after the last one, the drift
+    max |M^T J M - J| of each member is checked: above
+    ``symplectic_drift_limit`` the step is too large (StepTooLarge), above
+    ``symplectic_drift_tol`` the member is projected back onto Sp(2n).
+    Returns the (B, d, d) end states, or with keep every state, shaped
+    (nsteps + 1, B, d, d).
     """
-    d = G.shape[-1]
+    nsteps, d = C.shape[0], C.shape[-1]
     J = J_std(d // 2)
-    rhoJ = np.asarray(rhos, dtype=float)[:, None, None] * J
-    nsteps = (len(G) - 1) // 2
+    powers = np.vander(np.asarray(rhos, dtype=float), 5, increasing=True)
+    top = (h ** 4 / 24.0) * powers[:, 4:] * np.eye(d).ravel()
     every = settings.project_every
-    M = np.broadcast_to(np.eye(d), rhoJ.shape).copy()
+    M = np.broadcast_to(np.eye(d), (len(powers), d, d)).copy()
     states = np.empty((nsteps + 1,) + M.shape) if keep else None
     if keep:
         states[0] = M
-    span = max(1, _BLOCK_ENTRIES // M.size)
+    span = max(1, _BLOCK_ENTRIES // max(M.size, 1))
     k = 0
     while k < nsteps:
         end = min(k + span, (k // every + 1) * every, nsteps)
-        g = G[2 * k:2 * end + 1, None] + rhoJ
-        P = _step_maps(g[:-1:2], g[1::2], g[2::2], h)
+        P = _evaluate(C[k:end], powers, top)
         if keep:
             for j in range(len(P)):
                 M = np.matmul(P[j], M, out=states[k + 1 + j])
@@ -455,7 +493,7 @@ def _rk4(G, h, rhos, settings, keep=False):
         k = end
         if k % every == 0 or k == nsteps:
             drift = _drift(M, J)
-            worst = float(np.max(drift))
+            worst = float(np.max(drift, initial=0.0))
             if worst > settings.symplectic_drift_limit:
                 raise StepTooLarge(
                     f"symplectic drift {worst:.3e} above hard limit; decrease step",
@@ -470,8 +508,9 @@ def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
     """rhos -> Psi_{sigma + rho}(t) for a batch of shifts, as a (B, 2n, 2n) stack.
 
     A declared constant sigma uses the exact exponential of t (J sigma +
-    rho J); otherwise sigma is sampled once here on the RK4 stage grid and
-    every call integrates the whole batch from those samples.
+    rho J); otherwise sigma is sampled once here on the RK4 stage grid, the
+    step maps' coefficients in rho are built from those samples, and every
+    call evaluates them for its whole batch.
     """
     if sigma.constant is not None:
         J = J_std(sigma.n)
@@ -479,18 +518,23 @@ def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
         return lambda rhos: expm(
             t * (G0 + np.asarray(rhos, dtype=float)[:, None, None] * J))
     step = settings.ode_step if step is None else float(step)
-    h, G = _stage_samples(sigma, t, step)
-    return lambda rhos: _rk4(G, h, rhos, settings)
+    h, C = _coefficients(sigma, t, step, shifted=True)
+    return lambda rhos: _rk4(C, h, rhos, settings)
 
 
 def fundamental_solution(sigma, t=1.0, step=None, settings=DEFAULTS):
     """Psi(t) with J dPsi + sigma Psi = 0, Psi(0) = 1.
 
     The exact exponential for a declared constant sigma, classical RK4 at
-    ``step`` (default ``settings.ode_step``) otherwise; see ``_rk4`` for the
-    projection and drift policy.
+    ``step`` (default ``settings.ode_step``) on rho-free step maps
+    otherwise; see ``_rk4`` for the projection and drift policy.
     """
-    psi = shifted_flows(sigma, step, t, settings)([0.0])[0]
+    if sigma.constant is not None:
+        psi = shifted_flows(sigma, step, t, settings)([0.0])[0]
+    else:
+        step = settings.ode_step if step is None else float(step)
+        h, C = _coefficients(sigma, t, step)
+        psi = _rk4(C, h, [0.0], settings)[0]
     return SymplecticMatrix(n=sigma.n, entries=psi)
 
 
@@ -511,8 +555,8 @@ class FundamentalFlow:
             self._const_gen = self._J @ sigma.constant
             return
         self._const_gen = None
-        self._h, G = _stage_samples(sigma, 1.0, settings.ode_step)
-        self._states = _rk4(G, self._h, [0.0], settings, keep=True)[:, 0]
+        self._h, C = _coefficients(sigma, 1.0, settings.ode_step)
+        self._states = _rk4(C, self._h, [0.0], settings, keep=True)[:, 0]
 
     def __call__(self, t):
         return self.at([t])[0]
@@ -531,7 +575,7 @@ class FundamentalFlow:
             g = self._J @ self.sigma.samples(
                 np.concatenate([t0, t0 + 0.5 * r, t0 + r]))
             g = g.reshape((3, len(part)) + self._J.shape)
-            M[part] = _step_maps(g[0], g[1], g[2], r[:, None, None]) @ M[part]
+            M[part] = _step_maps(*g, r[:, None, None, None])[:, 0] @ M[part]
         return M
 
 

@@ -676,3 +676,24 @@ def test_index_commands_output_is_unchanged(tmp_path, capsys):
         p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
         for flags, want in zip(([], ["--json"]), INDEX_STDOUT[name]):
             assert run_cli([cmd, str(p)] + flags, capsys) == (0, want, ""), name
+
+
+ZERO_FLAGS = [
+    ("rs-index", INDEX_DOCS["graph"][1], "--grid", "GridTooCoarse"),
+    ("maslov", INDEX_DOCS["maslov"][1], "--grid", "GridTooCoarse"),
+    ("viterbo", INDEX_DOCS["viterbo"][1], "--grid", "GridTooCoarse"),
+    ("spectrum", _SPEC, "--grid", "GridTooCoarse"),
+    ("spectrum", _SPEC, "--window", "WindowTooSmall"),
+    ("ss", dict(SS_DOC, lambda_window=[-9, 9]), "--lambda-window",
+     "WindowTooNarrow"),
+]
+
+
+@pytest.mark.parametrize("cmd,doc,flag,error", ZERO_FLAGS)
+def test_zero_flags_reach_the_library(tmp_path, capsys, cmd, doc, flag, error):
+    # a flag of 0 overrides the document's value and is refused like any
+    # other bad value, rather than falling back to the document
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
+    got, out, err = run_cli([cmd, str(p), "--json", flag, "0"], capsys)
+    assert (got, out, json.loads(err)["error"]) == (1, "", error)

@@ -201,6 +201,7 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
         for nsteps in (176, 177, 1000):
             h, G = sl._stage_samples(sigma, 1.0, 1.0 / nsteps)
             assert len(G) == 2 * nsteps + 1
+            C = sl._coefficients(sigma, 1.0, 1.0 / nsteps, shifted=True)[1]
             for B in (1, 4 * n, 387):
                 rhos = np.linspace(-12.0, 12.0, B)
                 for tol in (sl.DEFAULTS.symplectic_drift_tol, 0.0):
@@ -209,32 +210,105 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
                     for keep in (False, True) if B < 387 else (False,):
                         want = _per_step_rk4(G, h, rhos, settings, keep)
                         del checks[:]
-                        got = sl._rk4(G, h, rhos, settings, keep=keep)
+                        got = sl._rk4(C, h, rhos, settings, keep=keep)
                         assert len(checks) == -(-nsteps // settings.project_every)
                         assert got.shape == want.shape
                         assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_step_map_blocks_stay_within_the_budget(monkeypatch):
-    # the stacks of step maps hold at most _BLOCK_ENTRIES entries, or one
-    # step when a single step is larger, and cover every step once
-    sizes = []
-    step_maps = sl._step_maps
+    # the evaluated stacks of step maps hold at most _BLOCK_ENTRIES entries,
+    # or one step when a single step is larger, and cover every step once;
+    # the coefficients are built once per flow, in chunks of at most
+    # _CHUNK_ENTRIES coefficient entries, covering every step once
+    blocks, chunks = [], []
+    evaluate, step_maps = sl._evaluate, sl._step_maps
 
-    def recorder(g1, g2, g4, h):
-        sizes.append(g1.shape)
-        return step_maps(g1, g2, g4, h)
+    def record_blocks(C, powers, top):
+        P = evaluate(C, powers, top)
+        blocks.append(P.shape)
+        return P
 
-    monkeypatch.setattr(sl, "_step_maps", recorder)
+    def record_chunks(g1, g2, g4, h, shifted=False):
+        chunks.append(g1.shape)
+        return step_maps(g1, g2, g4, h, shifted)
+
+    monkeypatch.setattr(sl, "_evaluate", record_blocks)
+    monkeypatch.setattr(sl, "_step_maps", record_chunks)
     sigma = random_sigma_poly(make_rng(45), 4, degree=2)
+    flows = sl.shifted_flows(sigma, 1e-3)
+    assert all(shape[1:] == (8, 8) for shape in chunks)
+    assert max(shape[0] for shape in chunks) == sl._CHUNK_ENTRIES // (4 * 64)
+    assert sum(shape[0] for shape in chunks) == 1000
     for B in (387, 16, 1):
-        del sizes[:]
-        sl.shifted_flows(sigma, 1e-3)(np.linspace(-12.0, 12.0, B))
+        del blocks[:], chunks[:]
+        flows(np.linspace(-12.0, 12.0, B))
         per_step = B * 8 * 8
-        assert all(shape[1:] == (B, 8, 8) for shape in sizes)
-        assert max(shape[0] for shape in sizes) == max(
+        assert not chunks
+        assert all(shape[1:] == (B, 8, 8) for shape in blocks)
+        assert max(shape[0] for shape in blocks) == max(
             1, min(sl._BLOCK_ENTRIES // per_step, sl.DEFAULTS.project_every))
-        assert sum(shape[0] for shape in sizes) == 1000
+        assert sum(shape[0] for shape in blocks) == 1000
+
+
+def _step_map(g1, g2, g4, h):
+    """The RK4 step map P of dM/dt = g(t) M, M_{k+1} = P M_k, in the
+    operation order of ``symplin``'s rho-free step maps."""
+    eye = np.eye(g1.shape[-1])
+    x = np.multiply(g1, 0.5 * h)
+    x += eye
+    k2 = g2 @ x
+    np.multiply(k2, 0.5 * h, out=x)
+    x += eye
+    k3 = g2 @ x
+    np.multiply(k3, h, out=x)
+    x += eye
+    k4 = g4 @ x
+    k2 *= 2.0
+    k2 += g1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += eye
+    return k2
+
+
+def test_step_maps_are_polynomials_in_rho():
+    # the evaluated coefficients are the step maps of g + rho J; the
+    # rho-free term is bitwise the step map of g, and what the four stored
+    # coefficients leave out is (h^4 / 24) rho^4 I
+    rng = make_rng(47)
+    for n in (1, 2, 3, 4):
+        J = sl.J_std(n)
+        g = [J @ np.stack([random_symmetric(rng, n) for _ in range(9)])
+             for _ in range(3)]
+        h = rng.uniform(1e-3, 2e-2, 9)[:, None, None]
+        C = sl._step_maps(*g, h[..., None], shifted=True)
+        assert C.shape == (9, 4, 2 * n, 2 * n)
+        assert np.array_equal(C[:, 0], _step_map(*g, h))
+        assert np.array_equal(sl._step_maps(*g, h[..., None]), C[:, :1])
+        for rho in np.linspace(-12.0, 12.0, 25):
+            want = _step_map(*(gi + rho * J for gi in g), h)
+            powers = np.vander([rho], 5, increasing=True)
+            top = (h ** 4 / 24.0) * powers[:, 4:] * np.eye(2 * n).ravel()
+            got = sl._evaluate(C, powers, top)[:, 0]
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        for rho in (-8.0, 8.0):
+            rhos = rho / h
+            want = _step_map(*(gi + rhos * J for gi in g), h)
+            low = sum(rhos ** j * C[:, j] for j in range(4))
+            top = (want - low) / (h ** 4 / 24.0 * rhos ** 4)
+            assert np.max(np.abs(top - np.eye(2 * n))) < 1e-9
+
+
+def test_empty_batches_give_empty_stacks():
+    # a batch of no shifts or no times is an empty stack, never an error
+    moving = random_sigma_poly(make_rng(48), 2, degree=2)
+    const = sl.constant_path(np.diag([0.7, -0.4, 1.1, 0.2]))
+    for sigma in (moving, const):
+        assert sl.shifted_flows(sigma)([]).shape == (0, 4, 4)
+        assert sl.FundamentalFlow(sigma).at([]).shape == (0, 4, 4)
 
 
 def _scalar_poly(coeffs, t):
