@@ -38,11 +38,11 @@ class Settings:
     degeneracy_abs: float = 1e-8           # absolute floor (finite-difference noise)
     fd_step_rel: float = 1e-5              # finite-difference step, relative to interval
 
-    # eigenvalues: spectrum.eigenvalues samples the Souriau map of
-    # rho -> Psi_{sigma+rho}(1) L0 against L1 on spectrum_grid cells of the
-    # window (and one more cell at each end), and bisects the cells whose
-    # eigenvalue count is nonzero until each bracket is at most
-    # spectrum_refine_tol wide; |rho| below zero_eigen_tol counts as kernel
+    # eigenvalues: spectrum.eigenvalues samples the Souriau map against L1 of
+    # one Chebyshev interpolant of rho -> Psi_{sigma+rho}(1) L0 (ode_step
+    # flows) on spectrum_grid cells of the window and one more at each end,
+    # and bisects the cells whose eigenvalue count is nonzero until each
+    # bracket is at most spectrum_refine_tol wide; |rho| < zero_eigen_tol is kernel
     spectrum_window: float = 4 * 3.141592653589793
     spectrum_grid: int = 2048
     spectrum_refine_tol: float = 1e-8

@@ -398,7 +398,8 @@ def _bisect_passages(W_at, s, W, cells, width):
     of the stacked evaluator W_at (W = W_at(s)) on their net passage counts
     (``_passages``) until no bracket is wider than ``width``.  Each round
     evaluates all midpoints in one stacked call and keeps every half whose
-    count is nonzero.  Returns the final brackets and their counts.
+    count is nonzero; a bracket whose midpoint is one of its ends cannot be
+    halved (GridTooCoarse).  Returns the final brackets and their counts.
     """
     # brackets are index pairs into the samples; midpoints are appended
     h = _h(_angles(W))
@@ -413,6 +414,9 @@ def _bisect_passages(W_at, s, W, cells, width):
         l, r = lo[wide], hi[wide]
         m = len(s) + np.arange(len(l))
         s = np.concatenate([s, 0.5 * (s[l] + s[r])])
+        if np.any((s[m] == s[l]) | (s[m] == s[r])):
+            raise GridTooCoarse(f"a bracket cannot be halved down to width "
+                                f"{width}", tol=float(width))
         W = np.concatenate([W, W_at(s[m])])
         h = np.concatenate([h, _h(_angles(W[m]))])
         left = _passages(_cell_turns(W[l], W[m])[0], h[l], h[m])

@@ -13,10 +13,10 @@ A = J d/dt + sigma, which are reflection invariant.
 is a positive path, so the eigenvalues in a rho-interval are the net
 number of eigenvalue angles of the Souriau map of that path against L1
 that pass 1 (Robbin-Salamon, "The spectral flow and the Maslov index",
-Bull. LMS 1995).  It uses the locator of ``lagpath.find_crossings``: one
-stacked scan of the Souriau map over the window
-(``lagpath._souriau_samples``) and bisection on the passage counts of the
-cells (``lagpath._bisect_passages``).
+Bull. LMS 1995).  The path is entire in rho; one Chebyshev interpolant of
+it, two flow passes as a rule, feeds the locator of ``lagpath.find_crossings``:
+a stacked scan of the Souriau map (``lagpath._souriau_samples``) and
+bisection on the passage counts of the cells (``lagpath._bisect_passages``).
 A count does not depend on how far apart the eigenvalues in a cell are,
 so eigenvalues closer than one grid cell are all found.
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (DeltaNotBelowGap, DimensionMismatch, EndpointMismatch,
-                     GridTooCoarse, NonIntegerIndex, StepTooLarge,
+                     GridTooCoarse, IntegrationFailure, NonIntegerIndex,
                      WindowTooSmall)
 from . import symplin as sl
 from . import lagpath as lp
@@ -71,18 +71,61 @@ def _merge(los, his, counts):
             np.add.reduceat(counts, first))
 
 
+# the interpolant's most nodes; the largest principal-angle sine its oracle takes
+_MAX_NODES, _ORACLE_TOL = 2 ** 10, 1e-8
+
+
+def _frame_interpolant(A, reach, settings):
+    """rho -> Psi_{sigma+rho}(1) L0 on [-reach, reach], a stacked evaluator of
+    Lagrangian frames: the Chebyshev series through one ``shifted_flows``
+    pass at m first-kind points.  The path is entire of exponential type 1,
+    so m, from 2^ceil(log2(1.4 reach + 16)), doubles only until the last 4
+    coefficients are below 1e-12 max(1, max |c|) or fall by less than 16x
+    (the flows' own noise); past _MAX_NODES, GridTooCoarse.  One
+    Newton-Schulz step takes X + iY to its unitary polar factor, the nearest
+    Lagrangian frame.  The oracle checks 4 points between the nodes.
+    """
+    flows = sl.shifted_flows(A.sigma, settings.ode_step, settings=settings)
+    n, frame = A.n, A.boundary[0].frame
+    m, tail = 2 ** int(np.ceil(np.log2(1.4 * reach + 16))), np.inf
+    while m <= _MAX_NODES:
+        theta = np.pi * (np.arange(m) + 0.5) / m
+        values = (flows(reach * np.cos(theta)) @ frame).reshape(m, -1)
+        C = (2.0 / m) * np.cos(np.outer(np.arange(m), theta)) @ values
+        C[0] *= 0.5
+        last, tail = tail, np.abs(C[-4:]).max()
+        if tail <= 1e-12 * max(1.0, np.abs(C).max()) or tail > last / 16:
+            break
+        m *= 2
+    else:
+        raise GridTooCoarse(f"[-{reach:.6g}, {reach:.6g}] needs more than "
+                            f"{_MAX_NODES} nodes", nodes=m, window=reach)
+
+    def at(rhos):
+        T = np.cos(np.outer(np.arccos(np.divide(rhos, reach)), np.arange(m)))
+        q = np.linalg.qr((T @ C).reshape(len(T), 2 * n, n))[0]
+        U = q[:, :n] + 1j * q[:, n:]
+        U = U @ (1.5 * np.eye(n) - 0.5 * (np.swapaxes(U.conj(), 1, 2) @ U))
+        return np.concatenate([U.real, U.imag], axis=1)
+
+    probe = reach * np.cos(np.pi * np.array([1, m // 3, 2 * m // 3, m - 1]) / m)
+    err = float(sl.principal_angle_sines(
+        sl.LagrangianFrame(n=n, frame=at(probe)),
+        sl.validate_lagrangian(flows(probe) @ frame)).max())
+    if not err <= _ORACLE_TOL:
+        raise IntegrationFailure(f"the interpolant on {m} nodes is {err:.3e} "
+                                 "from the flow", nodes=m, error=err)
+    return at
+
+
 def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
     """Eigenvalues in [-window, window] with their multiplicities, counted
     as in the module docstring on ``grid`` cells of the window and one more
     cell at each end, so that eigenvalues at +-window are kept.
 
-    For a non-constant sigma the scan's flow has a coarse step: its
-    brackets stop at a pad of O(step^4), are widened by the pad, merged
-    where they overlap and bisected to ``tol`` on the flow at
-    ``settings.ode_step``, which must count as many eigenvalues in each
-    merged bracket (else StepTooLarge).  An eigenvalue is the midpoint of a
-    final bracket, brackets that touch being one, and its multiplicity is
-    the bracket's count.
+    The path is ``_frame_interpolant``'s, two flow passes whatever the grid.
+    Cells that count are bisected to ``tol``; an eigenvalue is the midpoint
+    of a final bracket (touching ones merged), its multiplicity the count.
     """
     window = settings.spectrum_window if window is None else float(window)
     grid = settings.spectrum_grid if grid is None else int(grid)
@@ -93,44 +136,14 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
         raise WindowTooSmall(f"window must be finite, got {window}")
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
-    # keep ||generator|| * h small on the scan
-    smax = float(np.max(np.abs(A.sigma.samples(np.linspace(0, 1, 5)))))
-    step = float(np.clip(0.05 / max(window + smax, 1.0), 1e-3, 1e-2))
-    two_steps = settings.ode_step < step and A.sigma.constant is None
-    pad = max(1e3 * tol, 1e4 * step ** 4)
-    L0, L1 = A.boundary
+    if not (np.isfinite(tol) and tol > 0):
+        raise GridTooCoarse(f"tol must be positive and finite, got {tol}", tol=tol)
     reach = window * (1.0 + 2.0 / grid)
-
-    def image(h):
-        """rho -> Psi_{sigma+rho}(1) L0 with the flow at step h: one flow
-        pass and one stacked ``validate_lagrangian`` per batch of rho."""
-        flows = sl.shifted_flows(A.sigma, h, settings=settings)
-        return lp._stacked_path(
-            A.n, -reach, reach,
-            lambda rhos: sl.validate_lagrangian(flows(rhos) @ L0.frame).frame,
-            "spectral")
-
-    ref = lp.constant_lagrangian_path(L1, -reach, reach)
-    s, W, _, W_at = lp._souriau_samples(image(step), ref, grid + 2, settings)
-    los, his, counts = lp._bisect_passages(W_at, s, W, np.arange(len(s) - 1),
-                                           pad if two_steps else tol)
-    if two_steps and len(los):
-        los, his, coarse = _merge(los - pad, his + pad, counts)
-        del W, W_at  # the coarse flow's coefficients, before the fine ones exist
-        fine = image(settings.ode_step)
-
-        def W_fine(rhos):
-            return lp.souriau(ref.frames(rhos)) @ lp.souriau(fine.frames(rhos)).conj()
-
-        s = np.ravel(np.column_stack([los, his]))
-        los, his, counts = lp._bisect_passages(
-            W_fine, s, W_fine(s), 2 * np.arange(len(coarse)), tol)
-        owner = np.searchsorted(s[0::2], los, side="right") - 1
-        if not np.array_equal(
-                np.bincount(owner, counts, minlength=len(coarse)), coarse):
-            raise StepTooLarge(
-                f"eigenvalue counts at step {settings.ode_step} differ from "
-                f"those at the scan step {step}")
+    image = lp._stacked_path(A.n, -reach, reach,
+                             _frame_interpolant(A, reach, settings), "spectral")
+    ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
+    s, W, _, W_at = lp._souriau_samples(image, ref, grid + 2, settings)
+    los, his, counts = lp._bisect_passages(W_at, s, W, np.arange(len(s) - 1), tol)
     found = []
     if len(los):
         # the path is positive, so eigenvalue angles pass 0 clockwise only
@@ -202,19 +215,12 @@ def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,
         path = lp.fundamental_image_path(flow, L0)
         return lp.rs_index(path, c1, grid=grid, settings=settings)
 
-    mu0 = mu_for(0.0)
-    mu_plus = mu_for(delta)
-    mu_minus = mu_for(-delta)
-    half_k = Fraction(kd, 2)
-    return {
-        "mu_zero": mu0,
-        "mu_plus_delta": mu_plus,
-        "mu_minus_delta": mu_minus,
-        "kernel_dim": kd,
-        "plus_ok": mu_plus == mu0 - half_k,
-        "minus_ok": mu_minus == mu0 + half_k,
-        "equal": (mu_plus == mu0 - half_k) and (mu_minus == mu0 + half_k),
-    }
+    mu0, mu_plus, mu_minus = mu_for(0.0), mu_for(delta), mu_for(-delta)
+    plus_ok = mu_plus == mu0 - Fraction(kd, 2)
+    minus_ok = mu_minus == mu0 + Fraction(kd, 2)
+    return {"mu_zero": mu0, "mu_plus_delta": mu_plus, "mu_minus_delta": mu_minus,
+            "kernel_dim": kd, "plus_ok": plus_ok, "minus_ok": minus_ok,
+            "equal": plus_ok and minus_ok}
 
 
 def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None,
@@ -311,55 +317,44 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
     J = sl.J_std(n)
     sig_vals = A.sigma.samples(ts)
     kern_vals = _kernel_functions(A, ts, settings)
+    wk = np.pi * np.arange(modes)
+    ck, sk = np.cos(np.outer(ts, wk)), np.sin(np.outer(ts, wk))
+
+    def inner(f, g):
+        return float(np.sum(w[:, None] * f * g))
+
+    def apply_A(f, df):
+        return df @ J.T + np.einsum("tij,tj->ti", sig_vals, f)
 
     def rand_test_function():
         # trig sum with boundary correction, then L^2 kernel projection
         a = rng.standard_normal((modes, 2 * n))
         b = rng.standard_normal((modes, 2 * n))
-        xi = np.zeros((m + 1, 2 * n))
-        dxi = np.zeros((m + 1, 2 * n))
-        for k in range(modes):
-            ck = np.cos(np.pi * k * ts)[:, None]
-            sk = np.sin(np.pi * k * ts)[:, None]
-            xi += ck * a[k][None, :] + sk * b[k][None, :]
-            dxi += np.pi * k * (-sk * a[k][None, :] + ck * b[k][None, :])
+        xi = ck @ a + sk @ b
+        dxi = (ck * wk) @ b - (sk * wk) @ a
         # boundary correction: xi(0) in L0, xi(1) in L1
-        c0 = P0c @ xi[0]
-        c1 = P1c @ xi[-1]
-        xi = xi - (1.0 - ts)[:, None] * c0[None, :] - ts[:, None] * c1[None, :]
-        dxi = dxi + c0[None, :] - c1[None, :]
+        c0, c1 = P0c @ xi[0], P1c @ xi[-1]
+        xi = xi - np.outer(1.0 - ts, c0) - np.outer(ts, c1)
+        dxi = dxi + c0 - c1
         if project_kernel:
+            # kernel elements satisfy J k' + sigma k = 0, so A xi is unchanged
             for kv in kern_vals:
-                coeff = np.sum(w[:, None] * xi * kv)
-                norm2 = np.sum(w[:, None] * kv * kv)
-                xi = xi - (coeff / norm2) * kv
-                # kernel elements satisfy J k' + sigma k = 0, so A xi unchanged
-        Axi = (J @ dxi.T).T + np.einsum("tij,tj->ti", sig_vals, xi)
-        return xi, Axi
-
-    def l2(f):
-        return float(np.sqrt(np.sum(w[:, None] * f * f)))
-
-    def inner(f, g):
-        return float(np.sum(w[:, None] * f * g))
+                xi = xi - (inner(xi, kv) / inner(kv, kv)) * kv
+        return xi, apply_A(xi, dxi)
 
     failures = []
     samples = [rand_test_function() for _ in range(num_tests)]
     if not project_kernel:
         # include the kernel directions themselves: the restricted
         # inequality must fail on them (negative control)
-        for kv in kern_vals:
-            Akv = (J @ np.gradient(kv, ts, axis=0).T).T + \
-                np.einsum("tij,tj->ti", sig_vals, kv)
-            samples.append((kv, Akv))
+        samples += [(kv, apply_A(kv, np.gradient(kv, ts, axis=0)))
+                    for kv in kern_vals]
     for i, (xi, Axi) in enumerate(samples):
-        nx, nax = l2(xi), l2(Axi)
+        nx, nax = inner(xi, xi) ** 0.5, inner(Axi, Axi) ** 0.5
         if nx < 1e-12:
             continue
         ineq1 = nax + tol * max(1.0, nax) >= iota * nx
-        lhs2 = nax ** 2
-        rhs2 = iota * inner(Axi, xi)
-        ineq2 = lhs2 + tol * max(1.0, lhs2) >= rhs2
+        ineq2 = nax ** 2 + tol * max(1.0, nax ** 2) >= iota * inner(Axi, xi)
         if not (ineq1 and ineq2):
             failures.append({"test": i, "norm_Axi": nax, "norm_xi": nx,
                              "iota": iota, "ineq1": bool(ineq1),

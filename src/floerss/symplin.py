@@ -27,9 +27,9 @@ Every fundamental solution comes from one flow mechanism:
   step the symplectic drift is checked: above ``symplectic_drift_limit``
   StepTooLarge is raised, above ``symplectic_drift_tol`` the state is
   projected back onto Sp(2n).
-* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (every state
-  kept; a batch of t-queries is one stack of partial step maps) and
-  ``shifted_flows`` (the spectrum scan) are the three entry points.
+* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states; a
+  batch of t-queries is one stack of partial step maps) and ``shifted_flows``
+  (the nodes of the spectrum interpolant) are the three entry points.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -510,7 +510,7 @@ def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
     A declared constant sigma uses the exact exponential of t (J sigma +
     rho J); otherwise sigma is sampled once here on the RK4 stage grid, the
     step maps' coefficients in rho are built from those samples, and every
-    call evaluates them for its whole batch.
+    call evaluates them for its whole batch (the spectrum interpolant's nodes).
     """
     if sigma.constant is not None:
         J = J_std(sigma.n)

@@ -248,8 +248,31 @@ SPECTRUM_BLIND_DOC = {
     "window": 6.283185307179586, "grid": 384}
 
 # stdout of `floerss spectrum --json` on the two documents above, recorded
-# from the eigenvalue locator that bisects the Souriau passage counts
+# from the locator that bisects the Souriau passage counts of the Chebyshev
+# interpolant of rho -> Psi_{sigma+rho}(1) L0
 SPECTRUM_POLY_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -6.233022279265266}, '
+    '{"multiplicity": 1, "rho": -3.4440185287080665}, '
+    '{"multiplicity": 1, "rho": -3.1011316047504156}, '
+    '{"multiplicity": 1, "rho": -0.10555820379526942}, '
+    '{"multiplicity": 1, "rho": 0.05374792622258087}, '
+    '{"multiplicity": 1, "rho": 2.8650785608565004}, '
+    '{"multiplicity": 1, "rho": 3.2102150861152676}, '
+    '{"multiplicity": 1, "rho": 5.999269254681149}], '
+    '"gap": 0.05374792622258087, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+SPECTRUM_BLIND_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -5.94067994736704}, '
+    '{"multiplicity": 1, "rho": -2.7341007432303783}, '
+    '{"multiplicity": 1, "rho": 0.2839473628464483}, '
+    '{"multiplicity": 1, "rho": 3.5980479795329545}], '
+    '"gap": 0.2839473628464483, "kernel_dim": 0, "kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+
+# the same stdout from the locator that bisected the Souriau passage counts
+# on the flows themselves, a coarse-step scan and a re-bisection at
+# ode_step; its floats differ from the ones above by less than 1e-8
+SPECTRUM_POLY_JSON_PASSAGES = (
     '{"eigenvalues": [{"multiplicity": 1, "rho": -6.233022274418772}, '
     '{"multiplicity": 1, "rho": -3.444018526165836}, '
     '{"multiplicity": 1, "rho": -3.1011316063179075}, '
@@ -260,7 +283,7 @@ SPECTRUM_POLY_JSON = (
     '{"multiplicity": 1, "rho": 5.999269261195883}], '
     '"gap": 0.053747927269635454, "kernel_dim": 0, "kind": "spectrum", '
     '"window": [-6.283185307179586, 6.283185307179586]}\n')
-SPECTRUM_BLIND_JSON = (
+SPECTRUM_BLIND_JSON_PASSAGES = (
     '{"eigenvalues": [{"multiplicity": 1, "rho": -5.9406799492047355}, '
     '{"multiplicity": 1, "rho": -2.7341007427025312}, '
     '{"multiplicity": 1, "rho": 0.28394735665860965}, '
@@ -292,22 +315,41 @@ SPECTRUM_BLIND_JSON_GOLDEN = (
 
 
 def test_spectrum_output_is_unchanged(tmp_path, capsys):
-    for name, doc, want, golden in (
+    for name, doc, want, olds in (
             ("poly", SPECTRUM_POLY_DOC, SPECTRUM_POLY_JSON,
-             SPECTRUM_POLY_JSON_GOLDEN),
+             (SPECTRUM_POLY_JSON_PASSAGES, SPECTRUM_POLY_JSON_GOLDEN)),
             ("blind", SPECTRUM_BLIND_DOC, SPECTRUM_BLIND_JSON,
-             SPECTRUM_BLIND_JSON_GOLDEN)):
+             (SPECTRUM_BLIND_JSON_PASSAGES, SPECTRUM_BLIND_JSON_GOLDEN))):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["spectrum", str(p), "--json"], capsys) == (0, want, ""), name
-        new, old = json.loads(want), json.loads(golden)
-        assert new["window"] == old["window"], name
-        assert new["kernel_dim"] == old["kernel_dim"], name
-        assert ([e["multiplicity"] for e in new["eigenvalues"]]
-                == [e["multiplicity"] for e in old["eigenvalues"]]), name
-        for e, f in zip(new["eigenvalues"], old["eigenvalues"]):
-            assert abs(e["rho"] - f["rho"]) < 1e-8, name
-        assert abs(new["gap"] - old["gap"]) < 1e-8, name
+        new = json.loads(want)
+        for old in map(json.loads, olds):
+            assert new["window"] == old["window"], name
+            assert new["kernel_dim"] == old["kernel_dim"], name
+            assert ([e["multiplicity"] for e in new["eigenvalues"]]
+                    == [e["multiplicity"] for e in old["eigenvalues"]]), name
+            for e, f in zip(new["eigenvalues"], old["eigenvalues"]):
+                assert abs(e["rho"] - f["rho"]) < 1e-8, name
+            assert abs(new["gap"] - old["gap"]) < 1e-8, name
+
+
+def test_spectrum_window_cap(tmp_path, capsys, monkeypatch):
+    # a window that needs more than 2^10 interpolation nodes is refused
+    # before any flow pass
+    from floerss import symplin as sl
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a flow pass ran")
+
+    monkeypatch.setattr(sl, "_rk4", no_pass)
+    p = tmp_path / "poly.json"
+    p.write_text(json.dumps(SPECTRUM_POLY_DOC))
+    code, out, err = run_cli(["spectrum", str(p), "--window", "1e4", "--json"],
+                             capsys)
+    assert (code, out) == (1, "")
+    refusal = json.loads(err)
+    assert refusal["error"] == "GridTooCoarse" and refusal["nodes"] > 2 ** 10
 
 
 def test_pozniak_and_quantum_commands(tmp_path, capsys):

@@ -288,6 +288,18 @@ def test_find_crossings_beside_a_near_line():
     assert crossing_sum(_near_line_path(), H2, 96) == Fraction(-1, 2)
 
 
+def test_brackets_the_floats_cannot_halve_are_refused():
+    # on [1e6, 1e6 + 1] neighbouring floats are 1.2e-10 apart, wider than
+    # the bracket width crossing_refine_tol = 1e-11 that bisection aims for
+    a = 1e6
+    F0 = lp.rotation_path(lambda s: 2.0 * (s - a) - 0.7, sl.horizontal(1),
+                          a, a + 1.0)
+    F1 = lp.constant_lagrangian_path(sl.horizontal(1), a, a + 1.0)
+    with pytest.raises(GridTooCoarse) as info:
+        lp.find_crossings(F0, F1, grid=16)
+    assert info.value.payload == {"tol": DEFAULTS.crossing_refine_tol}
+
+
 def crossing_sum(F0, F1, grid):
     """The crossing-form count of find_crossings: 1/2 sign Gamma at the
     endpoints plus sign Gamma at the interior crossings; None when a crossing

@@ -6,7 +6,8 @@ from floerss import lagpath as lp
 from floerss import spectrum as sp
 from floerss import symplin as sl
 from floerss.errors import (DeltaNotBelowGap, DimensionMismatch,
-                            EndpointMismatch, NonIntegerIndex, WindowTooSmall)
+                            EndpointMismatch, GridTooCoarse, IntegrationFailure,
+                            NonIntegerIndex, WindowTooSmall)
 
 from conftest import (make_rng, random_lagrangian, random_sigma_poly,
                       random_symplectic_path)
@@ -130,6 +131,126 @@ def test_spectral_gap_window_doubling():
     assert abs(sp.spectral_gap(A, window=1.0, grid=256) - np.pi) < 1e-6
     with pytest.raises(WindowTooSmall):
         sp.spectral_gap(A, window=0.05, grid=64, settings=sp.DEFAULTS)
+
+
+def test_interpolant_matches_direct_flows():
+    # the Chebyshev series of rho -> Psi_{sigma+rho}(1) L0 against direct
+    # flows at shifts off its nodes, compared as Lagrangian subspaces
+    rng = make_rng(38)
+    for n in (1, 2, 3, 4):
+        sig = random_sigma_poly(rng, n, degree=2)
+        A = sp.AsymptoticOperator(n=n, sigma=sig, boundary=(
+            random_lagrangian(rng, n), random_lagrangian(rng, n)))
+        flows = sl.shifted_flows(sig)
+        for reach in (2 * np.pi, 4 * np.pi):
+            rhos = rng.uniform(-reach, reach, 50)
+            got = sl.LagrangianFrame(
+                n=n, frame=sp._frame_interpolant(A, reach, sp.DEFAULTS)(rhos))
+            want = sl.validate_lagrangian(flows(rhos) @ A.boundary[0].frame)
+            assert sl.principal_angle_sines(got, want).max() < 1e-10, (n, reach)
+
+
+def _count_flow_passes(monkeypatch):
+    passes = []
+    rk4 = sl._rk4
+
+    def recorder(C, h, rhos, settings, keep=False):
+        passes.append(len(rhos))
+        return rk4(C, h, rhos, settings, keep)
+
+    monkeypatch.setattr(sl, "_rk4", recorder)
+    return passes
+
+
+def test_eigenvalues_make_one_node_and_one_oracle_pass(monkeypatch):
+    rng = make_rng(39)
+    passes = _count_flow_passes(monkeypatch)
+    counts = set()
+    for n in (1, 3):
+        sig = random_sigma_poly(rng, n, degree=2)
+        A = sp.AsymptoticOperator(n=n, sigma=sig, boundary=(
+            random_lagrangian(rng, n), random_lagrangian(rng, n)))
+        for grid in (64, 384):
+            del passes[:]
+            rep = sp.eigenvalues(A, window=2 * np.pi, grid=grid)
+            # 32 nodes at window 2 pi, then the 4 oracle shifts
+            assert passes == [32, 4], (n, grid)
+            counts.add(len(rep.eigenvalues))
+    assert len(counts) > 1
+    del passes[:]
+    sp.eigenvalues(sp.flat_model(0.5), window=2 * np.pi, grid=384)
+    assert passes == []
+
+
+def test_eigenvalues_of_a_strongly_coupled_sigma(monkeypatch):
+    # |Psi(1)| is about 1e2: the flows' projections onto Sp(2n) leave noise
+    # in rho above 1e-12 of the coefficients, so the tail stops falling at
+    # 64 nodes and the series is taken there
+    rng = make_rng(48)
+    sig = random_sigma_poly(rng, 2, degree=2, scale=5.0)
+    A = sp.AsymptoticOperator(n=2, sigma=sig, boundary=(
+        random_lagrangian(rng, 2), random_lagrangian(rng, 2)))
+    passes = _count_flow_passes(monkeypatch)
+    rep = sp.eigenvalues(A, window=2 * np.pi, grid=384)
+    assert passes == [32, 64, 4]
+    assert rep.eigenvalues
+    for rho, m in rep.eigenvalues:
+        B = sp.AsymptoticOperator(n=2, sigma=sp._shifted_path(sig, -rho),
+                                  boundary=A.boundary)
+        F = sl.apply_matrix(sl.fundamental_solution(B.sigma).entries,
+                            A.boundary[0])
+        assert sl.min_principal_angle_sin(F, A.boundary[1]) < 1e-6
+        assert sp.kernel_dim(B) == m
+
+
+def test_interpolant_oracle_refuses_flows_it_does_not_match(monkeypatch):
+    # flows that are not one function of rho: the 4 oracle shifts see frames
+    # the nodes did not
+    shifted_flows = sl.shifted_flows
+
+    def skewed(sigma, step=None, t=1.0, settings=sp.DEFAULTS):
+        flows = shifted_flows(sigma, step, t, settings)
+        return lambda rhos: flows(rhos) @ sl.rotation(sigma.n, 1e-6 * (len(rhos) == 4))
+
+    monkeypatch.setattr(sl, "shifted_flows", skewed)
+    with pytest.raises(IntegrationFailure) as info:
+        sp.eigenvalues(sp.flat_model(0.5), window=2 * np.pi, grid=64)
+    assert info.value.payload["nodes"] == 32
+    assert 1e-7 < info.value.payload["error"] < 1e-5
+
+
+def test_eigenvalues_refuse_bad_tol():
+    A = sp.flat_model(0.5)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(GridTooCoarse) as info:
+            sp.eigenvalues(A, window=4, grid=64, tol=tol)
+        assert info.value.payload["tol"] == tol or np.isnan(tol)
+    # positive but below the spacing of the floats: no bracket halves to it
+    with pytest.raises(GridTooCoarse) as info:
+        sp.eigenvalues(A, window=4, grid=64, tol=1e-300)
+    assert info.value.payload == {"tol": 1e-300}
+
+
+def test_window_cap(monkeypatch):
+    rng = make_rng(40)
+    sig = random_sigma_poly(rng, 2, degree=2)
+    A = sp.AsymptoticOperator(n=2, sigma=sig, boundary=(
+        random_lagrangian(rng, 2), random_lagrangian(rng, 2)))
+    passes = _count_flow_passes(monkeypatch)
+    # 16 pi is the widest window of spectral_gap's doublings from 4 pi
+    rep = sp.eigenvalues(A, window=16 * np.pi)
+    assert passes == [128, 4]
+    assert 60 <= sum(m for _, m in rep.eigenvalues) <= 68
+    # the eigenvalues inside 2 pi are those of the 2 pi window
+    near = sp.eigenvalues(A, window=2 * np.pi, grid=384).eigenvalues
+    inner = [(r, m) for r, m in rep.eigenvalues if abs(r) <= 2 * np.pi]
+    assert [m for _, m in inner] == [m for _, m in near]
+    assert max(abs(r - q) for (r, _), (q, _) in zip(inner, near)) < 1e-8
+    del passes[:]
+    with pytest.raises(GridTooCoarse) as info:
+        sp.eigenvalues(A, window=1e4, grid=384)
+    assert info.value.payload["nodes"] > 2 ** 10
+    assert passes == []
 
 
 def test_spectrum_invariant_under_mu_action():
