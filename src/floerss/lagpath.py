@@ -9,6 +9,9 @@ With these signs the rotation path s -> e^{sJ} Lambda has crossing form +1
 and the graph path (Gr(B(s)), R^n x 0) localizes to
 (1/2) sign B(b) - (1/2) sign B(a).
 
+A path is its stack (``LagrangianPath.stack``: parameters -> a (B, 2n, n)
+stack of frames), and F(s) is a stack of one; composites stack their parts.
+
 Indices and crossings are both read off the Souriau map S(L) = U U^T,
 U = X + iY for an orthonormal frame [X; Y] of L (Arnold 1985;
 Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s))) is unitary,
@@ -44,62 +47,61 @@ from . import symplin as sl
 
 @dataclass(frozen=True)
 class LagrangianPath:
-    """A path [a, b] -> Lagrangian Grassmannian, given by an evaluator.
+    """A path [a, b] -> Lagrangian Grassmannian, given by its stack.
 
-    ``stack``, when given, maps an array of parameters to the (B, 2n, n)
-    stack of orthonormal frames at once; ``frames`` uses it, and falls back
-    to one evaluation per parameter without it.
+    ``stack`` maps an array of parameters to the (B, 2n, n) stack of
+    orthonormal frames at once; ``frames`` is that stack checked, and
+    ``F(s)`` is a stack of one.
     """
 
     n: int
     a: float
     b: float
-    evaluator: callable = field(repr=False)  # s -> LagrangianFrame
+    stack: callable = field(repr=False)  # ss -> (B, 2n, n)
     kind: str = "sampled"
-    stack: callable = field(default=None, repr=False)  # ss -> (B, 2n, n), optional
+
+    def _at(self, s):
+        """The frame at s; ``start`` and ``end`` read it here, so that the
+        benchmark's count of ``__call__`` stays a count of samples."""
+        return sl.LagrangianFrame(
+            n=self.n, frame=self.stack(np.array([s], dtype=float))[0])
 
     def __call__(self, s):
-        return self.evaluator(s)
+        return self._at(s)
 
     def frames(self, ss):
         """Orthonormal frames at the parameters ss, as a (B, 2n, n) stack.
 
         Raises NotFullRank when a frame has non-finite entries.
         """
-        ss = np.asarray(ss, dtype=float)
-        if self.stack is not None:
-            out = self.stack(ss)
-        else:
-            out = np.stack([self(s).frame for s in ss])
+        out = self.stack(np.asarray(ss, dtype=float))
         if not np.all(np.isfinite(out)):
             raise NotFullRank("frame has non-finite entries")
         return out
 
     @property
     def start(self):
-        return self.evaluator(self.a)
+        return self._at(self.a)
 
     @property
     def end(self):
-        return self.evaluator(self.b)
+        return self._at(self.b)
 
     def restrict(self, a, b):
-        return LagrangianPath(n=self.n, a=a, b=b, evaluator=self.evaluator,
-                              kind=self.kind, stack=self.stack)
-
-
-def _stacked_path(n, a, b, stack, kind):
-    """A path whose frames all come from ``stack``: one parameter is a stack
-    of one."""
-    return LagrangianPath(
-        n=n, a=a, b=b, kind=kind, stack=stack,
-        evaluator=lambda s: sl.LagrangianFrame(n=n, frame=stack(np.array([s]))[0]))
+        """The path on [a, b], which must lie in [self.a, self.b] (else
+        DimensionMismatch)."""
+        if not self.a <= a < b <= self.b:
+            raise DimensionMismatch(
+                f"[{a}, {b}] is not a subinterval of [{self.a}, {self.b}]",
+                interval=[a, b])
+        return LagrangianPath(self.n, a, b, self.stack, self.kind)
 
 
 def constant_lagrangian_path(frame, a=0.0, b=1.0):
     return LagrangianPath(
-        n=frame.n, a=a, b=b, evaluator=lambda s: frame, kind="constant",
-        stack=lambda ss: np.broadcast_to(frame.frame, (len(ss),) + frame.frame.shape))
+        frame.n, a, b,
+        lambda ss: np.broadcast_to(frame.frame, (len(ss),) + frame.frame.shape),
+        "constant")
 
 
 def rotation_path(theta, base, a=0.0, b=1.0):
@@ -112,13 +114,13 @@ def rotation_path(theta, base, a=0.0, b=1.0):
         c, s = np.cos(th), np.sin(th)
         return np.concatenate([c * X - s * Y, s * X + c * Y], axis=1)
 
-    return _stacked_path(n, a, b, stack, "rotation")
+    return LagrangianPath(n, a, b, stack, "rotation")
 
 
 def graph_path(B, a=0.0, b=1.0):
     """s -> graph of the symmetric matrix B(s)."""
     B0 = np.asarray(B(a), dtype=float)
-    return _stacked_path(
+    return LagrangianPath(
         B0.shape[0], a, b,
         lambda ss: sl.graph_lagrangian(np.array([B(s) for s in ss],
                                                 dtype=float)).frame,
@@ -136,7 +138,7 @@ def fundamental_image_path(flow, base, a=0.0, b=1.0):
     def stack(ts):
         return np.linalg.qr(flow.at(ts) @ base.frame)[0]
 
-    return _stacked_path(base.n, a, b, stack, "fundamental")
+    return LagrangianPath(base.n, a, b, stack, "fundamental")
 
 
 def sampled_path(samples, a=None, b=None):
@@ -159,36 +161,45 @@ def sampled_path(samples, a=None, b=None):
                      0.0)[:, None, None]
         return sl.validate_lagrangian((1 - t) * Fs[k] + t * Fs[k1]).frame
 
-    return _stacked_path(n, a, b, stack, "sampled")
+    return LagrangianPath(n, a, b, stack, "sampled")
 
 
 def concatenate(p1, p2):
-    """Concatenation; p1.b must equal p2.a and the frames must agree there."""
+    """Concatenation; p1.b must equal p2.a and the frames must agree there.
+    The parameters up to p1.b are p1's, the others p2's."""
     if abs(p1.b - p2.a) > 1e-12 or not p1.end.equals(p2.start, tol=1e-7):
         raise EndpointMismatch("paths do not match at the junction")
 
-    def ev(s):
-        return p1.evaluator(s) if s <= p1.b else p2.evaluator(s)
+    def stack(ss):
+        out = np.empty((len(ss), 2 * p1.n, p1.n))
+        left = ss <= p1.b
+        for part, p in ((left, p1), (~left, p2)):
+            if part.any():
+                out[part] = p.stack(ss[part])
+        return out
 
-    return LagrangianPath(n=p1.n, a=p1.a, b=p2.b, evaluator=ev, kind="concat")
+    return LagrangianPath(p1.n, p1.a, p2.b, stack, "concat")
+
+
+def _framed(p, ss):
+    """The frames of p at ss as one stacked LagrangianFrame."""
+    return sl.LagrangianFrame(n=p.n, frame=p.stack(ss))
 
 
 def direct_sum_path(p1, p2):
     if (p1.a, p1.b) != (p2.a, p2.b):
         raise DimensionMismatch("direct sum requires equal parameter intervals")
-
-    def ev(s):
-        return sl.direct_sum_frames(p1.evaluator(s), p2.evaluator(s))
-
-    return LagrangianPath(n=p1.n + p2.n, a=p1.a, b=p1.b, evaluator=ev,
-                          kind="sum")
+    return LagrangianPath(
+        p1.n + p2.n, p1.a, p1.b,
+        lambda ss: sl.direct_sum_frames(_framed(p1, ss), _framed(p2, ss)).frame,
+        "sum")
 
 
 def transform_path(Psi, p):
     """Apply a constant symplectic matrix to every frame of the path."""
-    return LagrangianPath(n=p.n, a=p.a, b=p.b,
-                          evaluator=lambda s: sl.transform_frame(Psi, p.evaluator(s)),
-                          kind=p.kind)
+    return LagrangianPath(
+        p.n, p.a, p.b, lambda ss: sl.transform_frame(Psi, _framed(p, ss)).frame,
+        p.kind)
 
 
 def perturb_path(F, delta, fix_endpoints=True):
@@ -211,10 +222,11 @@ def perturb_path(F, delta, fix_endpoints=True):
         def beta(s):
             return 1.0 + 0.3 * np.sin(2.0 * (s - a) / (b - a))
 
-    def ev(s):
-        return sl.transform_frame(sl.rotation(F.n, delta * beta(s)), F.evaluator(s))
+    def stack(ss):
+        return sl.transform_frame(sl.rotation(F.n, delta * beta(ss)),
+                                  _framed(F, ss)).frame
 
-    return LagrangianPath(n=F.n, a=a, b=b, evaluator=ev, kind="perturbed")
+    return LagrangianPath(F.n, a, b, stack, "perturbed")
 
 
 # -- crossings -----------------------------------------------------------------
@@ -516,23 +528,19 @@ def diagonal_loop(psi, a=0.0, b=1.0):
     """
     n0 = np.asarray(psi(a)).shape[0]
     n = 2 * n0
+    eye = np.eye(n0)
 
-    def ev(s):
-        P = np.asarray(psi(s))
-        cols = []
-        for j in range(n0):
-            z = np.zeros(n0, dtype=complex)
-            z[j] = 1.0
-            cols.append((np.conj(z), P @ z))
-            cols.append((np.conj(1j * z), P @ (1j * z)))
-        M = np.zeros((2 * n, n))
-        for k, (u, v) in enumerate(cols):
-            w = np.concatenate([u, v])
-            M[:n, k] = w.real
-            M[n:, k] = w.imag
-        return sl.validate_lagrangian(M)
+    def stack(ss):
+        P = np.array([psi(s) for s in ss], dtype=complex)
+        # columns 2j, 2j + 1: (conj(z), P z) for z = e_j, i e_j
+        cols = np.stack([
+            np.concatenate([np.broadcast_to(eye, P.shape), P], axis=1),
+            np.concatenate([np.broadcast_to(-1j * eye, P.shape), 1j * P], axis=1),
+        ], axis=-1).reshape(len(P), n, n)
+        return sl.validate_lagrangian(
+            np.concatenate([cols.real, cols.imag], axis=1)).frame
 
-    return LagrangianPath(n=n, a=a, b=b, evaluator=ev, kind="diagonal")
+    return LagrangianPath(n, a, b, stack, "diagonal")
 
 
 def viterbo_index(F0, F1, Fm, Fp, grid=None, settings=DEFAULTS):

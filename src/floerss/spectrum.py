@@ -139,8 +139,8 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
     if not (np.isfinite(tol) and tol > 0):
         raise GridTooCoarse(f"tol must be positive and finite, got {tol}", tol=tol)
     reach = window * (1.0 + 2.0 / grid)
-    image = lp._stacked_path(A.n, -reach, reach,
-                             _frame_interpolant(A, reach, settings), "spectral")
+    image = lp.LagrangianPath(A.n, -reach, reach,
+                              _frame_interpolant(A, reach, settings), "spectral")
     ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
     s, W, _, W_at = lp._souriau_samples(image, ref, grid + 2, settings)
     los, his, counts = lp._bisect_passages(W_at, s, W, np.arange(len(s) - 1), tol)
@@ -191,7 +191,7 @@ def _shifted_path(sigma, rho):
     eye = np.eye(2 * n)
     constant = None if sigma.constant is None else sigma.constant - rho * eye
     return sl.SymmetricPath(n=n, stack=lambda ts: sigma.samples(ts) - rho * eye,
-                            breakpoints=sigma.breakpoints, constant=constant)
+                            constant=constant)
 
 
 def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,

@@ -31,6 +31,9 @@ Every fundamental solution comes from one flow mechanism:
   batch of t-queries is one stack of partial step maps) and ``shifted_flows``
   (the nodes of the spectrum interpolant) are the three entry points.
 
+A symmetric path is its stack (``SymmetricPath.stack``: times -> values),
+and ``sigma(t)`` is a stack of one; sums and Z-actions stack their parts.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -61,16 +64,10 @@ def omega(u, v):
 
 
 def rotation(n, angle):
-    """exp(angle * J_std): counterclockwise rotation in every complex coordinate."""
-    c, s = np.cos(angle), np.sin(angle)
-    return c * np.eye(2 * n) + s * J_std(n)
-
-
-def complex_diag(n, values):
-    """Real 2n x 2n representation of the complex diagonal matrix diag(values)."""
-    a = np.diag([v.real for v in values])
-    b = np.diag([v.imag for v in values])
-    return np.block([[a, -b], [b, a]])
+    """exp(angle * J_std): counterclockwise rotation in every complex
+    coordinate; an array of angles gives a (..., 2n, 2n) stack."""
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    return np.cos(angle) * np.eye(2 * n) + np.sin(angle) * J_std(n)
 
 
 @dataclass(frozen=True)
@@ -161,8 +158,8 @@ def transform_frame(A, F):
 
     For trusted transforms (rotations, integrated flows, elementary
     symplectic products) the image is Lagrangian by construction; skipping
-    the isotropy check matters for transformed and perturbed paths, which
-    are evaluated once per sample.
+    the isotropy check matters for transformed and perturbed paths, whose
+    every stack of frames goes through here.  A and F may be stacks.
     """
     q, _ = np.linalg.qr(A @ F.frame)
     return LagrangianFrame(n=F.n, frame=q)
@@ -242,31 +239,25 @@ def graph_lagrangian(B, tol=None):
 
 @dataclass(frozen=True)
 class SymmetricPath:
-    """Piecewise-smooth path t -> Sym(2n) on [0, 1].
+    """Piecewise-smooth path t -> Sym(2n) on [0, 1], given by its stack.
 
-    A path is given by ``stack`` (an array of times -> the (m, 2n, 2n)
-    stack of values) or, without one, by ``eval`` (one time -> one value).
-    ``samples`` evaluates many times at once, from ``stack`` in one call or
-    from one ``eval`` call per time; ``sigma(t)`` is a stack of one.
-    ``constant`` is the value of a path declared constant by its
+    ``stack`` maps an array of times to the (m, 2n, 2n) stack of values;
+    ``samples`` is that stack symmetrized, and ``sigma(t)`` is a stack of
+    one.  ``constant`` is the value of a path declared constant by its
     constructor (None otherwise); flows of a declared constant path use the
     exact exponential, every other path is integrated.
     """
 
     n: int
-    eval: callable = field(default=None, repr=False)
-    breakpoints: tuple = ()
+    stack: callable = field(repr=False)  # ts -> (m, 2n, 2n)
     constant: np.ndarray = field(default=None, repr=False, compare=False)
-    stack: callable = field(default=None, repr=False)
 
     def _raw(self, ts):
-        if self.stack is not None:
-            return np.asarray(self.stack(ts), dtype=float)
-        return np.array([self.eval(t) for t in ts], dtype=float)
+        return np.asarray(self.stack(np.asarray(ts, dtype=float)), dtype=float)
 
     def samples(self, ts):
         """sigma(t) for every t of ts, as a symmetrized (m, 2n, 2n) stack."""
-        S = self._raw(np.asarray(ts, dtype=float))
+        S = self._raw(ts)
         # in place: a stage grid of 2001 times is the largest stack of a flow
         out = S + np.swapaxes(S, 1, 2)
         out *= 0.5
@@ -580,9 +571,14 @@ class FundamentalFlow:
 
 
 def phi_mu(n, mu, t):
-    """Real representation of diag(e^{pi i mu t}, 1, ..., 1) on R^{2n}."""
-    vals = [np.exp(1j * np.pi * mu * t)] + [1.0 + 0j] * (n - 1)
-    return complex_diag(n, vals)
+    """Real representation of diag(e^{pi i mu t}, 1, ..., 1) on R^{2n}; an
+    array of times gives a (..., 2n, 2n) stack."""
+    z = np.exp(1j * np.pi * mu * np.asarray(t, dtype=float))
+    out = np.broadcast_to(np.eye(2 * n), z.shape + (2 * n, 2 * n)).copy()
+    out[..., 0, 0] = out[..., n, n] = z.real
+    out[..., n, 0] = z.imag
+    out[..., 0, n] = -z.imag
+    return out
 
 
 def mu_action(mu, sigma):
@@ -592,62 +588,53 @@ def mu_action(mu, sigma):
     with boundary pair (R^n x 0, R^n x 0).
     """
     n = sigma.n
-    J = J_std(n)
     # phi_{-mu} d/dt phi_mu is the constant generator pi*mu*J_1 restricted to
     # the first complex coordinate; J * (pi mu J_1) = -pi mu P_1.
-    P1 = np.zeros((2 * n, 2 * n))
-    P1[0, 0] = 1.0
-    P1[n, n] = 1.0
-    shift = -np.pi * mu * P1
+    shift = np.zeros((2 * n, 2 * n))
+    shift[0, 0] = shift[n, n] = -np.pi * mu
 
-    def ev(t):
-        a = phi_mu(n, -mu, t)
-        b = phi_mu(n, mu, t)
-        return a @ sigma(t) @ b + shift
+    def stack(ts):
+        return phi_mu(n, -mu, ts) @ sigma.samples(ts) @ phi_mu(n, mu, ts) + shift
 
-    return SymmetricPath(n=n, eval=ev, breakpoints=sigma.breakpoints).check()
+    return SymmetricPath(n=n, stack=stack).check()
+
+
+def _blocks(n1, n2):
+    """Coordinates of the two summands of R^{2n1} + R^{2n2} = R^{2(n1+n2)},
+    interleaved as (x', x'', y', y'')."""
+    n = n1 + n2
+    return (np.r_[0:n1, n:n + n1], np.r_[n1:n, n + n1:2 * n])
 
 
 def direct_sum_frames(F, G):
-    """Block direct sum of Lagrangian frames under R^{2n1} + R^{2n2} = R^{2n}.
+    """Block direct sum of Lagrangian frames (or of stacks of them) under
+    R^{2n1} + R^{2n2} = R^{2n}.
 
     Coordinates interleave as (x', x'', y', y'') so that J_{n1} + J_{n2}
     matches J_{n1+n2}.
     """
     n1, n2 = F.n, G.n
-    n = n1 + n2
-    M = np.zeros((2 * n, n))
-    M[:n1, :n1] = F.frame[:n1, :]
-    M[n:n + n1, :n1] = F.frame[n1:, :]
-    M[n1:n, n1:] = G.frame[:n2, :]
-    M[n + n1:, n1:] = G.frame[n2:, :]
+    i1, i2 = _blocks(n1, n2)
+    M = np.zeros(F.frame.shape[:-2] + (2 * (n1 + n2), n1 + n2))
+    M[..., i1, :n1] = F.frame
+    M[..., i2, n1:] = G.frame
     return validate_lagrangian(M)
-
-
-def embed_block(A, n1, n2, which):
-    """Embed a 2n_i x 2n_i matrix as a block of R^{2(n1+n2)} (same interleaving)."""
-    n = n1 + n2
-    out = np.zeros((2 * n, 2 * n))
-    if which == 0:
-        ix = list(range(n1)) + list(range(n, n + n1))
-    else:
-        ix = list(range(n1, n)) + list(range(n + n1, 2 * n))
-    for a, i in enumerate(ix):
-        for b, j in enumerate(ix):
-            out[i, j] = A[a, b]
-    return out
 
 
 def direct_sum_paths(sig1, sig2):
     """Direct sum of symmetric paths under the block embedding above."""
     n1, n2 = sig1.n, sig2.n
+    i1, i2 = _blocks(n1, n2)
 
-    def ev(t):
-        return embed_block(sig1(t), n1, n2, 0) + embed_block(sig2(t), n1, n2, 1)
+    def place(S1, S2):
+        out = np.zeros(S1.shape[:-2] + (2 * (n1 + n2),) * 2)
+        out[..., i1[:, None], i1] = S1
+        out[..., i2[:, None], i2] = S2
+        return out
 
     constant = None
     if sig1.constant is not None and sig2.constant is not None:
-        constant = ev(0.0)
-    return SymmetricPath(n=n1 + n2, eval=ev, constant=constant,
-                         breakpoints=tuple(sorted(set(sig1.breakpoints)
-                                                  | set(sig2.breakpoints)))).check()
+        constant = place(sig1.constant, sig2.constant)
+    return SymmetricPath(n=n1 + n2, constant=constant,
+                         stack=lambda ts: place(sig1.samples(ts),
+                                                sig2.samples(ts))).check()

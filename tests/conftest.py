@@ -33,19 +33,6 @@ def random_sigma_poly(rng, n, degree=1, scale=0.6):
     return sl.poly_path(coeffs)
 
 
-def random_frame(rng, n):
-    from floerss import symplin as sl
-    while True:
-        M = rng.standard_normal((2 * n, n))
-        try:
-            F = sl.validate_lagrangian(M)
-        except Exception:
-            # random frames are rarely isotropic; build one from a symplectic
-            F = None
-        if F is not None:
-            return F
-
-
 def random_lagrangian(rng, n):
     """Random Lagrangian frame: a random symplectic matrix applied to R^n x 0."""
     from floerss import symplin as sl
@@ -77,17 +64,19 @@ def random_half_symmetric(rng, n):
 
 
 def random_symplectic_path(rng, n, a=0.0, b=1.0, scale=0.8):
-    """Smooth path of symplectic matrices with M(a) = identity."""
+    """Smooth path of symplectic matrices with M(a) = identity; M(ss) of an
+    array of parameters is the (..., 2n, 2n) stack."""
     from floerss import symplin as sl
     th = rng.uniform(-scale, scale, 2)
     B0 = random_half_symmetric(rng, n) * scale
     B1 = random_half_symmetric(rng, n) * scale
 
     def M(s):
-        x = (s - a) / (b - a)
+        x = (np.asarray(s, dtype=float) - a) / (b - a)
         rot = sl.rotation(n, th[0] * x + th[1] * x * x)
-        shear = np.block([[np.eye(n), x * B0 + x * x * B1],
-                          [np.zeros((n, n)), np.eye(n)]])
+        x = x[..., None, None]
+        shear = np.broadcast_to(np.eye(2 * n), x.shape[:-2] + (2 * n, 2 * n)).copy()
+        shear[..., :n, n:] = x * B0 + x * x * B1
         return rot @ shear
 
     return M
@@ -99,6 +88,14 @@ def random_path(rng, n, a=0.0, b=1.0, scale=0.8):
     from floerss import symplin as sl
     base = random_lagrangian(rng, n)
     M = random_symplectic_path(rng, n, a, b, scale)
-    return lp.LagrangianPath(
-        n=n, a=a, b=b,
-        evaluator=lambda s: sl.transform_frame(M(s), base), kind="random")
+    return lp.LagrangianPath(n, a, b,
+                             lambda ss: sl.transform_frame(M(ss), base).frame,
+                             "random")
+
+
+def pointwise_path(n, a, b, frame_at):
+    """A path given one parameter at a time (frame_at(s) -> LagrangianFrame),
+    for paths that branch on s: its stack calls frame_at once per parameter."""
+    from floerss import lagpath as lp
+    return lp.LagrangianPath(n, a, b,
+                             lambda ss: np.stack([frame_at(s).frame for s in ss]))

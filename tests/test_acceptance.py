@@ -187,8 +187,8 @@ def test_criterion_05_viterbo():
         F0b = _shifted_random_path(rng, n, F0a.end)
         F1b = _shifted_random_path(rng, n, F1a.end)
         Fpb = lp.LagrangianPath(n=n, a=0.0, b=1.0,
-                                evaluator=lambda t, e=F0b.end, n=n:
-                                sl.apply_matrix(sl.rotation(n, 0.4 * t), e))
+                                stack=lambda ts, e=F0b.end, n=n:
+                                sl.apply_matrix(sl.rotation(n, 0.4 * ts), e).frame)
         mub = lp.viterbo_index(F0b, F1b, Fpa, Fpb, grid=96)
         glued = lp.viterbo_index(lp.concatenate(F0a, _reparam(F0b, 1, 3)),
                                  lp.concatenate(F1a, _reparam(F1b, 1, 3)),

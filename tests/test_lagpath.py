@@ -7,11 +7,13 @@ from fractions import Fraction
 from floerss import lagpath as lp
 from floerss.config import DEFAULTS
 from floerss import symplin as sl
-from floerss.errors import (EndpointMismatch, GridTooCoarse, IntegrationFailure,
+from floerss.errors import (DimensionMismatch, EndpointMismatch, GridTooCoarse,
+                            IntegrationFailure,
                             NotALoop, NotFullRank)
 
-from conftest import (make_rng, random_half_symmetric, random_lagrangian,
-                      random_path, random_symplectic)
+from conftest import (make_rng, pointwise_path, random_half_symmetric,
+                      random_lagrangian, random_path, random_sigma_poly,
+                      random_symplectic)
 
 H1 = sl.horizontal(1)
 
@@ -251,7 +253,7 @@ def _h(y):
 def test_rs_flat_min_angle_is_fast():
     # line 1 sits at 0.05 rad the whole time, so the smallest principal angle
     # is exactly flat on [0.275, 1] while line 0 crosses at s = 1/4
-    F = lp.LagrangianPath(n=2, a=0.0, b=1.0, evaluator=lambda s: sl.LagrangianFrame(
+    F = pointwise_path(2, 0.0, 1.0, lambda s: sl.LagrangianFrame(
         n=2, frame=_lines([-0.5 + 2.0 * s, 0.05])))
     H2 = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
     start = time.perf_counter()
@@ -275,7 +277,7 @@ def test_rs_sampled_path_crossing_beside_a_near_line():
     H2 = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
     # oracle: follow each column's line angle, unwrapped mod pi
     ss = np.linspace(0.0, 1.0, 20001)
-    frames = np.stack([P(s).frame for s in ss])
+    frames = P.frames(ss)
     y = np.unwrap(2 * np.arctan2(frames[:, 2 + np.arange(2), np.arange(2)],
                                  frames[:, np.arange(2), np.arange(2)]), axis=0) / 2
     exact = sum(_h(y[-1, j]) - _h(y[0, j]) for j in range(2))
@@ -402,6 +404,122 @@ def test_fundamental_image_path_stays_in_the_unit_interval():
             lp.fundamental_image_path(flow, h, a, b)
     assert lp.fundamental_image_path(flow, h, 0.25, 0.75).frames([0.5]).shape == (1, 2, 1)
 
+
+def test_restrict_stays_in_the_path_interval():
+    # restricting a fundamental path to [0, 2] would clip its flow at t = 1:
+    # the index would read 1, where the line turns through 2 crossings
+    flow = sl.FundamentalFlow(sl.constant_path(np.pi * np.eye(2)))
+    F = lp.fundamental_image_path(flow, H1)
+    c = lp.constant_lagrangian_path(sl.rotate_frame(H1, 0.3))
+    for a, b in ((0.0, 2.0), (-1.0, 0.5), (0.6, 0.4), (0.5, 0.5)):
+        with pytest.raises(DimensionMismatch) as info:
+            F.restrict(a, b)
+        assert info.value.payload == {"interval": [a, b]}
+    assert lp.rs_index(F.restrict(0.0, 0.5), c.restrict(0.0, 0.5)) == 1
+
+
+def _same(got, want):
+    """Equal, or at most 1e-15 apart where a stacked product rounds
+    differently from the product of one member."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) or np.max(np.abs(got - want)) <= 1e-15
+
+
+def _pointwise_rotation(n, angle):
+    return np.cos(angle) * np.eye(2 * n) + np.sin(angle) * sl.J_std(n)
+
+
+def _pointwise_phi_mu(n, mu, t):
+    v = np.array([np.exp(1j * np.pi * mu * t)] + [1.0 + 0j] * (n - 1))
+    a, b = np.diag(v.real), np.diag(v.imag)
+    return np.block([[a, -b], [b, a]])
+
+
+def _pointwise_embed(A, n1, n2, which):
+    n = n1 + n2
+    ix = (list(range(n1)) + list(range(n, n + n1)) if which == 0
+          else list(range(n1, n)) + list(range(n + n1, 2 * n)))
+    out = np.zeros((2 * n, 2 * n))
+    for i, p in enumerate(ix):
+        for j, q in enumerate(ix):
+            out[p, q] = A[i, j]
+    return out
+
+
+def _pointwise_direct_sum(F, G):
+    n1, n2 = F.shape[1], G.shape[1]
+    n = n1 + n2
+    M = np.zeros((2 * n, n))
+    M[:n1, :n1], M[n:n + n1, :n1] = F[:n1], F[n1:]
+    M[n1:n, n1:], M[n + n1:, n1:] = G[:n2], G[n2:]
+    return sl.validate_lagrangian(M).frame
+
+
+def _pointwise_diagonal(P):
+    n0 = P.shape[0]
+    n = 2 * n0
+    M = np.zeros((2 * n, n))
+    for j in range(n0):
+        z = np.zeros(n0, dtype=complex)
+        z[j] = 1.0
+        for k, w in ((2 * j, z), (2 * j + 1, 1j * z)):
+            col = np.concatenate([np.conj(w), P @ w])
+            M[:n, k], M[n:, k] = col.real, col.imag
+    return sl.validate_lagrangian(M).frame
+
+
+def test_stacked_composites_match_pointwise_formulas():
+    # every composite's stack against the formula evaluated one parameter
+    # at a time
+    rng = make_rng(22)
+    ss = np.linspace(0.0, 2.0, 9)          # 1.0, the junction, is a sample
+    half = ss[ss <= 1.0]
+    for n in range(1, 5):
+        p1 = random_path(rng, n)
+        p2 = lp.LagrangianPath(n, 1.0, 2.0, lambda x, p1=p1: p1.stack(2.0 - x))
+        for part in (ss, half[:1], ss[ss > 1.0]):   # both sides, then one
+            _same(lp.concatenate(p1, p2).frames(part),
+                  np.stack([(p1(x) if x <= 1.0 else p2(x)).frame for x in part]))
+
+        q = random_path(rng, 1)
+        _same(lp.direct_sum_path(p1, q).frames(half),
+              np.stack([_pointwise_direct_sum(p1(x).frame, q(x).frame)
+                        for x in half]))
+
+        Psi = random_symplectic(rng, n)
+        _same(lp.transform_path(Psi, p1).frames(half),
+              np.stack([np.linalg.qr(Psi @ p1(x).frame)[0] for x in half]))
+
+        for fix, beta in ((True, lambda x: np.sin(np.pi * x)),
+                          (False, lambda x: 1.0 + 0.3 * np.sin(2.0 * x))):
+            _same(lp.perturb_path(p1, 0.05, fix_endpoints=fix).frames(half),
+                  np.stack([np.linalg.qr(_pointwise_rotation(n, 0.05 * beta(x))
+                                         @ p1(x).frame)[0] for x in half]))
+
+        U = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        w = rng.integers(-2, 3, n)
+        psi = lambda x, U=U, w=w: np.diag(np.exp(2j * np.pi * w * x)) @ U
+        _same(lp.diagonal_loop(psi).frames(half),
+              np.stack([_pointwise_diagonal(psi(x)) for x in half]))
+
+        sig, tau = random_sigma_poly(rng, n), random_sigma_poly(rng, 1)
+        shift = np.zeros((2 * n, 2 * n))
+        shift[0, 0] = shift[n, n] = -np.pi * 2
+        ref = np.stack([_pointwise_phi_mu(n, -2, t) @ sig(t) @ _pointwise_phi_mu(n, 2, t)
+                        + shift for t in half])
+        _same(sl.mu_action(2, sig).samples(half),
+              (ref + np.swapaxes(ref, 1, 2)) * 0.5)
+        _same(sl.direct_sum_paths(sig, tau).samples(half),
+              np.stack([_pointwise_embed(sig(t), n, 1, 0)
+                        + _pointwise_embed(tau(t), n, 1, 1) for t in half]))
+
+        angles = rng.uniform(-4.0, 4.0, 5)
+        _same(sl.rotation(n, angles),
+              np.stack([_pointwise_rotation(n, x) for x in angles]))
+        _same(sl.phi_mu(n, 3, half),
+              np.stack([_pointwise_phi_mu(n, 3, t) for t in half]))
+
 def test_rs_index_matches_crossing_forms_on_line_models():
     rng = make_rng(20)
     done = {k: 0 for k in ("rotation", "graph", "sampled", "fundamental")}
@@ -480,8 +598,8 @@ def test_non_finite_frames_are_refused():
 def test_rs_index_of_discontinuous_path_is_refused():
     # the line jumps from the horizontal to the vertical at s = 1/2, so the
     # Souriau map jumps by pi at every resolution
-    jump = lp.LagrangianPath(n=1, a=0.0, b=1.0,
-                             evaluator=lambda s: H1 if s < 0.5 else sl.vertical(1))
+    jump = pointwise_path(1, 0.0, 1.0,
+                          lambda s: H1 if s < 0.5 else sl.vertical(1))
     ref = lp.constant_lagrangian_path(sl.rotate_frame(H1, 0.7), 0.0, 1.0)
     with pytest.raises(GridTooCoarse):
         lp.rs_index(jump, ref, grid=96)
@@ -510,9 +628,8 @@ def test_maslov_not_a_loop():
 def test_winding_of_discontinuous_frame_is_refused():
     # the loop jumps to the vertical on [1/3, 2/3), so its Souriau map jumps
     # by pi at every resolution
-    jump = lp.LagrangianPath(
-        n=1, a=0.0, b=1.0,
-        evaluator=lambda s: sl.vertical(1) if 1 / 3 <= s < 2 / 3 else H1)
+    jump = pointwise_path(
+        1, 0.0, 1.0, lambda s: sl.vertical(1) if 1 / 3 <= s < 2 / 3 else H1)
     with pytest.raises(GridTooCoarse):
         lp.maslov_loop(jump, sl.rotate_frame(H1, 0.7))
 
@@ -538,9 +655,9 @@ def _random_viterbo_data(rng, n):
     Mp = lambda t: sl.rotation(n, -0.5 * np.sin(1.1 * t))
     start, end = F0.start, F0.end
     Fm = lp.LagrangianPath(n=n, a=0.0, b=1.0,
-                           evaluator=lambda t: sl.apply_matrix(Mm(t), start))
+                           stack=lambda ts: sl.apply_matrix(Mm(ts), start).frame)
     Fp = lp.LagrangianPath(n=n, a=0.0, b=1.0,
-                           evaluator=lambda t: sl.apply_matrix(Mp(t), end))
+                           stack=lambda ts: sl.apply_matrix(Mp(ts), end).frame)
     return F0, F1, Fm, Fp
 
 
@@ -577,8 +694,8 @@ def test_viterbo_halfintegrality_and_concatenation():
         F0b = _shifted_random_path(rng, n, F0a.end)
         F1b = _shifted_random_path(rng, n, F1a.end)
         Fpb = lp.LagrangianPath(n=n, a=0.0, b=1.0,
-                                evaluator=lambda t, e=F0b.end, n=n:
-                                sl.apply_matrix(sl.rotation(n, 0.4 * t), e))
+                                stack=lambda ts, e=F0b.end, n=n:
+                                sl.apply_matrix(sl.rotation(n, 0.4 * ts), e).frame)
         mub = lp.viterbo_index(F0b, F1b, Fpa, Fpb, grid=96)
         glued0 = lp.concatenate(F0a, _reparam(F0b, 1.0, 3.0))
         glued1 = lp.concatenate(F1a, _reparam(F1b, 1.0, 3.0))
@@ -593,12 +710,12 @@ def _shifted_random_path(rng, n, start_frame):
     M = random_symplectic_path(rng, n, -1.0, 1.0, scale=0.9)
     return lp.LagrangianPath(
         n=n, a=-1.0, b=1.0,
-        evaluator=lambda s: sl.apply_matrix(M(s), start_frame))
+        stack=lambda ss: sl.apply_matrix(M(ss), start_frame).frame)
 
 
 def _reparam(path, a, b):
     return lp.LagrangianPath(
         n=path.n, a=a, b=b,
-        evaluator=lambda s: path.evaluator(
-            path.a + (s - a) * (path.b - path.a) / (b - a)),
+        stack=lambda ss: path.stack(
+            path.a + (ss - a) * (path.b - path.a) / (b - a)),
         kind=path.kind)

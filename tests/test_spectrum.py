@@ -9,8 +9,8 @@ from floerss.errors import (DeltaNotBelowGap, DimensionMismatch,
                             EndpointMismatch, GridTooCoarse, IntegrationFailure,
                             NonIntegerIndex, WindowTooSmall)
 
-from conftest import (make_rng, random_lagrangian, random_sigma_poly,
-                      random_symplectic_path)
+from conftest import (make_rng, pointwise_path, random_lagrangian,
+                      random_sigma_poly, random_symplectic_path)
 
 
 def test_flat_model_angle_progression():
@@ -354,9 +354,9 @@ def _random_strip_data(rng, n, sig_m, sig_p, Lm, Lp):
     M0 = random_symplectic_path(rng, n, -1.0, 1.0, scale=0.7)
     M1 = random_symplectic_path(rng, n, -1.0, 1.0, scale=0.6)
     F0 = lp.LagrangianPath(n=n, a=-1.0, b=1.0,
-                           evaluator=lambda s: sl.apply_matrix(M0(s), Lm[0]))
+                           stack=lambda ss: sl.apply_matrix(M0(ss), Lm[0]).frame)
     F1 = lp.LagrangianPath(n=n, a=-1.0, b=1.0,
-                           evaluator=lambda s: sl.apply_matrix(M1(s), Lm[1]))
+                           stack=lambda ss: sl.apply_matrix(M1(ss), Lm[1]).frame)
     return F0, F1
 
 
@@ -411,14 +411,14 @@ def _pin_end(path, target):
     # interpolate between the path and a path ending at target: rotate by the
     # symplectic transition on [0.7, 1]
     def ev(s):
-        F = path.evaluator(s)
+        F = path(s)
         if s <= 0.6:
             return F
         t = (min(s, 1.0) - 0.6) / 0.4
         M = _transition(base_end, target, t)
         return sl.apply_matrix(M, F)
 
-    return lp.LagrangianPath(n=path.n, a=path.a, b=path.b, evaluator=ev)
+    return pointwise_path(path.n, path.a, path.b, ev)
 
 
 def _transition(src, dst, t):
@@ -438,8 +438,8 @@ def _transition(src, dst, t):
 def _shift(path, a, b):
     return lp.LagrangianPath(
         n=path.n, a=a, b=b,
-        evaluator=lambda s: path.evaluator(
-            path.a + (s - a) * (path.b - path.a) / (b - a)))
+        stack=lambda ss: path.stack(
+            path.a + (ss - a) * (path.b - path.a) / (b - a)))
 
 
 # -- strip index -------------------------------------------------------------------
