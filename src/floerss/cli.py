@@ -5,6 +5,7 @@ stderr), 2 schema error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -280,7 +281,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="floerss",
         description="Lagrangian-path indices, asymptotic spectra, pearl "

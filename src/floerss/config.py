@@ -42,7 +42,8 @@ class Settings:
     # one Chebyshev interpolant of rho -> Psi_{sigma+rho}(1) L0 (ode_step
     # flows) on spectrum_grid cells of the window and one more at each end,
     # and bisects the cells whose eigenvalue count is nonzero until each
-    # bracket is at most spectrum_refine_tol wide; |rho| < zero_eigen_tol is kernel
+    # bracket is at most spectrum_refine_tol wide, up to 8 predicted
+    # halvings per stacked evaluation; |rho| < zero_eigen_tol is kernel
     spectrum_window: float = 4 * 3.141592653589793
     spectrum_grid: int = 2048
     spectrum_refine_tol: float = 1e-8

@@ -18,12 +18,16 @@ Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s))) is unitary,
 does not depend on the choice of frames, and has eigenvalue 1 with
 multiplicity dim F0(s) /\\ F1(s).  One sampler (``_souriau_samples``)
 evaluates W on one batched stack of frames (``LagrangianPath.frames``) and
-bisects the cells where it turns fast.  ``rs_index`` is minus the winding
-of det W over 2 pi plus endpoint corrections from the eigenvalue angles of
-W at a and b; it looks for no crossings.  ``find_crossings`` locates the
-samples on the intersection and the cells where an eigenvalue angle passes
-0, bisects those on the net passage count (``_bisect_passages``, which
-``spectrum.eigenvalues`` shares), and evaluates ``crossing_form`` and
+bisects the cells where it turns fast; a cell's turn is the angle of one
+determinant where a Frobenius bound certifies the cell small
+(``_cell_turns``), an eigen-decomposition elsewhere.  ``rs_index`` is minus
+the winding of det W over 2 pi plus endpoint corrections from the
+eigenvalue angles of W at a and b; it looks for no crossings.
+``find_crossings`` locates the samples on the intersection and the cells
+where an eigenvalue angle passes 0, bisects those on the net passage count
+(``_bisect_passages``, which ``spectrum.eigenvalues`` shares: it reuses the
+sampler's cell turns and evaluates predicted chains of nested midpoints in
+one stacked call per round), and evaluates ``crossing_form`` and
 ``signature_of`` at the located points.  A tangency strictly between
 two samples is not located; it adds 0 to the index.  The crossing forms
 are computed by finite differences of the paths, not from W, and serve as
@@ -329,11 +333,35 @@ def souriau(frames):
     return U @ np.swapaxes(U, -1, -2)
 
 
+# the Frobenius distance |W0^H W1 - I| up to which _cell_turns certifies a cell
+_CERTIFIED = 0.95
+
+
 def _cell_turns(W0, W1):
-    """Eigenvalue angles of W0^H W1 for stacks of unitaries: per cell their
-    sum (the turn of det W) and the largest modulus."""
-    ang = np.angle(np.linalg.eigvals(np.swapaxes(W0.conj(), -1, -2) @ W1))
-    return ang.sum(axis=-1), np.abs(ang).max(axis=-1)
+    """Per cell of stacks of unitaries W0, W1: the turn of det W (the sum
+    of the eigenvalue angles phi_j of P = W0^H W1) and a bound of max |phi_j|.
+
+    P is unitary, so f = |P - I|_F has f^2 = sum_j 4 sin^2(phi_j / 2).  When
+    f <= min(0.95, 1.9 / sqrt(n)), every |phi_j| is at most 2 arcsin(f / 2)
+    < 1, hence 2 |sin(phi_j / 2)| >= 0.95 |phi_j| and sum_j |phi_j| <=
+    sqrt(n) f / 0.95 < pi; so the turn is angle(det P) and the bound is
+    2 arcsin(f / 2).  The other cells take the angles from eigvals and
+    return the largest modulus.  Either way the bound exceeds 1 exactly when
+    the largest angle does.
+    """
+    P = np.swapaxes(W0.conj(), -1, -2) @ W1
+    n = P.shape[-1]
+    D = P - np.eye(n)
+    f = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(-2, -1)))
+    ok = f <= min(_CERTIFIED, 1.9 / np.sqrt(n))
+    turn, worst = np.empty(f.shape), np.empty(f.shape)
+    turn[ok] = np.angle(np.linalg.det(P[ok]))
+    # rounded up by 1e-12 relative: at n = 1 the bound is the angle itself
+    worst[ok] = 2.0 * np.arcsin(0.5 * f[ok]) * (1.0 + 1e-12)
+    if not ok.all():
+        ang = np.angle(np.linalg.eigvals(P[~ok]))
+        turn[~ok], worst[~ok] = ang.sum(axis=-1), np.abs(ang).max(axis=-1)
+    return turn, worst
 
 
 def _angles(W):
@@ -405,38 +433,96 @@ def _passages(turn, h0, h1):
     return np.rint(turn / (2 * np.pi) + h1 - h0)
 
 
-def _bisect_passages(W_at, s, W, cells, width):
+# nested midpoints evaluated per bracket and round by _bisect_passages
+_CHAIN = 8
+
+
+def _nearest_zero(phi):
+    """The angle nearest 0 in each row of a stack of eigenvalue angles."""
+    return phi[np.arange(len(phi)), np.argmin(np.abs(phi), axis=-1)]
+
+
+def _bisect_passages(W_at, s, W, phi, turn, cells, width):
     """Bisect the cells [s[k], s[k + 1]], k in ``cells``, of the samples s
-    of the stacked evaluator W_at (W = W_at(s)) on their net passage counts
-    (``_passages``) until no bracket is wider than ``width``.  Each round
-    evaluates all midpoints in one stacked call and keeps every half whose
-    count is nonzero; a bracket whose midpoint is one of its ends cannot be
-    halved (GridTooCoarse).  Returns the final brackets and their counts.
+    of the stacked evaluator W_at (W = W_at(s), phi its eigenvalue angles,
+    turn the ``_cell_turns`` turn of each cell) on their net passage counts
+    (``_passages``) until no bracket is wider than ``width``, keeping every
+    half whose count is nonzero.  Returns the final brackets and their
+    counts.
+
+    Each round predicts where each wide bracket's passage lies, at the
+    secant zero of the eigenvalue angle nearest 0 at its two ends, and
+    evaluates up to ``_CHAIN`` nested midpoints towards that point in one
+    stacked call.  The halvings are then replayed one level at a time: a
+    nonzero half off the predicted side waits for the next round, and a
+    predicted half whose count is 0 ends the chain.  A wrong prediction
+    only costs rounds; the brackets are those of halving every bracket once
+    per round.  A bracket whose midpoint is one of its ends cannot be
+    halved (GridTooCoarse).
     """
     # brackets are index pairs into the samples; midpoints are appended
-    h = _h(_angles(W))
-    count = _passages(_cell_turns(W[cells], W[cells + 1])[0], h[cells],
-                      h[cells + 1])
+    h, near = _h(phi), _nearest_zero(phi)
+    count = _passages(turn[cells], h[cells], h[cells + 1])
     lo, count = cells[count != 0], count[count != 0]
     hi = lo + 1
     while True:
         wide = s[hi] - s[lo] > width
         if not wide.any():
             return s[lo], s[hi], count
-        l, r = lo[wide], hi[wide]
-        m = len(s) + np.arange(len(l))
-        s = np.concatenate([s, 0.5 * (s[l] + s[r])])
-        if np.any((s[m] == s[l]) | (s[m] == s[r])):
-            raise GridTooCoarse(f"a bracket cannot be halved down to width "
-                                f"{width}", tol=float(width))
-        W = np.concatenate([W, W_at(s[m])])
-        h = np.concatenate([h, _h(_angles(W[m]))])
-        left = _passages(_cell_turns(W[l], W[m])[0], h[l], h[m])
-        right = _passages(_cell_turns(W[m], W[r])[0], h[m], h[r])
-        lo = np.concatenate([lo[~wide], l[left != 0], m[right != 0]])
-        hi = np.concatenate([hi[~wide], m[left != 0], r[right != 0]])
-        count = np.concatenate([count[~wide], left[left != 0],
-                                right[right != 0]])
+        done = [(lo[~wide], hi[~wide], count[~wide])]
+        lo, hi, count = lo[wide], hi[wide], count[wide]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = near[lo] / (near[lo] - near[hi])
+        aim = s[lo] + np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.5) * (
+            s[hi] - s[lo])
+        # the chain: per level the brackets it halves (alive), their ends
+        # and midpoints as sample indices, and whether the aim is left of it
+        levels, alive, mids, nxt = [], np.ones(len(lo), bool), [], len(s)
+        L, R = s[lo], s[hi]
+        for _ in range(_CHAIN):
+            m = 0.5 * (L + R)
+            halves = (m != L) & (m != R)
+            if not levels and not halves.all():
+                raise GridTooCoarse(f"a bracket cannot be halved down to width "
+                                    f"{width}", tol=float(width))
+            alive = alive & halves & (R - L > width)
+            if not alive.any():
+                break
+            mi = np.full(len(alive), -1)
+            mi[alive] = nxt + np.arange(np.count_nonzero(alive))
+            nxt += np.count_nonzero(alive)
+            left = aim < m
+            levels.append((alive, lo, mi, hi, left))
+            mids.append(m[alive])
+            to_l, to_r = alive & left, alive & ~left
+            L, lo = np.where(to_r, m, L), np.where(to_r, mi, lo)
+            R, hi = np.where(to_l, m, R), np.where(to_l, mi, hi)
+        new = np.concatenate(mids)
+        s = np.concatenate([s, new])
+        W = np.concatenate([W, W_at(new)])
+        phi = _angles(W[-len(new):])
+        h = np.concatenate([h, _h(phi)])
+        near = np.concatenate([near, _nearest_zero(phi)])
+        a = np.concatenate([x for v, l, mi, r, _ in levels for x in (l[v], mi[v])])
+        b = np.concatenate([x for v, l, mi, r, _ in levels for x in (mi[v], r[v])])
+        counts = _passages(_cell_turns(W[a], W[b])[0], h[a], h[b])
+        # replay: one halving per level of the brackets the chain still follows
+        on, at = np.ones(len(alive), bool), 0
+        for alive, l, mi, r, left in levels:
+            k = np.count_nonzero(alive)
+            cl, cr = np.zeros(len(alive)), np.zeros(len(alive))
+            cl[alive], cr[alive] = counts[at:at + k], counts[at + k:at + 2 * k]
+            at += 2 * k
+            stop = on & ~alive          # at most width wide, or not halvable
+            done.append((l[stop], r[stop], count[stop]))
+            on &= alive
+            off = on & (np.where(left, cr, cl) != 0)
+            done.append((np.where(left, mi, l)[off], np.where(left, r, mi)[off],
+                         np.where(left, cr, cl)[off]))
+            count = np.where(left, cl, cr)
+            on &= count != 0
+        done.append((lo[on], hi[on], count[on]))
+        lo, hi, count = (np.concatenate(x) for x in zip(*done))
 
 
 def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
@@ -451,7 +537,7 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     inside one cell (a tangency strictly between samples) are not located;
     they add 0 to the index.
     """
-    s, W, _, W_at = _souriau_samples(F0, F1, grid, settings)
+    s, W, turn, W_at = _souriau_samples(F0, F1, grid, settings)
     cut = 2.0 * (settings.crossing_accept_angle if tol is None else tol)
     phi = _angles(W)
     on = np.min(np.abs(phi), axis=-1) < cut
@@ -460,7 +546,7 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     located = [(float(s[r[0]]), len(r) > 1) for r in runs]
 
     los, his, _ = _bisect_passages(
-        W_at, s, W, np.flatnonzero(~on[:-1] & ~on[1:]),
+        W_at, s, W, phi, turn, np.flatnonzero(~on[:-1] & ~on[1:]),
         settings.crossing_refine_tol * max(F0.b - F0.a, 1.0))
     located += [(float(x), False) for x in 0.5 * (los + his)]
 

@@ -739,3 +739,17 @@ def test_zero_flags_reach_the_library(tmp_path, capsys, cmd, doc, flag, error):
     p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
     got, out, err = run_cli([cmd, str(p), "--json", flag, "0"], capsys)
     assert (got, out, json.loads(err)["error"]) == (1, "", error)
+
+
+def test_successive_calls_see_only_their_own_flags(tmp_path, capsys):
+    # the parser is built once per process; a flag of one call must not
+    # reach the next
+    cmd, doc = INDEX_DOCS["graph"]
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
+    got, out, err = run_cli([cmd, str(p), "--grid", "0"], capsys)
+    assert (got, out, json.loads(err)["error"]) == (1, "", "GridTooCoarse")
+    assert run_cli([cmd, str(p)], capsys) == (0, INDEX_STDOUT["graph"][0], "")
+    assert run_cli([cmd, str(p), "--json"], capsys) == (
+        0, INDEX_STDOUT["graph"][1], "")
+    assert run_cli([cmd, str(p)], capsys) == (0, INDEX_STDOUT["graph"][0], "")

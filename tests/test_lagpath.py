@@ -719,3 +719,151 @@ def _reparam(path, a, b):
         stack=lambda ss: path.stack(
             path.a + (ss - a) * (path.b - path.a) / (b - a)),
         kind=path.kind)
+
+
+# -- the Souriau locator ----------------------------------------------------------
+
+
+def _random_unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def test_cell_turn_certificate():
+    rng = make_rng(130)
+    for n in range(1, 9):
+        cut = min(lp._CERTIFIED, 1.9 / np.sqrt(n))
+        W0, W1 = [], []
+        for scale in np.geomspace(1e-6, 3.0, 60):
+            V = _random_unitary(rng, n)
+            phi = rng.uniform(-scale, scale, n)
+            P = V @ np.diag(np.exp(1j * phi)) @ V.conj().T
+            W = _random_unitary(rng, n)
+            W0.append(W)
+            W1.append(W @ P)
+        W0, W1 = np.array(W0), np.array(W1)
+        P = np.swapaxes(W0.conj(), -1, -2) @ W1
+        f = np.linalg.norm(P - np.eye(n), axis=(-2, -1))
+        assert (f <= cut).any() and (f > cut).any(), n
+        exact = np.angle(np.linalg.eigvals(P))
+        worst_exact = np.abs(exact).max(axis=-1)
+        assert (worst_exact > 1).any(), n
+        turn, worst = lp._cell_turns(W0, W1)
+        ok = f <= cut
+        assert np.abs(turn[ok] - exact[ok].sum(axis=-1)).max() < 1e-12, n
+        # the other cells take the sum of the same eigen-angles
+        assert np.abs(turn[~ok] - exact[~ok].sum(axis=-1)).max() < 1e-12, n
+        assert np.all(worst >= worst_exact), n
+        assert np.array_equal(worst > 1, worst_exact > 1), n
+
+
+def _one_halving_per_round(W_at, s, W, cells, width):
+    """The locator's bisection with one halving of every wide bracket per
+    round, on eigvals turns: the reference of the predicted chains."""
+    def turns(W0, W1):
+        P = np.swapaxes(W0.conj(), -1, -2) @ W1
+        return np.angle(np.linalg.eigvals(P)).sum(axis=-1)
+
+    h = lp._h(lp._angles(W))
+    count = lp._passages(turns(W[cells], W[cells + 1]), h[cells], h[cells + 1])
+    lo, count = cells[count != 0], count[count != 0]
+    hi = lo + 1
+    while True:
+        wide = s[hi] - s[lo] > width
+        if not wide.any():
+            return s[lo], s[hi], count
+        l, r = lo[wide], hi[wide]
+        m = len(s) + np.arange(len(l))
+        s = np.concatenate([s, 0.5 * (s[l] + s[r])])
+        assert not np.any((s[m] == s[l]) | (s[m] == s[r]))
+        W = np.concatenate([W, W_at(s[m])])
+        h = np.concatenate([h, lp._h(lp._angles(W[m]))])
+        left = lp._passages(turns(W[l], W[m]), h[l], h[m])
+        right = lp._passages(turns(W[m], W[r]), h[m], h[r])
+        lo = np.concatenate([lo[~wide], l[left != 0], m[right != 0]])
+        hi = np.concatenate([hi[~wide], m[left != 0], r[right != 0]])
+        count = np.concatenate([count[~wide], left[left != 0],
+                                right[right != 0]])
+
+
+def _spectral_samples(A, window, grid):
+    """The samples spectrum.eigenvalues bisects: the Souriau map of the
+    frame interpolant against L1 on grid + 2 cells."""
+    from floerss import spectrum as sp
+    reach = window * (1.0 + 2.0 / grid)
+    image = lp.LagrangianPath(A.n, -reach, reach,
+                              sp._frame_interpolant(A, reach, DEFAULTS), "spectral")
+    ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
+    return lp._souriau_samples(image, ref, grid + 2, DEFAULTS)
+
+
+def _counting(W_at, calls):
+    def counted(ss):
+        calls.append(len(ss))
+        return W_at(ss)
+    return counted
+
+
+def _sorted_brackets(los, his, counts):
+    order = np.argsort(los)
+    return los[order], his[order], counts[order]
+
+
+def test_bisect_passages_matches_one_halving_per_round():
+    from floerss import spectrum as sp
+    rng = make_rng(131)
+    line = sl.horizontal(1)
+    cases = []
+    for n in range(1, 5):
+        A = sp.AsymptoticOperator(n=n, sigma=random_sigma_poly(rng, n, degree=2),
+                                  boundary=(random_lagrangian(rng, n),
+                                            random_lagrangian(rng, n)))
+        cases.append((_spectral_samples(A, 2 * np.pi, 96), 1e-8))
+    # a multiplicity-2 eigenvalue of a constant operator, and a close pair
+    A = sp.AsymptoticOperator(n=2, sigma=sl.constant_path(0.4 * np.eye(4)),
+                              boundary=(sl.horizontal(2), sl.horizontal(2)))
+    cases.append((_spectral_samples(A, 4.0, 64), 1e-8))
+    L1 = sl.direct_sum_frames(sl.rotate_frame(line, 0.4),
+                              sl.rotate_frame(line, 0.401))
+    A = sp.AsymptoticOperator(n=2, sigma=sl.zero_path(2),
+                              boundary=(sl.horizontal(2), L1))
+    cases.append((_spectral_samples(A, 2 * np.pi, 384), 1e-8))
+    # eigenvalues 0 and +-pi, on or next to samples of the grid
+    cases.append((_spectral_samples(sp.flat_model(0.0), 2 * np.pi, 384), 1e-8))
+    # crossings of random pairs, as find_crossings bisects them
+    for n in range(1, 5):
+        F0 = random_path(rng, n, scale=2.0)
+        F1 = lp.constant_lagrangian_path(random_lagrangian(rng, n))
+        cases.append((lp._souriau_samples(F0, F1, 32, DEFAULTS),
+                      DEFAULTS.crossing_refine_tol))
+    found = 0
+    for (s, W, turn, W_at), width in cases:
+        cells = np.arange(len(s) - 1)
+        want = _sorted_brackets(*_one_halving_per_round(W_at, s, W, cells, width))
+        got = _sorted_brackets(*lp._bisect_passages(
+            W_at, s, W, lp._angles(W), turn, cells, width))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        found += len(want[0])
+    assert found > 40
+
+
+def test_one_eigenvalue_is_refined_in_few_rounds():
+    # from a grid cell 0.03 wide to 1e-8 is 22 halvings; the chains take
+    # them in at most 4 stacked evaluations
+    from floerss import spectrum as sp
+    rng = make_rng(132)
+    A = sp.AsymptoticOperator(n=1, sigma=random_sigma_poly(rng, 1, degree=2),
+                              boundary=(sl.horizontal(1),
+                                        random_lagrangian(rng, 1)))
+    s, W, turn, W_at = _spectral_samples(A, 2 * np.pi, 384)
+    cells = np.arange(len(s) - 1)
+    count = lp._passages(turn, lp._h(lp._angles(W))[:-1], lp._h(lp._angles(W))[1:])
+    for k in np.flatnonzero(count):
+        calls = []
+        los, his, counts = lp._bisect_passages(
+            _counting(W_at, calls), s, W, lp._angles(W), turn, cells[k:k + 1], 1e-8)
+        assert len(los) == 1 and abs(counts[0]) == 1
+        assert his[0] - los[0] <= 1e-8
+        assert 1 <= len(calls) <= 4, calls
