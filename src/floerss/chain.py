@@ -178,8 +178,7 @@ class ComponentDatum:
     morse: MorseData = None
 
     @staticmethod
-    def build(name, dim, action, mu2, betti, morse=None, ctx=None,
-              check_betti=True):
+    def build(name, dim, action, mu2, betti, morse=None, ctx=None):
         betti = tuple(int(b) for b in betti)
         if len(betti) != dim + 1:
             raise DimensionMismatch(
@@ -190,7 +189,7 @@ class ComponentDatum:
                 action=action, bound=ctx.tau * ctx.N)
         c = ComponentDatum(name=str(name), dim=int(dim), action=float(action),
                            mu2=int(mu2), betti=betti, morse=morse)
-        if morse is not None and check_betti:
+        if morse is not None:
             rep = homology(morse_complex(morse, Z2))["by_degree"]
             got = tuple(rep.get(2 * k, {"betti": 0})["betti"]
                         for k in range(dim + 1))
@@ -213,6 +212,10 @@ def _mu_cap2(comp):
     return -(comp.mu2 + comp.dim)
 
 
+# the slack of PearlData's action and area checks
+_ACTION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PearlData:
     context: MonotoneContext
@@ -220,25 +223,25 @@ class PearlData:
     cascades: tuple   # (from_point, to_point, sign, total_maslov, total_area)
 
     @staticmethod
-    def build(context, components, cascades, tol=1e-9, normalize=True):
+    def build(context, components, cascades, normalize=True):
         comps = list(components)
         if not comps:
             raise DimensionMismatch("need at least one component")
         base = comps[0]
-        if normalize and (abs(base.action) > tol or base.mu2 != 0):
+        if normalize and (abs(base.action) > _ACTION_TOL or base.mu2 != 0):
             # shift the gauge so that component 1 carries (action, mu) = (0, 0)
             comps = [ComponentDatum(name=c.name, dim=c.dim,
                                     action=c.action - base.action,
                                     mu2=c.mu2 - base.mu2, betti=c.betti,
                                     morse=c.morse) for c in comps]
         for c in comps:
-            if not (-tol <= c.action < context.tau * context.N + tol):
+            if not (-_ACTION_TOL <= c.action < context.tau * context.N + _ACTION_TOL):
                 raise ActionOutOfRange(
                     f"component {c.name}: action {c.action} outside [0, tau N)",
                     action=c.action)
         data = PearlData(context=context, components=tuple(comps),
                          cascades=tuple(cascades))
-        data._validate(tol)
+        data._validate()
         return data
 
     def _point_home(self):
@@ -249,7 +252,7 @@ class PearlData:
                 home[name] = (c, mi)
         return home
 
-    def _validate(self, tol):
+    def _validate(self):
         N, tau = self.context.N, self.context.tau
         home = self._point_home()
         for (src, dst, sign, maslov, area) in self.cascades:
@@ -282,11 +285,12 @@ class PearlData:
                     f"cascade {src}->{dst}: total_maslov {maslov} != "
                     f"{expected_maslov2 / 2} from the grading bookkeeping")
             expected_area = tau * ell * N + cp.action - cq.action
-            if abs(float(area) - expected_area) > tol * max(1.0, abs(expected_area)):
+            if abs(float(area) - expected_area) > _ACTION_TOL * max(
+                    1.0, abs(expected_area)):
                 raise MonotonicityViolation(
                     f"cascade {src}->{dst}: area {area} != tau l N - a(p) + a(q) "
                     f"= {expected_area}")
-            if float(area) <= tol * tau:
+            if float(area) <= _ACTION_TOL * tau:
                 raise MonotonicityViolation(
                     f"cascade {src}->{dst}: holomorphic cascade needs positive "
                     f"area, got {area}")

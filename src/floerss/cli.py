@@ -201,10 +201,11 @@ def cmd_intersection(doc, args):
         return {"kind": "verdict", "verdict": v.kind,
                 "forced_isos": list(v.forced_isos),
                 "witness": [list(w) for w in v.witness]}
-    period = args.quantum_period or datum.get("period")
-    if period:
+    period = (args.quantum_period if args.quantum_period is not None
+              else datum.get("period"))
+    if period is not None:
         res = ob.quantum_case_analysis(comps, datum["N"], period,
-                                       max_rank=args.max_rank or 8)
+                                       max_rank=args.max_rank)
         return {"kind": "quantum_cases",
                 "profiles": [{"dim": d, "betti": list(b)}
                              for d, b in res.profiles]}
@@ -232,11 +233,12 @@ def cmd_pozniak(doc, args):
 
 def cmd_quantum_cases(doc, args):
     datum = schemas.parse_intersection(doc)
-    period = args.quantum_period or datum.get("period")
-    if not period:
+    period = (args.quantum_period if args.quantum_period is not None
+              else datum.get("period"))
+    if period is None:
         raise SchemaError("quantum-cases needs a period (flag or file)")
     res = ob.quantum_case_analysis(datum["components"], datum["N"], period,
-                                   max_rank=args.max_rank or 8)
+                                   max_rank=args.max_rank)
     return {"kind": "quantum_cases",
             "profiles": [{"dim": d, "betti": list(b)} for d, b in res.profiles]}
 

@@ -39,7 +39,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import (DegenerateCrossing, DimensionMismatch, EndpointMismatch,
                      GraphDecompositionFailed, GridTooCoarse, IntegrationFailure,
                      NonIntegerIndex, NonIsolatedCrossings, NotALoop, NotFullRank)
@@ -247,7 +246,7 @@ class Crossing:
     plateau: bool = False
 
 
-def graph_coordinates(F, s, ref_frame, cond_limit=1e8):
+def graph_coordinates(F, s, ref_frame):
     """Write F(sigma) near s as a graph over span(Q) = span(ref_frame).
 
     Returns the symmetric matrix M(sigma) with
@@ -262,7 +261,7 @@ def graph_coordinates(F, s, ref_frame, cond_limit=1e8):
         A = Q.T @ W
         B = JQ.T @ W
         c = np.linalg.cond(A)
-        if not np.isfinite(c) or c > cond_limit:
+        if not np.isfinite(c) or c > 1e8:
             raise GraphDecompositionFailed(
                 "frame not transverse to J times reference; reduce h",
                 condition_number=float(c))
@@ -281,14 +280,17 @@ def _derivative_matrix(M_at, s, h, lo, hi):
     return (3.0 * M_at(s) - 4.0 * M_at(s - h) + M_at(s - 2 * h)) / (2.0 * h)
 
 
-def crossing_form(F0, F1, s, h=None, settings=DEFAULTS, basis=None):
+# finite-difference step of crossing_form, relative to the interval
+_FD_STEP_REL = 1e-5
+
+
+def crossing_form(F0, F1, s, basis=None):
     """Crossing form of the pair (F0, F1) at s on the intersection basis.
 
     Returns (form, basis).  The form combines the moving-F0 and moving-F1
     contributions with the relative minus sign of the pair formula.
     """
-    length = F0.b - F0.a
-    h = settings.fd_step_rel * length if h is None else h
+    h = _FD_STEP_REL * (F0.b - F0.a)
     A0, A1 = F0(s), F1(s)
     if basis is None:
         basis = sl.intersection_basis(A0, A1)
@@ -308,7 +310,12 @@ def crossing_form(F0, F1, s, h=None, settings=DEFAULTS, basis=None):
     return 0.5 * (out + out.T), basis
 
 
-def signature_of(form, settings=DEFAULTS):
+# relative eigenvalue cutoff of a crossing form, and its absolute floor at
+# the finite-difference noise
+_DEGENERACY_TOL, _DEGENERACY_ABS = 1e-6, 1e-8
+
+
+def signature_of(form):
     """(signature, regular) of a symmetric matrix under the degeneracy tolerance.
 
     The cutoff combines the relative tolerance with an absolute floor at the
@@ -317,7 +324,7 @@ def signature_of(form, settings=DEFAULTS):
     """
     w = np.linalg.eigvalsh(form)
     scale = max(float(np.max(np.abs(w))), 1e-30)
-    cut = max(settings.degeneracy_tol * scale, settings.degeneracy_abs)
+    cut = max(_DEGENERACY_TOL * scale, _DEGENERACY_ABS)
     pos = int(np.sum(w > cut))
     neg = int(np.sum(w < -cut))
     regular = pos + neg == len(w)
@@ -376,10 +383,11 @@ def _h(phi, cut=0.0):
                            0.5 - np.mod(phi, 2 * np.pi) / (2 * np.pi)), axis=-1)
 
 
-_MAX_SAMPLES = 2 ** 14
+# cells of the first sample grid by default, and most samples of a pair
+_CROSSING_GRID, _MAX_SAMPLES = 256, 2 ** 14
 
 
-def _souriau_samples(F0, F1, grid, settings):
+def _souriau_samples(F0, F1, grid):
     """W(s) = S(F1(s)) conj(S(F0(s))) of the pair on samples close enough to
     follow its eigenvalues.
 
@@ -393,7 +401,7 @@ def _souriau_samples(F0, F1, grid, settings):
     """
     if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
         raise DimensionMismatch("paths must share interval and half-dimension")
-    grid = settings.crossing_grid if grid is None else int(grid)
+    grid = _CROSSING_GRID if grid is None else int(grid)
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     a, b = F0.a, F0.b
@@ -525,20 +533,24 @@ def _bisect_passages(W_at, s, W, phi, turn, cells, width):
         lo, hi, count = (np.concatenate(x) for x in zip(*done))
 
 
-def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
+# the intersection angle (rs_index's too) and bracket width of find_crossings
+_CROSSING_ACCEPT_ANGLE, _CROSSING_REFINE_TOL = 1e-7, 1e-11
+
+
+def find_crossings(F0, F1, grid=None):
     """Locate the crossings of the pair on [a, b] and evaluate their forms.
 
     The samples are those of ``rs_index``.  A sample at which an eigenvalue
-    angle of W is below 2 tol (``crossing_accept_angle`` by default) lies on
-    F0 /\\ F1; a run of two or more such samples is a plateau, reported once
-    at its first sample.  The other cells are bisected on their passage
-    counts (``_bisect_passages``) to ``crossing_refine_tol`` max(b - a, 1),
+    angle of W is below 2 ``_CROSSING_ACCEPT_ANGLE`` lies on F0 /\\ F1; a
+    run of two or more such samples is a plateau, reported once at its
+    first sample.  The other cells are bisected on their passage counts
+    (``_bisect_passages``) to ``_CROSSING_REFINE_TOL`` max(b - a, 1),
     and a crossing is the midpoint of a last bracket.  Passages that cancel
     inside one cell (a tangency strictly between samples) are not located;
     they add 0 to the index.
     """
-    s, W, turn, W_at = _souriau_samples(F0, F1, grid, settings)
-    cut = 2.0 * (settings.crossing_accept_angle if tol is None else tol)
+    s, W, turn, W_at = _souriau_samples(F0, F1, grid)
+    cut = 2.0 * _CROSSING_ACCEPT_ANGLE
     phi = _angles(W)
     on = np.min(np.abs(phi), axis=-1) < cut
     idx = np.flatnonzero(on)
@@ -547,7 +559,7 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
 
     los, his, _ = _bisect_passages(
         W_at, s, W, phi, turn, np.flatnonzero(~on[:-1] & ~on[1:]),
-        settings.crossing_refine_tol * max(F0.b - F0.a, 1.0))
+        _CROSSING_REFINE_TOL * max(F0.b - F0.a, 1.0))
     located += [(float(x), False) for x in 0.5 * (los + his)]
 
     crossings = []
@@ -555,8 +567,8 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
         basis = sl.intersection_basis(F0(s_star), F1(s_star))
         if basis.shape[1] == 0:
             continue
-        form, basis = crossing_form(F0, F1, s_star, settings=settings, basis=basis)
-        sig, regular = signature_of(form, settings)
+        form, basis = crossing_form(F0, F1, s_star, basis=basis)
+        sig, regular = signature_of(form)
         crossings.append(Crossing(s=s_star, intersection_basis=basis,
                                   form=form, signature=sig,
                                   regular=regular and not plateau,
@@ -564,7 +576,7 @@ def find_crossings(F0, F1, grid=None, tol=None, settings=DEFAULTS):
     return crossings
 
 
-def rs_index(F0, F1, grid=None, settings=DEFAULTS):
+def rs_index(F0, F1, grid=None):
     """Robbin-Salamon index of the pair, as an exact Fraction.
 
     With W(s) = S(F1(s)) conj(S(F0(s))) (``souriau``) and phi_j the
@@ -573,7 +585,7 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
         mu_RS = -( wind(det W) / 2 pi + sum_j g(phi_j(b)) - sum_j g(phi_j(a)) ),
 
     g(phi) = 1/2 - (phi mod 2 pi) / 2 pi, and g = 0 where |phi| is below
-    2 ``crossing_accept_angle`` (the pair intersects there).  This equals
+    2 ``_CROSSING_ACCEPT_ANGLE`` (the pair intersects there).  This equals
     (1/2) sign Gamma(a) + sum of sign Gamma over interior crossings
     + (1/2) sign Gamma(b) whenever the crossings are regular, and it is
     defined for every continuous path, degenerate or non-isolated
@@ -583,8 +595,8 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
     (``_souriau_samples``); the winding is the sum of the turns of det W
     over the cells.
     """
-    _, W, turn, _ = _souriau_samples(F0, F1, grid, settings)
-    cut = 2.0 * settings.crossing_accept_angle
+    _, W, turn, _ = _souriau_samples(F0, F1, grid)
+    cut = 2.0 * _CROSSING_ACCEPT_ANGLE
     mu = -(float(np.sum(turn)) / (2 * np.pi)
            + float(_h(_angles(W[-1]), cut)) - float(_h(_angles(W[0]), cut)))
     twice = round(2 * mu)
@@ -594,25 +606,25 @@ def rs_index(F0, F1, grid=None, settings=DEFAULTS):
     return Fraction(twice, 2)
 
 
-def maslov_loop(F, ref, grid=None, settings=DEFAULTS):
+def maslov_loop(F, ref, grid=None):
     """Maslov index of a closed path, via rs_index against a constant reference."""
     if not F.start.equals(F.end, tol=1e-7):
         raise NotALoop("path endpoints span different subspaces")
-    mu = rs_index(F, constant_lagrangian_path(ref, F.a, F.b),
-                  grid=grid, settings=settings)
+    mu = rs_index(F, constant_lagrangian_path(ref, F.a, F.b), grid=grid)
     if mu.denominator != 1:
         raise NonIsolatedCrossings(f"loop index {mu} is not an integer")
     return int(mu)
 
 
-def diagonal_loop(psi, a=0.0, b=1.0):
-    """Lagrangian loop of graph type built from a unitary loop psi(s) in U(n).
+def diagonal_loop(psi):
+    """Lagrangian loop of graph type on [0, 1] built from a unitary loop psi(s)
+    in U(n).
 
     The pair (C^n x C^n, omega + (-omega)) is identified with
     (C^{2n}, omega_std) by conjugating the first factor, so the loop
     {(conj(z), psi(s) z)} realizes Maslov index = 2 deg det(psi).
     """
-    n0 = np.asarray(psi(a)).shape[0]
+    n0 = np.asarray(psi(0.0)).shape[0]
     n = 2 * n0
     eye = np.eye(n0)
 
@@ -626,10 +638,10 @@ def diagonal_loop(psi, a=0.0, b=1.0):
         return sl.validate_lagrangian(
             np.concatenate([cols.real, cols.imag], axis=1)).frame
 
-    return LagrangianPath(n, a, b, stack, "diagonal")
+    return LagrangianPath(n, 0.0, 1.0, stack, "diagonal")
 
 
-def viterbo_index(F0, F1, Fm, Fp, grid=None, settings=DEFAULTS):
+def viterbo_index(F0, F1, Fm, Fp, grid=None):
     """mu_RS(F0, F1) + mu_RS(F+, F1(1)) - mu_RS(F-, F1(-1)).
 
     F0, F1 live on [-1, 1]; Fm, Fp on [0, 1] with Fm(0) = F0(-1) and
@@ -641,6 +653,5 @@ def viterbo_index(F0, F1, Fm, Fp, grid=None, settings=DEFAULTS):
         raise EndpointMismatch("F+(0) must span F0(1)")
     c1 = constant_lagrangian_path(F1.end, Fp.a, Fp.b)
     cm = constant_lagrangian_path(F1.start, Fm.a, Fm.b)
-    return (rs_index(F0, F1, grid=grid, settings=settings)
-            + rs_index(Fp, c1, grid=grid, settings=settings)
-            - rs_index(Fm, cm, grid=grid, settings=settings))
+    return (rs_index(F0, F1, grid=grid) + rs_index(Fp, c1, grid=grid)
+            - rs_index(Fm, cm, grid=grid))

@@ -50,8 +50,8 @@ class LaurentPoly:
         return LaurentPoly.make(ring, {0: 1})
 
     @staticmethod
-    def lam(ring, e=1, c=1):
-        return LaurentPoly.make(ring, {e: c})
+    def lam(ring, e=1):
+        return LaurentPoly.make(ring, {e: 1})
 
     def is_zero(self):
         return not self.terms

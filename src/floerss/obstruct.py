@@ -47,7 +47,7 @@ class Verdict:
             raise ValueError("MustIntersect needs a nonempty witness")
 
 
-def possible_differentials(shape, max_pages=None):
+def possible_differentials(shape):
     """Pages r with a potentially nonzero differential: r in N Z and some
     degree d has dims[d] != 0 != dims[d + r - 1]."""
     sup = shape.support()
@@ -55,9 +55,8 @@ def possible_differentials(shape, max_pages=None):
         return []
     lo, hi = min(sup), max(sup)
     out = []
-    rmax = max_pages if max_pages is not None else hi - lo + 1
     r = shape.N
-    while r <= rmax:
+    while r <= hi - lo + 1:
         if any(shape.dims.get(d, 0) and shape.dims.get(d + r - 1, 0) for d in sup):
             out.append(r)
         r += shape.N
@@ -132,7 +131,7 @@ def pozniak(betti, N):
 # -- schedules of differential ranks ---------------------------------------------
 
 
-def _rank_choices(dims, delta, limit=None):
+def _rank_choices(dims, delta):
     """All rank vectors for one page: maps d -> d + delta, with the
     composition constraint r_d + r_{d+delta} <= dims[d + delta]."""
     sup = sorted(dims)
@@ -154,8 +153,6 @@ def _rank_choices(dims, delta, limit=None):
                 break
         if ok:
             out.append(r)
-        if limit is not None and len(out) > limit:
-            raise SearchSpaceExceeded("too many rank choices on one page")
     return out
 
 
@@ -168,7 +165,7 @@ def _apply_ranks(dims, ranks, delta):
     return {d: v for d, v in out.items() if v > 0}
 
 
-def _schedules(shape, max_page_multiple=None, node_limit=200000):
+def _schedules(shape, node_limit=200000):
     """DFS over schedules of global differentials at pages rbar*N.
 
     Yields (final_dims, trace).  The page cap follows the degree spread:
@@ -179,8 +176,7 @@ def _schedules(shape, max_page_multiple=None, node_limit=200000):
         yield {}, (("empty",),)
         return
     spread = max(sup) - min(sup)
-    rmax = max_page_multiple if max_page_multiple is not None else \
-        (spread + shape.N) // shape.N + 1
+    rmax = (spread + shape.N) // shape.N + 1
     nodes = [0]
 
     def rec(dims, rbar, trace):
@@ -206,10 +202,10 @@ def _schedules(shape, max_page_multiple=None, node_limit=200000):
             yield dims, trace
 
 
-def vanishing_schedule_exists(shape, **kw):
+def vanishing_schedule_exists(shape):
     """Is there a schedule of differentials with E^infinity = 0?"""
     best_trace = []
-    for dims, trace in _schedules(shape, **kw):
+    for dims, trace in _schedules(shape):
         if not dims:
             return True, (("vanishing-schedule",),) + trace
         if not best_trace:
@@ -277,18 +273,28 @@ class CaseAnalysisResult:
     witnesses: dict     # (dim, betti) -> trace
 
 
-def quantum_case_analysis(components, N, period, max_rank=8, max_dim=None,
-                          require_vanishing=False, require_periodicity=True,
-                          node_limit=500000):
+# nodes of each schedule search of quantum_case_analysis
+_CASE_NODE_LIMIT = 500000
+
+
+def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None,
+                          require_vanishing=False, require_periodicity=True):
     """Search the Betti profiles of the single unknown component consistent
     with the page structure, the quantum periodicity HF_k = HF_{k+period},
-    and (optionally) vanishing.
+    and (optionally) vanishing.  Profiles have total rank at most max_rank
+    (8 by default, at least 1); the period must be nonzero.
 
     ``components`` is a list of dicts with keys name, dim, betti (or None for
     the unknown one), mu (intrinsic degree offset, integer) and action_rank
     (position of the component's action among the distinct values, 1-based;
     equal ranks mean no local differential between them).
     """
+    max_rank = 8 if max_rank is None else max_rank
+    if max_rank < 1:
+        raise HypothesisNotMet(f"max_rank must be at least 1, got {max_rank}",
+                               max_rank=max_rank)
+    if period == 0:
+        raise HypothesisNotMet("the quantum period must be nonzero", period=period)
     unknown = [c for c in components if c.get("betti") is None]
     known = [c for c in components if c.get("betti") is not None]
     if len(unknown) != 1:
@@ -307,7 +313,7 @@ def quantum_case_analysis(components, N, period, max_rank=8, max_dim=None,
         for betti in _closed_manifold_profiles(dim, max_rank):
             ok, trace = _profile_consistent(betti, dim, unknown, known, N,
                                             period, require_vanishing,
-                                            require_periodicity, node_limit)
+                                            require_periodicity)
             if ok:
                 consistent.append((dim, betti))
                 witnesses[(dim, betti)] = trace
@@ -316,7 +322,7 @@ def quantum_case_analysis(components, N, period, max_rank=8, max_dim=None,
 
 
 def _profile_consistent(betti, dim, unknown, known, N, period,
-                        require_vanishing, require_periodicity, node_limit):
+                        require_vanishing, require_periodicity):
     mu_u = int(unknown.get("mu", 0))
     rank_u = int(unknown.get("action_rank", 1))
     # local page: E^{loc,1} entries per component
@@ -329,14 +335,14 @@ def _profile_consistent(betti, dim, unknown, known, N, period,
 
     # stage 1: local differentials (degree -1, action rank drops by >= 1);
     # enumerate rank choices between every ordered pair of entries
-    for local_choice, local_trace in _local_schedules(local_entries, node_limit):
+    for local_choice, local_trace in _local_schedules(local_entries):
         # HF^loc support = direct sum of what remains
         hf_loc = {}
         for e in local_choice:
             for d, v in e.items():
                 hf_loc[d] = hf_loc.get(d, 0) + v
         shape = PageShape(N=N, dims={d: v for d, v in hf_loc.items() if v})
-        for final, trace in _schedules(shape, node_limit=node_limit):
+        for final, trace in _schedules(shape, node_limit=_CASE_NODE_LIMIT):
             if require_vanishing and final:
                 continue
             if require_periodicity and not _periodicity_ok(final, N, period):
@@ -347,7 +353,7 @@ def _profile_consistent(betti, dim, unknown, known, N, period,
     return False, ()
 
 
-def _local_schedules(entries, node_limit):
+def _local_schedules(entries):
     """Rank choices of the local (action) differential: one page, degree -1,
     strictly decreasing action rank."""
     pairs = []
@@ -366,7 +372,7 @@ def _local_schedules(entries, node_limit):
     count = 0
     for combo in product(*ranges):
         count += 1
-        if count > node_limit:
+        if count > _CASE_NODE_LIMIT:
             raise SearchSpaceExceeded("local schedule enumeration too large")
         dims = [dict(e["dims"]) for e in entries]
         ok = True
@@ -386,22 +392,17 @@ def _local_schedules(entries, node_limit):
         yield dims, tr
 
 
-def two_component_count(component, N, period, max_rank=8,
-                        require_vanishing=False):
+def two_component_count(component, N, period):
     """Is a single-component intersection consistent with the quantum
     periodicity?  Returns (consistent, result-or-trace)."""
     if component.get("betti") is not None:
         betti = tuple(int(b) for b in component["betti"])
         shape = PageShape.from_betti(betti, N, offset=int(component.get("mu", 0)))
         for final, trace in _schedules(shape):
-            if require_vanishing and final:
-                continue
-            if not _periodicity_ok(final, N, period):
-                continue
-            return True, trace
+            if _periodicity_ok(final, N, period):
+                return True, trace
         return False, (("no-consistent-schedule", betti),)
-    res = quantum_case_analysis([component], N, period, max_rank=max_rank,
-                                require_vanishing=require_vanishing)
+    res = quantum_case_analysis([component], N, period)
     return len(res.profiles) > 0, res
 
 

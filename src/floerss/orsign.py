@@ -34,13 +34,13 @@ class BasedSpace:
     sign: int = 1         # only meaningful for the zero space
 
     @staticmethod
-    def build(m, vectors, sign=1):
+    def build(m, vectors):
         vecs = tuple(tuple(float(x) for x in v) for v in vectors)
         if vecs:
             M = _as_matrix(vecs, m)
             if np.linalg.matrix_rank(M, tol=_DET_TOL) < len(vecs):
                 raise NotIndependent("basis vectors are dependent")
-        return BasedSpace(m=int(m), basis=vecs, sign=int(sign))
+        return BasedSpace(m=int(m), basis=vecs)
 
     @property
     def dim(self):
@@ -56,14 +56,14 @@ class BasedSpace:
         return BasedSpace(self.m, basis, self.sign)
 
 
-def same_span(X, Y, tol=1e-8):
+def same_span(X, Y):
     if X.dim != Y.dim or X.m != Y.m:
         return False
     if X.dim == 0:
         return True
     MX, MY = X.matrix(), Y.matrix()
     aug = np.concatenate([MX, MY], axis=1)
-    return np.linalg.matrix_rank(aug, tol=tol) == X.dim
+    return np.linalg.matrix_rank(aug, tol=1e-8) == X.dim
 
 
 def orientation_sign(X, Y):

@@ -52,32 +52,31 @@ class FilteredComplex:
     names: tuple = None
 
     @staticmethod
-    def build(degrees, levels, boundary, names=None, check=True):
+    def build(degrees, levels, boundary, names=None):
         degrees = tuple(int(d) for d in degrees)
         levels = tuple(int(l) for l in levels)
         D = gf2.asgf2(boundary)
         n = len(degrees)
         if D.shape != (n, n) or len(levels) != n:
             raise DimensionMismatch("boundary shape does not match basis data")
-        if check:
-            if np.any(gf2.asgf2(D @ D)):
-                raise NotAComplex("d . d != 0 for the filtered complex")
-            # entries in column-major order, so the first offence is reported
-            cols, rows = np.nonzero(D.T)
-            deg = np.array(degrees, dtype=np.int64)
-            lev = np.array(levels, dtype=np.int64)
-            bad_deg = deg[rows] != deg[cols] - 1
-            bad = bad_deg | (lev[rows] > lev[cols])
-            if bad.any():
-                k = int(np.argmax(bad))
-                i, j = int(rows[k]), int(cols[k])
-                if bad_deg[k]:
-                    raise NotAComplex(
-                        f"boundary entry {i}<-{j} changes degree by "
-                        f"{degrees[i] - degrees[j]}")
-                raise FiltrationViolated(
-                    f"boundary entry {i}<-{j} raises the filtration "
-                    f"level {levels[j]} -> {levels[i]}")
+        if np.any(gf2.asgf2(D @ D)):
+            raise NotAComplex("d . d != 0 for the filtered complex")
+        # entries in column-major order, so the first offence is reported
+        cols, rows = np.nonzero(D.T)
+        deg = np.array(degrees, dtype=np.int64)
+        lev = np.array(levels, dtype=np.int64)
+        bad_deg = deg[rows] != deg[cols] - 1
+        bad = bad_deg | (lev[rows] > lev[cols])
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = int(rows[k]), int(cols[k])
+            if bad_deg[k]:
+                raise NotAComplex(
+                    f"boundary entry {i}<-{j} changes degree by "
+                    f"{degrees[i] - degrees[j]}")
+            raise FiltrationViolated(
+                f"boundary entry {i}<-{j} raises the filtration "
+                f"level {levels[j]} -> {levels[i]}")
         if names is None:
             names = tuple(f"e{k}" for k in range(n))
         return FilteredComplex(degrees=degrees, levels=levels, boundary=D,
@@ -503,7 +502,7 @@ def check_boundedness_formula(fc, C, window, stretch=1):
     return True
 
 
-def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
+def lambda_periodic_dims(pg, N, indexing="plain"):
     """Check E^r_{p,q} = E^r_{p-1, q-N+1} (plain) or E^r_{p,q} = E^r_{p-N,q}
     (stretched) away from the window edges; returns the checked pairs.
 
@@ -518,7 +517,7 @@ def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
     checked = []
     ok = True
     for (p, q), d in sorted(dims.items()):
-        if p - step * margin <= lo or p + step * margin >= hi:
+        if p - step <= lo or p + step >= hi:
             continue
         # multiplication by lambda: plain (p, q) -> (p-1, q-N+1),
         # stretched (p, q) -> (p-N, q)
@@ -531,10 +530,10 @@ def lambda_periodic_dims(pg, N, indexing="plain", margin=1):
     return ok, checked
 
 
-def nontrivial_pages(fc, N, indexing="stretched", margin=1):
+def nontrivial_pages(fc, N, indexing="stretched"):
     """Pages r with a nonzero differential away from the window edges."""
     bc = barcode(fc)
-    pad = margin * (N if indexing == "stretched" else 1)
+    pad = N if indexing == "stretched" else 1
     out = []
     for r in sorted({length for length, _, _ in bc.bars}):
         ps = [p for p, _ in bc.page(r).table]

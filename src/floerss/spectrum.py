@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import (DeltaNotBelowGap, DimensionMismatch, EndpointMismatch,
                      GridTooCoarse, IntegrationFailure, NonIntegerIndex,
                      WindowTooSmall)
@@ -49,10 +48,10 @@ class AsymptoticOperator:
         self.sigma.check()
 
 
-def flat_model(alpha, n=1):
-    """sigma = 0, L0 = R^n x 0, L1 = e^{alpha J} L0."""
-    L0 = sl.horizontal(n)
-    return AsymptoticOperator(n=n, sigma=sl.zero_path(n),
+def flat_model(alpha):
+    """sigma = 0, L0 = R x 0, L1 = e^{alpha J} L0."""
+    L0 = sl.horizontal(1)
+    return AsymptoticOperator(n=1, sigma=sl.zero_path(1),
                               boundary=(L0, sl.rotate_frame(L0, alpha)))
 
 
@@ -77,7 +76,7 @@ def _merge(los, his, counts):
 _MAX_NODES, _ORACLE_TOL = 2 ** 10, 1e-8
 
 
-def _frame_interpolant(A, reach, settings):
+def _frame_interpolant(A, reach):
     """rho -> Psi_{sigma+rho}(1) L0 on [-reach, reach], a stacked evaluator of
     Lagrangian frames: the Chebyshev series through one ``shifted_flows``
     pass at m first-kind points.  The path is entire of exponential type 1,
@@ -87,7 +86,7 @@ def _frame_interpolant(A, reach, settings):
     Newton-Schulz step takes X + iY to its unitary polar factor, the nearest
     Lagrangian frame.  The oracle checks 4 points between the nodes.
     """
-    flows = sl.shifted_flows(A.sigma, settings.ode_step, settings=settings)
+    flows = sl.shifted_flows(A.sigma)
     n, frame = A.n, A.boundary[0].frame
     m, tail = 2 ** int(np.ceil(np.log2(1.4 * reach + 16))), np.inf
     while m <= _MAX_NODES:
@@ -120,7 +119,13 @@ def _frame_interpolant(A, reach, settings):
     return at
 
 
-def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
+# default window half-width, cells and bracket width of eigenvalues; an
+# |rho| below _ZERO_EIGEN_TOL is kernel
+_SPECTRUM_WINDOW, _SPECTRUM_GRID, _SPECTRUM_REFINE_TOL = 4 * np.pi, 2048, 1e-8
+_ZERO_EIGEN_TOL = 1e-7
+
+
+def eigenvalues(A, window=None, grid=None, tol=None):
     """Eigenvalues in [-window, window] with their multiplicities, counted
     as in the module docstring on ``grid`` cells of the window and one more
     cell at each end, so that eigenvalues at +-window are kept.
@@ -129,9 +134,9 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
     Cells that count are bisected to ``tol``; an eigenvalue is the midpoint
     of a final bracket (touching ones merged), its multiplicity the count.
     """
-    window = settings.spectrum_window if window is None else float(window)
-    grid = settings.spectrum_grid if grid is None else int(grid)
-    tol = settings.spectrum_refine_tol if tol is None else float(tol)
+    window = _SPECTRUM_WINDOW if window is None else float(window)
+    grid = _SPECTRUM_GRID if grid is None else int(grid)
+    tol = _SPECTRUM_REFINE_TOL if tol is None else float(tol)
     if not window > 0:
         raise WindowTooSmall("window must be positive")
     if not np.isfinite(window):
@@ -142,9 +147,9 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
         raise GridTooCoarse(f"tol must be positive and finite, got {tol}", tol=tol)
     reach = window * (1.0 + 2.0 / grid)
     image = lp.LagrangianPath(A.n, -reach, reach,
-                              _frame_interpolant(A, reach, settings), "spectral")
+                              _frame_interpolant(A, reach), "spectral")
     ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
-    s, W, turn, W_at = lp._souriau_samples(image, ref, grid + 2, settings)
+    s, W, turn, W_at = lp._souriau_samples(image, ref, grid + 2)
     los, his, counts = lp._bisect_passages(W_at, s, W, lp._angles(W), turn,
                                            np.arange(len(s) - 1), tol)
     found = []
@@ -154,38 +159,35 @@ def eigenvalues(A, window=None, grid=None, tol=None, settings=DEFAULTS):
         found = [(float(rho), int(-m)) for rho, m in zip(0.5 * (los + his), counts)
                  if abs(rho) <= window + 10 * tol]
 
-    kd = sum(m for r, m in found if abs(r) < settings.zero_eigen_tol)
-    nonzero = [abs(r) for r, m in found if abs(r) >= settings.zero_eigen_tol]
+    kd = sum(m for r, m in found if abs(r) < _ZERO_EIGEN_TOL)
+    nonzero = [abs(r) for r, m in found if abs(r) >= _ZERO_EIGEN_TOL]
     gap = min(nonzero) if nonzero else None
     return SpectrumReport(window=(-window, window), eigenvalues=tuple(found),
                           gap=gap, kernel_dim=kd)
 
 
-def spectral_gap(A, window=None, grid=None, tol=None, settings=DEFAULTS,
-                 _retries=2):
-    """Smallest |rho| over nonzero eigenvalues; doubles the window on a miss."""
-    window = settings.spectrum_window if window is None else float(window)
-    rep = eigenvalues(A, window=window, grid=grid, tol=tol, settings=settings)
-    if rep.gap is not None:
-        return rep.gap
-    if _retries > 0:
-        return spectral_gap(A, window=2 * window, grid=grid, tol=tol,
-                            settings=settings, _retries=_retries - 1)
+def spectral_gap(A, window=None, grid=None):
+    """Smallest |rho| over nonzero eigenvalues; doubles the window on a
+    miss, twice."""
+    window = _SPECTRUM_WINDOW if window is None else float(window)
+    for window in (window, 2 * window, 4 * window):
+        rep = eigenvalues(A, window=window, grid=grid)
+        if rep.gap is not None:
+            return rep.gap
     raise WindowTooSmall(
         f"no nonzero eigenvalue found in [-{window}, {window}]; retry with a "
         "larger window", window=window)
 
 
-def _kernel_of(psi, L0, L1, tol=1e-6):
+def _kernel_of(psi, L0, L1):
     """dim(psi L0 /\\ L1) for the end state psi of a fundamental solution."""
-    return sl.intersection_dim(sl.apply_matrix(psi, L0), L1, tol=tol)
+    return sl.intersection_dim(sl.apply_matrix(psi, L0), L1, tol=1e-6)
 
 
-def kernel_dim(A, tol=None, settings=DEFAULTS):
+def kernel_dim(A):
     """dim(Psi_sigma(1) L0 /\\ L1): kernel of J d/dt + sigma on the boundary pair."""
-    tol = 1e-6 if tol is None else tol
-    psi = sl.fundamental_solution(A.sigma, 1.0, settings=settings)
-    return _kernel_of(psi.entries, *A.boundary, tol=tol)
+    psi = sl.fundamental_solution(A.sigma, 1.0)
+    return _kernel_of(psi.entries, *A.boundary)
 
 
 def _shifted_path(sigma, rho):
@@ -197,28 +199,26 @@ def _shifted_path(sigma, rho):
                             constant=constant)
 
 
-def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,
-                       spectrum_kw=None):
+def adelta_shift_check(A, delta, grid=None, gap=None):
     """Check mu(Psi_delta L0, L1) = mu(Psi_0 L0, L1) -/+ (1/2) dim ker A.
 
     Both signs of the shift are evaluated in one call; returns a dict with
-    the four half-integers and the equality flags.
+    the four half-integers and the equality flags.  The kernel is read from
+    the end state of the unshifted flow.
     """
     if gap is None:
-        gap = spectral_gap(A, settings=settings, **(spectrum_kw or {}))
+        gap = spectral_gap(A)
     if not (0 < delta < gap):
         raise DeltaNotBelowGap(f"delta = {delta} not in (0, gap = {gap:.6g})",
                                delta=delta, gap=gap)
     L0, L1 = A.boundary
-    kd = kernel_dim(A, settings=settings)
     c1 = lp.constant_lagrangian_path(L1, 0.0, 1.0)
 
-    def mu_for(rho):
-        flow = sl.FundamentalFlow(_shifted_path(A.sigma, rho), settings=settings)
-        path = lp.fundamental_image_path(flow, L0)
-        return lp.rs_index(path, c1, grid=grid, settings=settings)
-
-    mu0, mu_plus, mu_minus = mu_for(0.0), mu_for(delta), mu_for(-delta)
+    flows = [sl.FundamentalFlow(_shifted_path(A.sigma, rho))
+             for rho in (0.0, delta, -delta)]
+    mu0, mu_plus, mu_minus = (
+        lp.rs_index(lp.fundamental_image_path(f, L0), c1, grid=grid) for f in flows)
+    kd = _kernel_of(flows[0](1.0), L0, L1)
     plus_ok = mu_plus == mu0 - Fraction(kd, 2)
     minus_ok = mu_minus == mu0 + Fraction(kd, 2)
     return {"mu_zero": mu0, "mu_plus_delta": mu_plus, "mu_minus_delta": mu_minus,
@@ -226,8 +226,7 @@ def adelta_shift_check(A, delta, grid=None, settings=DEFAULTS, gap=None,
             "equal": plus_ok and minus_ok}
 
 
-def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None,
-                   settings=DEFAULTS):
+def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None):
     """Index of the strip operator with matching-kernel extension:
 
     mu(Psi+ L0+, L1+) + mu(F0, F1) - mu(Psi- L0-, L1-)
@@ -249,8 +248,8 @@ def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None,
     Am = AsymptoticOperator(n=sig_m.n, sigma=sig_m, boundary=(L0m, L1m))
     # one flow per operator gives both its kernel (the end state) and the
     # frames of the path Psi(t) L0
-    flow_p = sl.FundamentalFlow(sig_p, settings=settings)
-    flow_m = sl.FundamentalFlow(sig_m, settings=settings)
+    flow_p = sl.FundamentalFlow(sig_p)
+    flow_m = sl.FundamentalFlow(sig_m)
     kp = _kernel_of(flow_p(1.0), *Ap.boundary)
     km = _kernel_of(flow_m(1.0), *Am.boundary)
     if kernel_dims is not None and tuple(kernel_dims) != (km, kp):
@@ -259,11 +258,9 @@ def fredholm_index(plus_data, minus_data, F, kernel_dims=None, grid=None,
 
     c1p = lp.constant_lagrangian_path(L1p, 0.0, 1.0)
     c1m = lp.constant_lagrangian_path(L1m, 0.0, 1.0)
-    mu_p = lp.rs_index(lp.fundamental_image_path(flow_p, L0p), c1p, grid=grid,
-                       settings=settings)
-    mu_m = lp.rs_index(lp.fundamental_image_path(flow_m, L0m), c1m, grid=grid,
-                       settings=settings)
-    mu_F = lp.rs_index(F0, F1, grid=grid, settings=settings)
+    mu_p = lp.rs_index(lp.fundamental_image_path(flow_p, L0p), c1p, grid=grid)
+    mu_m = lp.rs_index(lp.fundamental_image_path(flow_m, L0m), c1m, grid=grid)
+    mu_F = lp.rs_index(F0, F1, grid=grid)
     total = mu_p + mu_F - mu_m + Fraction(km, 2) + Fraction(kp, 2)
     if total.denominator != 1:
         raise NonIntegerIndex(f"index {total} is not an integer; inconsistent data",
@@ -283,10 +280,10 @@ def strip_index(mu_vit, dim_cm, dim_cp):
 # -- gap inequality check ------------------------------------------------------
 
 
-def _kernel_functions(A, ts, settings):
+def _kernel_functions(A, ts):
     """Values at ts of the kernel eigenfunctions t -> Psi(t) v for a basis
     of v in L0 /\\ Psi(1)^{-1} L1, as a (k, len(ts), 2n) stack."""
-    flow = sl.FundamentalFlow(A.sigma, settings=settings)
+    flow = sl.FundamentalFlow(A.sigma)
     L0, L1 = A.boundary
     psi1 = flow(1.0)
     F = sl.apply_matrix(psi1, L0)
@@ -296,21 +293,25 @@ def _kernel_functions(A, ts, settings):
     return np.moveaxis(flow.at(ts) @ v0, -1, 0)
 
 
-def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
-                         settings=DEFAULTS, project_kernel=True):
+# quadrature nodes, test-function modes and slack of gap_inequality_check
+_QUAD_NODES, _MODES, _GAP_SLACK = 256, 6, 1e-4
+
+
+def gap_inequality_check(A, num_tests=50, rng=None, project_kernel=True):
     """Sample smooth test functions in the domain and check
 
     ||A xi|| >= iota(A) ||xi||   (xi orthogonal to ker A)   and
     ||A xi||^2 >= iota(A) <A xi, xi>,
 
-    with quadrature on ``settings.quad_nodes`` nodes.  Returns (ok, report).
+    with quadrature on ``_QUAD_NODES`` nodes, test functions of ``_MODES``
+    trigonometric modes and slack ``_GAP_SLACK``.  Returns (ok, report).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     n = A.n
     L0, L1 = A.boundary
-    iota = spectral_gap(A, settings=settings)
+    iota = spectral_gap(A)
 
-    m = settings.quad_nodes
+    m = _QUAD_NODES
     ts = np.linspace(0.0, 1.0, m + 1)
     w = np.full(m + 1, 1.0 / m)
     w[0] = w[-1] = 0.5 / m
@@ -319,8 +320,8 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
     P1c = np.eye(2 * n) - L1.projector
     J = sl.J_std(n)
     sig_vals = A.sigma.samples(ts)
-    kern_vals = _kernel_functions(A, ts, settings)
-    wk = np.pi * np.arange(modes)
+    kern_vals = _kernel_functions(A, ts)
+    wk = np.pi * np.arange(_MODES)
     ck, sk = np.cos(np.outer(ts, wk)), np.sin(np.outer(ts, wk))
 
     def inner(f, g):
@@ -331,8 +332,8 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
 
     def rand_test_function():
         # trig sum with boundary correction, then L^2 kernel projection
-        a = rng.standard_normal((modes, 2 * n))
-        b = rng.standard_normal((modes, 2 * n))
+        a = rng.standard_normal((_MODES, 2 * n))
+        b = rng.standard_normal((_MODES, 2 * n))
         xi = ck @ a + sk @ b
         dxi = (ck * wk) @ b - (sk * wk) @ a
         # boundary correction: xi(0) in L0, xi(1) in L1
@@ -356,8 +357,8 @@ def gap_inequality_check(A, tol=1e-4, num_tests=50, rng=None, modes=6,
         nx, nax = inner(xi, xi) ** 0.5, inner(Axi, Axi) ** 0.5
         if nx < 1e-12:
             continue
-        ineq1 = nax + tol * max(1.0, nax) >= iota * nx
-        ineq2 = nax ** 2 + tol * max(1.0, nax ** 2) >= iota * inner(Axi, xi)
+        ineq1 = nax + _GAP_SLACK * max(1.0, nax) >= iota * nx
+        ineq2 = nax ** 2 + _GAP_SLACK * max(1.0, nax ** 2) >= iota * inner(Axi, xi)
         if not (ineq1 and ineq2):
             failures.append({"test": i, "norm_Axi": nax, "norm_xi": nx,
                              "iota": iota, "ineq1": bool(ineq1),

@@ -23,9 +23,9 @@ Every fundamental solution comes from one flow mechanism:
   a polynomial of degree 4 in rho whose matrix coefficients
   (``_step_maps``) are built once per flow from the samples; a pass
   evaluates them for a block of steps as one stack and pays one product
-  per member and step.  Every ``project_every`` steps and after the last
-  step the symplectic drift is checked: above ``symplectic_drift_limit``
-  StepTooLarge is raised, above ``symplectic_drift_tol`` the state is
+  per member and step.  Every ``_PROJECT_EVERY`` steps and after the last
+  step the symplectic drift is checked: above ``_SYMPLECTIC_DRIFT_LIMIT``
+  StepTooLarge is raised, above ``_SYMPLECTIC_DRIFT_TOL`` the state is
   projected back onto Sp(2n).
 * ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states; a
   batch of t-queries is one stack of partial step maps) and ``shifted_flows``
@@ -42,7 +42,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import (DimensionMismatch, IntegrationFailure, NotFullRank,
                      NotIsotropic, NotSymmetric, StepTooLarge)
 
@@ -70,6 +69,11 @@ def rotation(n, angle):
     return np.cos(angle) * np.eye(2 * n) + np.sin(angle) * J_std(n)
 
 
+# rank / isotropy / subspace-equality tolerance on orthonormalized frames
+# (double precision, target sizes n <= 8)
+_FRAME_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LagrangianFrame:
     """Orthonormal 2n x n frame spanning a Lagrangian subspace, or a
@@ -85,15 +89,14 @@ class LagrangianFrame:
     def projector(self):
         return self.frame @ self.frame.T
 
-    def equals(self, other, tol=None):
+    def equals(self, other, tol=_FRAME_TOL):
         """Subspace equality: all principal angles below tol."""
-        tol = DEFAULTS.frame_tol if tol is None else tol
         if self.n != other.n:
             return False
         return max_principal_angle_sin(self, other) < tol
 
 
-def validate_lagrangian(M, tol=None):
+def validate_lagrangian(M):
     """Orthonormalize the columns of M and check the Lagrangian conditions.
 
     M is one 2n x n matrix or a (..., 2n, n) stack of them; a stack gives
@@ -102,7 +105,6 @@ def validate_lagrangian(M, tol=None):
     the largest |omega(col_i, col_j)| when the span is not isotropic; in a
     stack the first bad member raises the error it raises alone.
     """
-    tol = DEFAULTS.frame_tol if tol is None else tol
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-2] != 2 * M.shape[-1] or M.shape[-1] == 0:
         raise DimensionMismatch(f"expected a 2n x n matrix, got shape {M.shape}")
@@ -116,10 +118,9 @@ def validate_lagrangian(M, tol=None):
     q, r = np.linalg.qr(S)
     smin = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1)
     worst = np.abs(np.swapaxes(q, 1, 2) @ J_std(n) @ q).max(axis=(1, 2))
-    thin = smin <= tol * np.maximum(1.0, top)
-    lim = max(tol, 1e-12)
-    if not all_finite or thin.any() or worst.max() > lim:
-        i = int(np.argmax(~finite | thin | (worst > lim)))
+    thin = smin <= _FRAME_TOL * np.maximum(1.0, top)
+    if not all_finite or thin.any() or worst.max() > _FRAME_TOL:
+        i = int(np.argmax(~finite | thin | (worst > _FRAME_TOL)))
         if not finite[i]:
             raise NotFullRank("frame has non-finite entries")
         if thin[i]:
@@ -192,9 +193,8 @@ def min_principal_angle_sin(F, G):
     return float(principal_angle_sines(F, G)[0])
 
 
-def intersection_dim(F, G, tol=None):
+def intersection_dim(F, G, tol=_FRAME_TOL):
     """Number of principal angles between span(F), span(G) that vanish within tol."""
-    tol = DEFAULTS.frame_tol if tol is None else tol
     s = principal_angle_sines(F, G)
     return int(np.sum(s < tol))
 
@@ -214,14 +214,13 @@ def intersection_basis(F, G, tol=1e-6):
     return q[:, :k]
 
 
-def graph_lagrangian(B, tol=None):
+def graph_lagrangian(B):
     """Frame of the graph {(x, Bx)} of a symmetric matrix B.
 
     B may be a (..., n, n) stack; the result is then one stacked frame (see
     ``validate_lagrangian``), and its first bad member raises the error it
     raises alone.
     """
-    tol = DEFAULTS.frame_tol if tol is None else tol
     B = np.asarray(B, dtype=float)
     if B.ndim < 2 or B.shape[-2] != B.shape[-1]:
         raise DimensionMismatch(f"B must be square, got {B.shape}")
@@ -229,12 +228,12 @@ def graph_lagrangian(B, tol=None):
     if B.size:
         S = B.reshape((-1, n, n))
         asym = np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2))
-        bad = asym > max(tol, 1e-12) * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+        bad = asym > _FRAME_TOL * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
         if bad.any():
             worst = float(asym[np.argmax(bad)])
             raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
     M = np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
-    return validate_lagrangian(M, tol=tol)
+    return validate_lagrangian(M)
 
 
 @dataclass(frozen=True)
@@ -266,13 +265,13 @@ class SymmetricPath:
     def __call__(self, t):
         return self.samples([t])[0]
 
-    def check(self, samples=7, tol=1e-9):
-        ts = np.linspace(0.0, 1.0, samples)
+    def check(self):
+        ts = np.linspace(0.0, 1.0, 7)
         S = self._raw(ts)
         if S.shape[1:] != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(f"sigma(t) has shape {S.shape[1:]}")
         asym = np.max(np.abs(S - np.swapaxes(S, 1, 2)), axis=(1, 2))
-        bad = asym > tol * np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
+        bad = asym > 1e-9 * np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
         if bad.any():
             raise NotSymmetric(f"sigma({ts[np.argmax(bad)]}) is not symmetric")
         return self
@@ -326,16 +325,16 @@ def _drift(M, J):
     return np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J), axis=(-2, -1))
 
 
-def project_symplectic(M, tol=1e-14, max_iter=8):
+def project_symplectic(M):
     """Polar-type projection onto Sp(2n): Newton steps M <- M (1 + J E / 2).
 
     M is one matrix or a (B, 2n, 2n) stack; the stack iterates until every
-    member is within tol.
+    member is within 1e-14, at most 8 times.
     """
     J = J_std(M.shape[-1] // 2)
-    for _ in range(max_iter):
+    for _ in range(8):
         E = np.swapaxes(M, -1, -2) @ J @ M - J
-        if np.max(np.abs(E)) < tol:
+        if np.max(np.abs(E)) < 1e-14:
             break
         M = M @ (np.eye(J.shape[0]) + 0.5 * (J @ E))
     return M
@@ -442,7 +441,12 @@ def _evaluate(C, powers, top):
     return P.reshape(s, len(powers), d, d)
 
 
-def _rk4(C, h, rhos, settings, keep=False):
+# the drift checkpoints of _rk4 (see its docstring)
+_PROJECT_EVERY = 100
+_SYMPLECTIC_DRIFT_TOL, _SYMPLECTIC_DRIFT_LIMIT = 1e-10, 1e-3
+
+
+def _rk4(C, h, rhos, keep=False):
     """Integrate dM/dt = (G(t) + rho J) M, M(0) = 1, for each rho in rhos.
 
     C holds the step map coefficients of the stage samples G of ``h``
@@ -451,10 +455,10 @@ def _rk4(C, h, rhos, settings, keep=False):
     (``_evaluate``), are one stack of at most ``_BLOCK_ENTRIES`` entries;
     without keep they are multiplied pairwise and applied to M once, with
     keep one at a time.  No block crosses a checkpoint: every
-    ``settings.project_every`` steps and after the last one, the drift
+    ``_PROJECT_EVERY`` steps and after the last one, the drift
     max |M^T J M - J| of each member is checked: above
-    ``symplectic_drift_limit`` the step is too large (StepTooLarge), above
-    ``symplectic_drift_tol`` the member is projected back onto Sp(2n).
+    ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large (StepTooLarge), above
+    ``_SYMPLECTIC_DRIFT_TOL`` the member is projected back onto Sp(2n).
     Returns the (B, d, d) end states, or with keep every state, shaped
     (nsteps + 1, B, d, d).
     """
@@ -462,7 +466,7 @@ def _rk4(C, h, rhos, settings, keep=False):
     J = J_std(d // 2)
     powers = np.vander(np.asarray(rhos, dtype=float), 5, increasing=True)
     top = (h ** 4 / 24.0) * powers[:, 4:] * np.eye(d).ravel()
-    every = settings.project_every
+    every = _PROJECT_EVERY
     M = np.broadcast_to(np.eye(d), (len(powers), d, d)).copy()
     states = np.empty((nsteps + 1,) + M.shape) if keep else None
     if keep:
@@ -485,17 +489,21 @@ def _rk4(C, h, rhos, settings, keep=False):
         if k % every == 0 or k == nsteps:
             drift = _drift(M, J)
             worst = float(np.max(drift, initial=0.0))
-            if worst > settings.symplectic_drift_limit:
+            if worst > _SYMPLECTIC_DRIFT_LIMIT:
                 raise StepTooLarge(
                     f"symplectic drift {worst:.3e} above hard limit; decrease step",
                     drift=worst)
-            off = drift > settings.symplectic_drift_tol
+            off = drift > _SYMPLECTIC_DRIFT_TOL
             if np.any(off):
                 M[off] = project_symplectic(M[off])
     return states if keep else M
 
 
-def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
+# the RK4 step of every flow of a path not declared constant
+_ODE_STEP = 1e-3
+
+
+def shifted_flows(sigma, step=None, t=1.0):
     """rhos -> Psi_{sigma + rho}(t) for a batch of shifts, as a (B, 2n, 2n) stack.
 
     A declared constant sigma uses the exact exponential of t (J sigma +
@@ -508,24 +516,24 @@ def shifted_flows(sigma, step=None, t=1.0, settings=DEFAULTS):
         G0 = J @ sigma.constant
         return lambda rhos: expm(
             t * (G0 + np.asarray(rhos, dtype=float)[:, None, None] * J))
-    step = settings.ode_step if step is None else float(step)
+    step = _ODE_STEP if step is None else float(step)
     h, C = _coefficients(sigma, t, step, shifted=True)
-    return lambda rhos: _rk4(C, h, rhos, settings)
+    return lambda rhos: _rk4(C, h, rhos)
 
 
-def fundamental_solution(sigma, t=1.0, step=None, settings=DEFAULTS):
+def fundamental_solution(sigma, t=1.0, step=None):
     """Psi(t) with J dPsi + sigma Psi = 0, Psi(0) = 1.
 
     The exact exponential for a declared constant sigma, classical RK4 at
-    ``step`` (default ``settings.ode_step``) on rho-free step maps
+    ``step`` (default ``_ODE_STEP``) on rho-free step maps
     otherwise; see ``_rk4`` for the projection and drift policy.
     """
     if sigma.constant is not None:
-        psi = shifted_flows(sigma, step, t, settings)([0.0])[0]
+        psi = shifted_flows(sigma, step, t)([0.0])[0]
     else:
-        step = settings.ode_step if step is None else float(step)
+        step = _ODE_STEP if step is None else float(step)
         h, C = _coefficients(sigma, t, step)
-        psi = _rk4(C, h, [0.0], settings)[0]
+        psi = _rk4(C, h, [0.0])[0]
     return SymplecticMatrix(n=sigma.n, entries=psi)
 
 
@@ -533,21 +541,21 @@ class FundamentalFlow:
     """Evaluator t -> Psi(t) on [0, 1] for one symmetric path.
 
     A declared constant sigma is the exact one-parameter group.  Otherwise
-    the RK4 state at every step of ``settings.ode_step`` is kept, and a query
+    the RK4 state at every step of ``_ODE_STEP`` is kept, and a query
     is one partial RK4 step from the step below it; ``at`` answers a whole
     batch of t with one stack of partial step maps (``_step_maps``), whose
     stage generators come from one ``sigma.samples`` call.
     """
 
-    def __init__(self, sigma, settings=DEFAULTS):
+    def __init__(self, sigma):
         self.sigma = sigma
         self._J = J_std(sigma.n)
         if sigma.constant is not None:
             self._const_gen = self._J @ sigma.constant
             return
         self._const_gen = None
-        self._h, C = _coefficients(sigma, 1.0, settings.ode_step)
-        self._states = _rk4(C, self._h, [0.0], settings, keep=True)[:, 0]
+        self._h, C = _coefficients(sigma, 1.0, _ODE_STEP)
+        self._states = _rk4(C, self._h, [0.0], keep=True)[:, 0]
 
     def __call__(self, t):
         return self.at([t])[0]

@@ -720,6 +720,11 @@ def test_index_commands_output_is_unchanged(tmp_path, capsys):
             assert run_cli([cmd, str(p)] + flags, capsys) == (0, want, ""), name
 
 
+# a surface C of unknown Betti numbers next to a known point P
+_QUANTUM = {"kind": "intersection", "N": 2, "period": 1, "components": [
+    {"name": "C", "dim": 2, "mu": 0, "action_rank": 1},
+    {"name": "P", "dim": 0, "betti": [1], "mu": 1, "action_rank": 2}]}
+
 ZERO_FLAGS = [
     ("rs-index", INDEX_DOCS["graph"][1], "--grid", "GridTooCoarse"),
     ("maslov", INDEX_DOCS["maslov"][1], "--grid", "GridTooCoarse"),
@@ -728,6 +733,8 @@ ZERO_FLAGS = [
     ("spectrum", _SPEC, "--window", "WindowTooSmall"),
     ("ss", dict(SS_DOC, lambda_window=[-9, 9]), "--lambda-window",
      "WindowTooNarrow"),
+    ("quantum-cases", _QUANTUM, "--max-rank", "HypothesisNotMet"),
+    ("quantum-cases", _QUANTUM, "--quantum-period", "HypothesisNotMet"),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 from fractions import Fraction
 
 from floerss import lagpath as lp
-from floerss.config import DEFAULTS
 from floerss import symplin as sl
 from floerss.errors import (DimensionMismatch, EndpointMismatch, GridTooCoarse,
                             IntegrationFailure,
@@ -292,14 +291,14 @@ def test_find_crossings_beside_a_near_line():
 
 def test_brackets_the_floats_cannot_halve_are_refused():
     # on [1e6, 1e6 + 1] neighbouring floats are 1.2e-10 apart, wider than
-    # the bracket width crossing_refine_tol = 1e-11 that bisection aims for
+    # the bracket width _CROSSING_REFINE_TOL = 1e-11 that bisection aims for
     a = 1e6
     F0 = lp.rotation_path(lambda s: 2.0 * (s - a) - 0.7, sl.horizontal(1),
                           a, a + 1.0)
     F1 = lp.constant_lagrangian_path(sl.horizontal(1), a, a + 1.0)
     with pytest.raises(GridTooCoarse) as info:
         lp.find_crossings(F0, F1, grid=16)
-    assert info.value.payload == {"tol": DEFAULTS.crossing_refine_tol}
+    assert info.value.payload == {"tol": lp._CROSSING_REFINE_TOL}
 
 
 def crossing_sum(F0, F1, grid):
@@ -569,8 +568,8 @@ def test_rs_index_matches_crossing_forms_on_acceptance_instances(criterion,
     rs_index = lp.rs_index
     seen = [0, 0, 0]    # pairs indexed, compared, refused by the oracle
 
-    def checked(F0, F1, grid=None, settings=DEFAULTS):
-        mu = rs_index(F0, F1, grid=grid, settings=settings)
+    def checked(F0, F1, grid=None):
+        mu = rs_index(F0, F1, grid=grid)
         seen[0] += 1
         if seen[0] % 7 == 1:
             forms = crossing_sum(F0, F1, grid)
@@ -793,9 +792,9 @@ def _spectral_samples(A, window, grid):
     from floerss import spectrum as sp
     reach = window * (1.0 + 2.0 / grid)
     image = lp.LagrangianPath(A.n, -reach, reach,
-                              sp._frame_interpolant(A, reach, DEFAULTS), "spectral")
+                              sp._frame_interpolant(A, reach), "spectral")
     ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
-    return lp._souriau_samples(image, ref, grid + 2, DEFAULTS)
+    return lp._souriau_samples(image, ref, grid + 2)
 
 
 def _counting(W_at, calls):
@@ -835,8 +834,8 @@ def test_bisect_passages_matches_one_halving_per_round():
     for n in range(1, 5):
         F0 = random_path(rng, n, scale=2.0)
         F1 = lp.constant_lagrangian_path(random_lagrangian(rng, n))
-        cases.append((lp._souriau_samples(F0, F1, 32, DEFAULTS),
-                      DEFAULTS.crossing_refine_tol))
+        cases.append((lp._souriau_samples(F0, F1, 32),
+                      lp._CROSSING_REFINE_TOL))
     found = 0
     for (s, W, turn, W_at), width in cases:
         cells = np.arange(len(s) - 1)

@@ -129,8 +129,10 @@ def test_spectral_gap_window_doubling():
     # gap pi: a tiny window misses every eigenvalue, the retry finds them
     A = sp.flat_model(0.0)
     assert abs(sp.spectral_gap(A, window=1.0, grid=256) - np.pi) < 1e-6
-    with pytest.raises(WindowTooSmall):
-        sp.spectral_gap(A, window=0.05, grid=64, settings=sp.DEFAULTS)
+    with pytest.raises(WindowTooSmall) as info:
+        sp.spectral_gap(A, window=0.05, grid=64)
+    # the window doubled twice before the refusal
+    assert info.value.payload["window"] == 0.2
 
 
 def test_interpolant_matches_direct_flows():
@@ -145,7 +147,7 @@ def test_interpolant_matches_direct_flows():
         for reach in (2 * np.pi, 4 * np.pi):
             rhos = rng.uniform(-reach, reach, 50)
             got = sl.LagrangianFrame(
-                n=n, frame=sp._frame_interpolant(A, reach, sp.DEFAULTS)(rhos))
+                n=n, frame=sp._frame_interpolant(A, reach)(rhos))
             want = sl.validate_lagrangian(flows(rhos) @ A.boundary[0].frame)
             assert sl.principal_angle_sines(got, want).max() < 1e-10, (n, reach)
 
@@ -154,9 +156,9 @@ def _count_flow_passes(monkeypatch):
     passes = []
     rk4 = sl._rk4
 
-    def recorder(C, h, rhos, settings, keep=False):
+    def recorder(C, h, rhos, keep=False):
         passes.append(len(rhos))
-        return rk4(C, h, rhos, settings, keep)
+        return rk4(C, h, rhos, keep)
 
     monkeypatch.setattr(sl, "_rk4", recorder)
     return passes
@@ -208,8 +210,8 @@ def test_interpolant_oracle_refuses_flows_it_does_not_match(monkeypatch):
     # the nodes did not
     shifted_flows = sl.shifted_flows
 
-    def skewed(sigma, step=None, t=1.0, settings=sp.DEFAULTS):
-        flows = shifted_flows(sigma, step, t, settings)
+    def skewed(sigma, step=None, t=1.0):
+        flows = shifted_flows(sigma, step, t)
         return lambda rhos: flows(rhos) @ sl.rotation(sigma.n, 1e-6 * (len(rhos) == 4))
 
     monkeypatch.setattr(sl, "shifted_flows", skewed)

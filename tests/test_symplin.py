@@ -168,9 +168,9 @@ def _rk4_step(M, g1, g2, g4, h):
     return M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _per_step_rk4(G, h, rhos, settings, keep):
+def _per_step_rk4(G, h, rhos, keep):
     """``sl._rk4`` one step at a time: the same drift check and projection
-    every ``project_every`` steps and after the last one."""
+    every ``_PROJECT_EVERY`` steps and after the last one."""
     d = G.shape[-1]
     J = sl.J_std(d // 2)
     rhoJ = np.asarray(rhos, dtype=float)[:, None, None] * J
@@ -179,8 +179,8 @@ def _per_step_rk4(G, h, rhos, settings, keep):
     states = [M]
     for k in range(nsteps):
         M = _rk4_step(M, G[2 * k] + rhoJ, G[2 * k + 1] + rhoJ, G[2 * k + 2] + rhoJ, h)
-        if (k + 1) % settings.project_every == 0 or k == nsteps - 1:
-            off = sl._drift(M, J) > settings.symplectic_drift_tol
+        if (k + 1) % sl._PROJECT_EVERY == 0 or k == nsteps - 1:
+            off = sl._drift(M, J) > sl._SYMPLECTIC_DRIFT_TOL
             if off.any():
                 M[off] = sl.project_symplectic(M[off])
         states.append(M)
@@ -195,6 +195,7 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
     checks = []
     drift = sl._drift
     monkeypatch.setattr(sl, "_drift", lambda M, J: checks.append(1) or drift(M, J))
+    default_tol = sl._SYMPLECTIC_DRIFT_TOL
     rng = make_rng(44)
     for n in (1, 2, 3, 4):
         sigma = random_sigma_poly(rng, n, degree=2)
@@ -204,14 +205,14 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
             C = sl._coefficients(sigma, 1.0, 1.0 / nsteps, shifted=True)[1]
             for B in (1, 4 * n, 387):
                 rhos = np.linspace(-12.0, 12.0, B)
-                for tol in (sl.DEFAULTS.symplectic_drift_tol, 0.0):
-                    settings = sl.DEFAULTS.with_(symplectic_drift_tol=tol)
+                for tol in (default_tol, 0.0):
+                    monkeypatch.setattr(sl, "_SYMPLECTIC_DRIFT_TOL", tol)
                     # every state of a 387-wide batch does not fit in a test
                     for keep in (False, True) if B < 387 else (False,):
-                        want = _per_step_rk4(G, h, rhos, settings, keep)
+                        want = _per_step_rk4(G, h, rhos, keep)
                         del checks[:]
-                        got = sl._rk4(C, h, rhos, settings, keep=keep)
-                        assert len(checks) == -(-nsteps // settings.project_every)
+                        got = sl._rk4(C, h, rhos, keep=keep)
+                        assert len(checks) == -(-nsteps // sl._PROJECT_EVERY)
                         assert got.shape == want.shape
                         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -247,7 +248,7 @@ def test_step_map_blocks_stay_within_the_budget(monkeypatch):
         assert not chunks
         assert all(shape[1:] == (B, 8, 8) for shape in blocks)
         assert max(shape[0] for shape in blocks) == max(
-            1, min(sl._BLOCK_ENTRIES // per_step, sl.DEFAULTS.project_every))
+            1, min(sl._BLOCK_ENTRIES // per_step, sl._PROJECT_EVERY))
         assert sum(shape[0] for shape in blocks) == 1000
 
 
@@ -394,14 +395,14 @@ def test_fundamental_solution_order_four():
     assert rate1 > 3.5 and rate2 > 3.5
 
 
-def test_step_too_large():
+def test_step_too_large(monkeypatch):
     # non-constant sigma: a declared constant path takes the exact exponential
     sig = sl.poly_path([80.0 * np.eye(2), 1e-3 * np.eye(2)])
-    settings = sl.DEFAULTS.with_(project_every=4)
     with pytest.raises(StepTooLarge):
-        sl.fundamental_solution(sig, 1.0, step=0.25, settings=settings)
+        sl.fundamental_solution(sig, 1.0, step=0.25)
+    monkeypatch.setattr(sl, "_ODE_STEP", 0.25)
     with pytest.raises(StepTooLarge):
-        sl.FundamentalFlow(sig, settings=settings.with_(ode_step=0.25))
+        sl.FundamentalFlow(sig)
 
 
 def test_constancy_is_declared_by_constructors():
