@@ -69,7 +69,7 @@ def _transport_rank(data):
     return ranks.pop()
 
 
-def morse_complex(data, ring=Z2):
+def morse_complex(data, ring):
     """Morse chain complex: d p = sum over trajectories of sign . transport . q."""
     rank = _transport_rank(data)
     gens = []
@@ -95,7 +95,7 @@ def morse_complex(data, ring=Z2):
     return GradedFreeComplex.build(ring, gens, boundary)
 
 
-def morse_cohomology(data, ring=Z2):
+def morse_cohomology(data, ring):
     """Cochain complex as a chain complex on negated degrees (d raises degree).
 
     The report of ``homology`` applied to the result reads off cohomology in
@@ -114,7 +114,7 @@ def morse_cohomology(data, ring=Z2):
     return GradedFreeComplex.build(ring, gens, boundary)
 
 
-def morse_functorial(src, dst, counts, ring=Z2):
+def morse_functorial(src, dst, counts, ring):
     """Chain map from signed counts (p, p', sign); raises ChainMapViolation.
 
     Returns (matrix, row_names, col_names) with matrix over the ring.

@@ -108,12 +108,13 @@ def constant_lagrangian_path(frame, a=0.0, b=1.0):
 
 
 def rotation_path(theta, base, a=0.0, b=1.0):
-    """s -> e^{theta(s) J} . span(base); theta a scalar function."""
+    """s -> e^{theta(s) J} . span(base); theta maps an (m,) array of
+    parameters to the (m,) array of angles."""
     n = base.n
     X, Y = base.frame[:n, :], base.frame[n:, :]
 
     def stack(ss):
-        th = np.array([theta(s) for s in ss], dtype=float)[:, None, None]
+        th = np.asarray(theta(ss), dtype=float)[:, None, None]
         c, s = np.cos(th), np.sin(th)
         return np.concatenate([c * X - s * Y, s * X + c * Y], axis=1)
 
@@ -121,13 +122,11 @@ def rotation_path(theta, base, a=0.0, b=1.0):
 
 
 def graph_path(B, a=0.0, b=1.0):
-    """s -> graph of the symmetric matrix B(s)."""
-    B0 = np.asarray(B(a), dtype=float)
-    return LagrangianPath(
-        B0.shape[0], a, b,
-        lambda ss: sl.graph_lagrangian(np.array([B(s) for s in ss],
-                                                dtype=float)).frame,
-        "graph")
+    """s -> graph of the symmetric matrix B(s); B maps an (m,) array of
+    parameters to the (m, n, n) stack of matrices."""
+    n = np.shape(B(np.array([a], dtype=float)))[-1]
+    return LagrangianPath(n, a, b, lambda ss: sl.graph_lagrangian(B(ss)).frame,
+                          "graph")
 
 
 def fundamental_image_path(flow, base, a=0.0, b=1.0):

@@ -50,7 +50,7 @@ class LaurentPoly:
         return LaurentPoly.make(ring, {0: 1})
 
     @staticmethod
-    def lam(ring, e=1):
+    def lam(ring, e):
         return LaurentPoly.make(ring, {e: 1})
 
     def is_zero(self):

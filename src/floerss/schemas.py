@@ -87,12 +87,12 @@ def check_header(doc, kind=None):
 
 
 @_schema_checked
-def parse_frame(obj, where="frame"):
+def parse_frame(obj, where):
     return sl.validate_lagrangian(_matrix(obj, where))
 
 
 @_schema_checked
-def parse_sigma(obj, where="sigma"):
+def parse_sigma(obj, where):
     if "constant" in obj:
         return sl.constant_path(_matrix(obj["constant"], where))
     if "poly" in obj:
@@ -102,37 +102,41 @@ def parse_sigma(obj, where="sigma"):
 
 
 def _poly_eval(coeffs, where):
+    """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k."""
     cs = [_finite(c, where) for c in coeffs]
 
-    def f(s):
-        acc, sk = 0.0, 1.0
+    def f(ss):
+        acc, sk = 0.0, np.ones_like(ss)
         for c in cs:
-            acc += c * sk
-            sk *= s
+            acc = acc + c * sk
+            sk = sk * ss
         return acc
 
     return f
 
 
 def _matrix_poly_eval(coeffs, where):
+    """ss -> (m, n, n) stack of the symmetric part of sum_k coeffs[k] s^k;
+    a coefficient that is not symmetric is refused (NotSymmetric)."""
     mats = [_matrix(c, where) for c in coeffs]
     if any(c.shape != (len(mats[0]),) * 2 for c in mats):
         raise SchemaError(f"{where}: coefficients must be square matrices of "
                           "one size", path=where)
+    sl.check_symmetric(np.stack(mats))
 
-    def f(s):
-        acc = np.zeros_like(mats[0])
-        sk = 1.0
+    def f(ss):
+        acc = np.zeros((len(ss),) + mats[0].shape)
+        sk = np.ones_like(ss)[:, None, None]
         for c in mats:
             acc = acc + sk * c
-            sk *= s
-        return 0.5 * (acc + acc.T)
+            sk = sk * ss[:, None, None]
+        return 0.5 * (acc + np.swapaxes(acc, 1, 2))
 
     return f
 
 
 @_schema_checked
-def parse_path(obj, where="path"):
+def parse_path(obj, where):
     a, b = (_finite(x, where) for x in _need(obj, "interval", where))
     typ = _need(obj, "type", where)
     if typ == "constant":

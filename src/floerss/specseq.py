@@ -478,7 +478,7 @@ def novikov_filtration(C, window=None, indexing="plain"):
     return fc
 
 
-def check_boundedness_formula(fc, C, window, stretch=1):
+def check_boundedness_formula(fc, C, window, stretch):
     """F^{k-}C_m = 0 and levels <= k+ with k- = floor((m - max)/N) - 1 and
     k+ = ceil((m - min)/N), in plain level units."""
     degs2 = [d2 for _, d2 in C.generators]

@@ -297,7 +297,7 @@ def _kernel_functions(A, ts):
 _QUAD_NODES, _MODES, _GAP_SLACK = 256, 6, 1e-4
 
 
-def gap_inequality_check(A, num_tests=50, rng=None, project_kernel=True):
+def gap_inequality_check(A, num_tests, rng, project_kernel=True):
     """Sample smooth test functions in the domain and check
 
     ||A xi|| >= iota(A) ||xi||   (xi orthogonal to ker A)   and
@@ -306,7 +306,6 @@ def gap_inequality_check(A, num_tests=50, rng=None, project_kernel=True):
     with quadrature on ``_QUAD_NODES`` nodes, test functions of ``_MODES``
     trigonometric modes and slack ``_GAP_SLACK``.  Returns (ok, report).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     n = A.n
     L0, L1 = A.boundary
     iota = spectral_gap(A)

@@ -27,9 +27,10 @@ Every fundamental solution comes from one flow mechanism:
   step the symplectic drift is checked: above ``_SYMPLECTIC_DRIFT_LIMIT``
   StepTooLarge is raised, above ``_SYMPLECTIC_DRIFT_TOL`` the state is
   projected back onto Sp(2n).
-* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states; a
-  batch of t-queries is one stack of partial step maps) and ``shifted_flows``
-  (the nodes of the spectrum interpolant) are the three entry points.
+* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states,
+  each block's from the prefix products of its step maps; a batch of
+  t-queries is one stack of partial step maps) and ``shifted_flows`` (the
+  nodes of the spectrum interpolant) are the three entry points.
 
 A symmetric path is its stack (``SymmetricPath.stack``: times -> values),
 and ``sigma(t)`` is a stack of one; sums and Z-actions stack their parts.
@@ -214,6 +215,16 @@ def intersection_basis(F, G, tol=1e-6):
     return q[:, :k]
 
 
+def check_symmetric(S):
+    """Refuse (NotSymmetric) a member of the (m, n, n) stack S with
+    max |S - S^T| above ``_FRAME_TOL`` max(1, max |S|)."""
+    asym = np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2))
+    bad = asym > _FRAME_TOL * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+    if bad.any():
+        worst = float(asym[np.argmax(bad)])
+        raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
+
+
 def graph_lagrangian(B):
     """Frame of the graph {(x, Bx)} of a symmetric matrix B.
 
@@ -226,12 +237,7 @@ def graph_lagrangian(B):
         raise DimensionMismatch(f"B must be square, got {B.shape}")
     n = B.shape[-1]
     if B.size:
-        S = B.reshape((-1, n, n))
-        asym = np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2))
-        bad = asym > _FRAME_TOL * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
-        if bad.any():
-            worst = float(asym[np.argmax(bad)])
-            raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
+        check_symmetric(B.reshape((-1, n, n)))
     M = np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
     return validate_lagrangian(M)
 
@@ -454,9 +460,10 @@ def _rk4(C, h, rhos, keep=False):
     are taken in blocks: the step maps of a block, evaluated at every rho
     (``_evaluate``), are one stack of at most ``_BLOCK_ENTRIES`` entries;
     without keep they are multiplied pairwise and applied to M once, with
-    keep one at a time.  No block crosses a checkpoint: every
-    ``_PROJECT_EVERY`` steps and after the last one, the drift
-    max |M^T J M - J| of each member is checked: above
+    keep their prefix products are formed by doubling (log2 of the block's
+    length stacked products) and applied to M as one stack.  No block
+    crosses a checkpoint: every ``_PROJECT_EVERY`` steps and after the
+    last one, the drift max |M^T J M - J| of each member is checked: above
     ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large (StepTooLarge), above
     ``_SYMPLECTIC_DRIFT_TOL`` the member is projected back onto Sp(2n).
     Returns the (B, d, d) end states, or with keep every state, shaped
@@ -477,8 +484,13 @@ def _rk4(C, h, rhos, keep=False):
         end = min(k + span, (k // every + 1) * every, nsteps)
         P = _evaluate(C[k:end], powers, top)
         if keep:
-            for j in range(len(P)):
-                M = np.matmul(P[j], M, out=states[k + 1 + j])
+            # inclusive prefix products P_j ... P_0 by doubling, on a copy:
+            # rho-free P is a view of C
+            P, gap = P.copy(), 1
+            while gap < len(P):
+                P[gap:] = P[gap:] @ P[:-gap]
+                gap *= 2
+            M = np.matmul(P, M, out=states[k + 1:end + 1])[-1]
         else:
             while len(P) > 1:
                 half = len(P) // 2
@@ -541,7 +553,8 @@ class FundamentalFlow:
     """Evaluator t -> Psi(t) on [0, 1] for one symmetric path.
 
     A declared constant sigma is the exact one-parameter group.  Otherwise
-    the RK4 state at every step of ``_ODE_STEP`` is kept, and a query
+    the RK4 state at every step of ``_ODE_STEP`` is kept (``_rk4`` with
+    keep: each block's states from its prefix products), and a query
     is one partial RK4 step from the step below it; ``at`` answers a whole
     batch of t with one stack of partial step maps (``_step_maps``), whose
     stage generators come from one ``sigma.samples`` call.

@@ -84,7 +84,8 @@ def test_criterion_03_rs_axiom_suite():
         n = int(rng.integers(1, 3))
         B0 = random_half_symmetric(rng, n)
         B1 = random_half_symmetric(rng, n) + 0.3 * np.eye(n)
-        Fg = lp.graph_path(lambda s, B0=B0, B1=B1: B0 + s * B1, 0.0, 1.0)
+        Fg = lp.graph_path(
+            lambda ss, B0=B0, B1=B1: B0 + ss[:, None, None] * B1, 0.0, 1.0)
         Fh = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
         mu = lp.rs_index(Fg, Fh, grid=96)
         good += mu == Fraction(_sign(B0 + B1) - _sign(B0), 2)

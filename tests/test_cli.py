@@ -683,10 +683,50 @@ INDEX_DOCS = {
         "F0": {"type": "constant", "interval": [0, 1], "frame": [[1], [0]]},
         "F1": {"type": "rotation", "interval": [0, 1],
                "theta": {"poly": [0.0, 3.141592653589793]}, "base": [[1], [0]]}}),
+    # n = 3 flow of a degree-2 sigma
+    "fundamental-n3": ("rs-index", {
+        "kind": "rs_index", "grid": 128,
+        "F0": {"type": "fundamental", "interval": [0, 1],
+               "sigma": {"poly": [
+                   [[2.0, 0.3, 0, 0.1, 0, 0], [0.3, 1.5, 0, 0, 0, 0],
+                    [0, 0, 3.0, 0, 0, 0.2], [0.1, 0, 0, 2.5, 0, 0],
+                    [0, 0, 0, 0, 1.0, 0], [0, 0, 0.2, 0, 0, 2.0]],
+                   np.diag([1.0, -0.5, 0.8, 0.6, 1.2, -0.4]).tolist(),
+                   np.diag([0.5, 0.3, -0.6, 0.4, 0.2, 0.7]).tolist()]},
+               "base": [[1, 0, 0], [0, C, 0], [0, 0, 0], [0, 0, 0], [0, 0.5, 0],
+                        [0, 0, 1]]},
+        "F1": {"type": "constant", "interval": [0, 1],
+               "frame": [[C, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0, 0], [0, 0, 0],
+                         [0, 0, 0]]}}),
+    # the flow of sigma = O diag(c, c) O^T, rates c(t) = (1.5 + t) pi (1, -2),
+    # O the rotation by pi/6: the diagonal loop diag(e^{2 pi i t}, e^{-4 pi i t})
+    # in the frame O, Maslov index 2 (1 - 2)
+    "maslov-diagonal": ("maslov", {
+        "kind": "maslov", "grid": 384,
+        "path": {"type": "fundamental", "interval": [0, 1],
+                 "sigma": {"poly": [
+                     [[1.1780972450961729, 6.121572854290485, 0.0, 0.0],
+                      [6.121572854290485, -5.8904862254808625, 0.0, 0.0],
+                      [0.0, 0.0, 1.1780972450961729, 6.121572854290485],
+                      [0.0, 0.0, 6.121572854290485, -5.8904862254808625]],
+                     [[0.7853981633974487, 4.08104856952699, 0.0, 0.0],
+                      [4.08104856952699, -3.9269908169872423, 0.0, 0.0],
+                      [0.0, 0.0, 0.7853981633974487, 4.08104856952699],
+                      [0.0, 0.0, 4.08104856952699, -3.9269908169872423]]]},
+                 "base": [[0.7976622192414451, -0.22679806071278866],
+                          [0.46053049700144255, 0.39282576421264087],
+                          [0.33724617713891586, -0.4456036800307177],
+                          [0.19470917115432526, 0.7718082138528682]]},
+        "ref": [[-0.27997697768226176, -0.477668244562803],
+                [-0.16164478343175168, 0.8273456687450109],
+                [0.8195199155407429, -0.14776010333066977],
+                [0.47315004384370724, 0.25592800630034734]]}),
 }
 
 # stdout of the documents above, text and --json, recorded from the
-# crossing-form engine (golden-section refinement of principal-angle minima)
+# crossing-form engine (golden-section refinement of principal-angle minima);
+# the n = 3 and diagonal-loop rows from the Souriau winding over a flow kept
+# one RK4 step at a time
 INDEX_STDOUT = {
     "graph": (
         'rs_index: -1/2\nvalue: -0.5\n',
@@ -709,6 +749,12 @@ INDEX_STDOUT = {
     "index-formula": (
         'index: -1\n',
         '{"index": -1, "kind": "index_formula"}\n'),
+    "fundamental-n3": (
+        'rs_index: 2\nvalue: 2\n',
+        '{"kind": "rs_index", "rs_index": {"den": 1, "num": 2}, "value": 2.0}\n'),
+    "maslov-diagonal": (
+        'maslov: -2\n',
+        '{"kind": "maslov", "maslov": -2}\n'),
 }
 
 
@@ -760,3 +806,23 @@ def test_successive_calls_see_only_their_own_flags(tmp_path, capsys):
     assert run_cli([cmd, str(p), "--json"], capsys) == (
         0, INDEX_STDOUT["graph"][1], "")
     assert run_cli([cmd, str(p)], capsys) == (0, INDEX_STDOUT["graph"][0], "")
+
+
+def test_asymmetric_graph_coefficients_are_refused(tmp_path, capsys):
+    # the graph of B(s) needs B(s) symmetric; a B coefficient that is not
+    # used to be replaced by its symmetric part (rs_index 1, exit 0), while
+    # an asymmetric sigma is refused
+    def doc(c0):
+        return {"schema": "floerss/1", "kind": "rs_index", "grid": 64,
+                "F0": {"type": "graph", "interval": [0, 1],
+                       "B": {"poly": [c0, [[1.0, 0.0], [0.0, 0.0]]]}},
+                "F1": {"type": "constant", "interval": [0, 1], "frame": _H2}}
+
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(doc([[-0.5, 3.0], [-3.0, 0.2]])))
+    code, out, err = run_cli(["rs-index", str(p), "--json"], capsys)
+    assert (code, out, json.loads(err)["error"]) == (1, "", "NotSymmetric")
+    # asymmetry within the frame tolerance is accepted and symmetrized
+    p.write_text(json.dumps(doc([[-0.5, 3.0], [3.0 + 1e-12, 0.2]])))
+    code, out, err = run_cli(["rs-index", str(p)], capsys)
+    assert (code, err) == (0, "") and out.startswith("rs_index: ")

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from floerss import lagpath as lp
+from floerss import schemas
 from floerss import symplin as sl
 from floerss.errors import (DimensionMismatch, EndpointMismatch, GridTooCoarse,
                             IntegrationFailure,
@@ -26,13 +27,13 @@ def _sign(M):
 
 
 def test_no_crossing_before_pi():
-    F0 = lp.rotation_path(lambda s: s, H1, 0.1, 3.0)
+    F0 = lp.rotation_path(lambda ss: ss, H1, 0.1, 3.0)
     F1 = lp.constant_lagrangian_path(H1, 0.1, 3.0)
     assert lp.find_crossings(F0, F1) == []
 
 
 def test_crossing_localized_at_pi():
-    F0 = lp.rotation_path(lambda s: s, H1, 0.1, 3.3)
+    F0 = lp.rotation_path(lambda ss: ss, H1, 0.1, 3.3)
     F1 = lp.constant_lagrangian_path(H1, 0.1, 3.3)
     cr = lp.find_crossings(F0, F1)
     assert len(cr) == 1
@@ -48,7 +49,7 @@ def test_constant_pair_is_a_plateau():
 
 
 def test_graph_crossing_form_and_index():
-    Fg = lp.graph_path(lambda s: np.array([[s - 0.5]]), 0.0, 1.0)
+    Fg = lp.graph_path(lambda ss: (ss - 0.5)[:, None, None], 0.0, 1.0)
     Fh = lp.constant_lagrangian_path(H1, 0.0, 1.0)
     cr = lp.find_crossings(Fg, Fh)
     assert len(cr) == 1
@@ -59,7 +60,7 @@ def test_graph_crossing_form_and_index():
 
 
 def test_crossing_form_pair_antisymmetry():
-    moving = lp.rotation_path(lambda s: s, H1, 0.0, 1.0)
+    moving = lp.rotation_path(lambda ss: ss, H1, 0.0, 1.0)
     frozen = lp.constant_lagrangian_path(sl.rotate_frame(H1, 0.5), 0.0, 1.0)
     f1, _ = lp.crossing_form(moving, frozen, 0.5)
     f2, _ = lp.crossing_form(frozen, moving, 0.5)
@@ -72,8 +73,8 @@ def test_crossing_form_graph_localizes_to_B_prime():
     B0 = np.diag([0.0, 1.0])
     B1 = np.diag([1.0, 0.5])
 
-    def B(s):
-        return B0 + (s - 0.5) * B1
+    def B(ss):
+        return B0 + (ss - 0.5)[:, None, None] * B1
 
     Fg = lp.graph_path(B, 0.0, 1.0)
     Fh = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
@@ -106,7 +107,7 @@ def test_rs_localization_exact_formula():
         def B(s, B0=B0, B1=B1):
             return B0 + s * B1
 
-        Fg = lp.graph_path(B, 0.0, 1.0)
+        Fg = lp.graph_path(lambda ss: B(ss[:, None, None]), 0.0, 1.0)
         Fh = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
         mu = lp.rs_index(Fg, Fh, grid=96)
         expected = Fraction(_sign(B(1.0)) - _sign(B(0.0)), 2)
@@ -115,7 +116,7 @@ def test_rs_localization_exact_formula():
 
 
 def test_rs_rotation_endpoint_halves():
-    F0 = lp.rotation_path(lambda s: s, H1, 0.0, np.pi)
+    F0 = lp.rotation_path(lambda ss: ss, H1, 0.0, np.pi)
     F1 = lp.constant_lagrangian_path(H1, 0.0, np.pi)
     assert lp.rs_index(F0, F1) == 1
 
@@ -206,8 +207,9 @@ def test_perturb_resolves_degenerate_graph_crossing():
     # B(s) = (s - 1/2)^2 - tangential crossing, degenerate form; the index is
     # the graph localization (sign B(b) - sign B(a)) / 2 = 0, and the
     # perturbed paths, whose crossings are regular, give the same value
-    B = lambda s: np.array([[(s - 0.5) ** 2]])
-    Fg = lp.graph_path(B, 0.0, 1.0)
+    Bs = lambda ss: ((ss - 0.5) ** 2)[:, None, None]
+    B = lambda s: Bs(np.array([s]))[0]
+    Fg = lp.graph_path(Bs, 0.0, 1.0)
     Fh = lp.constant_lagrangian_path(H1, 0.0, 1.0)
     localization = Fraction(_sign(B(1.0)) - _sign(B(0.0)), 2)
     assert localization == 0
@@ -219,13 +221,15 @@ def test_perturb_resolves_degenerate_graph_crossing():
     assert len(cr) == 1 and abs(cr[0].s - 0.5) < 1e-6 and not cr[0].regular
 
 
-@pytest.mark.parametrize("B,expected", [
-    (lambda s: np.array([[(s - 0.5) ** 3]]), 1),
-    (lambda s: np.diag([s - 0.5, (s - 0.5) ** 2]), 1),
+@pytest.mark.parametrize("Bs,expected", [
+    (lambda ss: ((ss - 0.5) ** 3)[:, None, None], 1),
+    (lambda ss: np.stack([ss - 0.5, (ss - 0.5) ** 2], axis=1)[:, :, None]
+     * np.eye(2), 1),
 ], ids=["cubic", "line_plus_tangency"])
-def test_rs_degenerate_graph_crossings_localize(B, expected):
+def test_rs_degenerate_graph_crossings_localize(Bs, expected):
+    B = lambda s: Bs(np.array([s]))[0]
     n = B(0.0).shape[0]
-    Fg = lp.graph_path(B, 0.0, 1.0)
+    Fg = lp.graph_path(Bs, 0.0, 1.0)
     Fh = lp.constant_lagrangian_path(sl.horizontal(n), 0.0, 1.0)
     assert Fraction(_sign(B(1.0)) - _sign(B(0.0)), 2) == expected
     assert lp.rs_index(Fg, Fh) == expected
@@ -293,7 +297,7 @@ def test_brackets_the_floats_cannot_halve_are_refused():
     # on [1e6, 1e6 + 1] neighbouring floats are 1.2e-10 apart, wider than
     # the bracket width _CROSSING_REFINE_TOL = 1e-11 that bisection aims for
     a = 1e6
-    F0 = lp.rotation_path(lambda s: 2.0 * (s - a) - 0.7, sl.horizontal(1),
+    F0 = lp.rotation_path(lambda ss: 2.0 * (ss - a) - 0.7, sl.horizontal(1),
                           a, a + 1.0)
     F1 = lp.constant_lagrangian_path(sl.horizontal(1), a, a + 1.0)
     with pytest.raises(GridTooCoarse) as info:
@@ -361,14 +365,14 @@ def _line_model_paths(rng, kind, n):
     r = rng.uniform(-5.0, 5.0, n)
     if kind == "rotation":
         r[:] = r[0]
-        path = lp.rotation_path(lambda s: r[0] * s,
+        path = lp.rotation_path(lambda ss: r[0] * ss,
                                 sl.LagrangianFrame(n=n, frame=OO @ _lines(a)))
         y = lambda s: a + r[0] * s
         crossings = _exact_crossings(np.stack([a, r], axis=1), False)
     elif kind == "graph":
         # lines at angles atan(p + q s), crossing where p + q s = 0
         p, q = np.tan(0.5 * a), rng.uniform(-3.0, 3.0, n)
-        path = lp.graph_path(lambda s: O @ np.diag(p + q * s) @ O.T)
+        path = lp.graph_path(lambda ss: O * (p + q * ss[:, None])[:, None, :] @ O.T)
         y = lambda s: np.arctan(p + q * s)
         crossings = _exact_crossings(np.stack([p, q], axis=1), True)
     elif kind == "sampled":
@@ -519,6 +523,53 @@ def test_stacked_composites_match_pointwise_formulas():
         _same(sl.phi_mu(n, 3, half),
               np.stack([_pointwise_phi_mu(n, 3, t) for t in half]))
 
+
+def _pointwise_poly(coeffs, s):
+    """sum_k coeffs[k] s^k for one s, from degree 0 up."""
+    acc, sk = 0.0, 1.0
+    for c in coeffs:
+        acc += c * sk
+        sk *= s
+    return acc
+
+
+def _pointwise_matrix_poly(coeffs, s):
+    """The symmetric part of sum_k coeffs[k] s^k for one s."""
+    acc, sk = np.zeros_like(coeffs[0]), 1.0
+    for c in coeffs:
+        acc = acc + sk * c
+        sk *= s
+    return 0.5 * (acc + acc.T)
+
+
+def test_parsed_polynomial_paths_match_pointwise_formulas():
+    # parsed rotation and graph paths against their formulas evaluated one
+    # parameter at a time, at samples including both ends of the interval
+    rng = make_rng(23)
+    for n in range(1, 5):
+        for degree in range(4):
+            a, b = np.sort(rng.uniform(-2.0, 2.0, 2))
+            ss = np.concatenate([[a], rng.uniform(a, b, 7), [b]])
+            theta = rng.uniform(-3.0, 3.0, degree + 1).tolist()
+            base = random_lagrangian(rng, n).frame.tolist()
+            rot = schemas.parse_path({"type": "rotation", "interval": [a, b],
+                                      "theta": {"poly": theta}, "base": base},
+                                     "F0")
+            X, Y = np.split(schemas.parse_frame(base, "base").frame, 2)
+            th = np.array([_pointwise_poly(theta, s) for s in ss])[:, None, None]
+            want = np.concatenate([np.cos(th) * X - np.sin(th) * Y,
+                                   np.sin(th) * X + np.cos(th) * Y], axis=1)
+            assert np.array_equal(rot.frames(ss), want)
+
+            B = [random_half_symmetric(rng, n) for _ in range(degree + 1)]
+            graph = schemas.parse_path(
+                {"type": "graph", "interval": [a, b],
+                 "B": {"poly": [c.tolist() for c in B]}}, "F0")
+            want = sl.graph_lagrangian(
+                np.array([_pointwise_matrix_poly(B, s) for s in ss])).frame
+            assert graph.n == n and np.array_equal(graph.frames(ss), want)
+
+
 def test_rs_index_matches_crossing_forms_on_line_models():
     rng = make_rng(20)
     done = {k: 0 for k in ("rotation", "graph", "sampled", "fundamental")}
@@ -587,8 +638,9 @@ def test_rs_index_matches_crossing_forms_on_acceptance_instances(criterion,
 
 def test_non_finite_frames_are_refused():
     Fh = lp.constant_lagrangian_path(H1, 0.0, 1.0)
-    rot = lp.rotation_path(lambda s: np.nan if s > 0.5 else s, H1)
-    graph = lp.graph_path(lambda s: np.array([[np.nan if s > 0.5 else s]]))
+    rot = lp.rotation_path(lambda ss: np.where(ss > 0.5, np.nan, ss), H1)
+    graph = lp.graph_path(
+        lambda ss: np.where(ss > 0.5, np.nan, ss)[:, None, None])
     for F in (rot, graph):
         with pytest.raises(NotFullRank):
             lp.rs_index(F, Fh, grid=16)
@@ -614,12 +666,12 @@ def test_maslov_constant_loop():
 
 
 def test_maslov_generator_loop():
-    loop = lp.rotation_path(lambda s: s, H1, 0.0, np.pi)
+    loop = lp.rotation_path(lambda ss: ss, H1, 0.0, np.pi)
     assert lp.maslov_loop(loop, sl.rotate_frame(H1, 0.7)) == 1
 
 
 def test_maslov_not_a_loop():
-    arc = lp.rotation_path(lambda s: s, H1, 0.0, 1.0)
+    arc = lp.rotation_path(lambda ss: ss, H1, 0.0, 1.0)
     with pytest.raises(NotALoop):
         lp.maslov_loop(arc, sl.rotate_frame(H1, 0.7))
 

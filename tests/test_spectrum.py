@@ -326,7 +326,7 @@ def test_fredholm_transverse_matches_rs():
     ha = sl.rotate_frame(h, alpha)
     ref = sl.rotate_frame(h, alpha + np.pi / 2)
     sig = sl.zero_path(1)
-    F0 = lp.rotation_path(lambda s: alpha * (s + 1) / 2, h, -1.0, 1.0)
+    F0 = lp.rotation_path(lambda ss: alpha * (ss + 1) / 2, h, -1.0, 1.0)
     F1 = lp.constant_lagrangian_path(ref, -1.0, 1.0)
     mu_F = lp.rs_index(F0, F1)
     idx = sp.fredholm_index((sig, ha, ref), (sig, h, ref), (F0, F1))
