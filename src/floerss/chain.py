@@ -16,6 +16,7 @@ components carries l >= 1.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -168,14 +169,16 @@ class MonotoneContext:
 
 @dataclass(frozen=True)
 class ComponentDatum:
-    """Discrete shadow of one clean-intersection component."""
+    """Discrete shadow of one clean-intersection component; ``build`` gives
+    a component without Morse data the perfect Morse data of its betti
+    numbers."""
 
     name: str
     dim: int
     action: float
     mu2: int                  # doubled degree offset
     betti: tuple
-    morse: MorseData = None
+    morse: MorseData
 
     @staticmethod
     def build(name, dim, action, mu2, betti, morse=None, ctx=None):
@@ -187,24 +190,26 @@ class ComponentDatum:
             raise ActionOutOfRange(
                 f"component {name}: action {action} outside [0, tau N)",
                 action=action, bound=ctx.tau * ctx.N)
-        c = ComponentDatum(name=str(name), dim=int(dim), action=float(action),
-                           mu2=int(mu2), betti=betti, morse=morse)
-        if morse is not None:
+        if morse is None:
+            morse = _perfect_morse(str(name), betti)
+        else:
             rep = homology(morse_complex(morse, Z2))["by_degree"]
             got = tuple(rep.get(2 * k, {"betti": 0})["betti"]
                         for k in range(dim + 1))
             if got != betti:
                 raise NotAComplex(
                     f"component {name}: Morse homology {got} != betti {betti}")
-        return c
+        return ComponentDatum(name=str(name), dim=int(dim), action=float(action),
+                              mu2=int(mu2), betti=betti, morse=morse)
 
-    def default_morse(self):
-        """Perfect Morse data realizing the betti numbers (no trajectories)."""
-        cps = []
-        for k, b in enumerate(self.betti):
-            for i in range(b):
-                cps.append((f"{self.name}:{k}.{i}", k))
-        return MorseData.build(cps, [])
+
+def _perfect_morse(name, betti):
+    """Perfect Morse data realizing the betti numbers (no trajectories)."""
+    cps = []
+    for k, b in enumerate(betti):
+        for i in range(b):
+            cps.append((f"{name}:{k}.{i}", k))
+    return MorseData.build(cps, [])
 
 
 def _mu_cap2(comp):
@@ -244,17 +249,15 @@ class PearlData:
         data._validate()
         return data
 
-    def _point_home(self):
-        home = {}
-        for c in self.components:
-            md = c.morse if c.morse is not None else c.default_morse()
-            for name, mi in md.critical_points:
-                home[name] = (c, mi)
-        return home
+    @cached_property
+    def home(self):
+        """Critical point name -> (its component, its Morse index)."""
+        return {name: (c, mi) for c in self.components
+                for name, mi in c.morse.critical_points}
 
     def _validate(self):
         N, tau = self.context.N, self.context.tau
-        home = self._point_home()
+        home = self.home
         for (src, dst, sign, maslov, area) in self.cascades:
             if src not in home or dst not in home:
                 raise IndexMismatch(f"cascade endpoints {src}->{dst} unknown")
@@ -296,9 +299,8 @@ class PearlData:
                     f"area, got {area}")
 
     def lambda_exponent(self, src, dst):
-        home = self._point_home()
-        cp, mip = home[src]
-        cq, miq = home[dst]
+        cp, mip = self.home[src]
+        cq, miq = self.home[dst]
         num = (2 * miq + cq.mu2) - (2 * mip + cp.mu2) + 2
         return num // (2 * self.context.N)
 
@@ -306,8 +308,7 @@ class PearlData:
 def _pearl_generators(data):
     gens = []
     for c in data.components:
-        md = c.morse if c.morse is not None else c.default_morse()
-        for name, mi in md.critical_points:
+        for name, mi in c.morse.critical_points:
             deg2 = 2 * mi + c.mu2
             if deg2 % 2 != 0:
                 raise GradingNotInteger(
@@ -325,16 +326,15 @@ def pearl_complex(data):
     pos = {nm: i for i, (nm, _) in enumerate(gens)}
     boundary = {}
     for c in data.components:
-        md = c.morse if c.morse is not None else c.default_morse()
-        for srcn, dstn, sign, label in md.trajectories:
+        for srcn, dstn, sign, label in c.morse.trajectories:
             col = boundary.setdefault(pos[srcn], {})
-            prev = col.get(pos[dstn], LaurentPoly.zero(Z2))
-            col[pos[dstn]] = prev + LaurentPoly.one(Z2)
+            prev = col.get(pos[dstn], LaurentPoly.zero())
+            col[pos[dstn]] = prev + LaurentPoly.one()
     for (src, dst, sign, maslov, area) in data.cascades:
         ell = data.lambda_exponent(src, dst)
         col = boundary.setdefault(pos[src], {})
-        prev = col.get(pos[dst], LaurentPoly.zero(Z2))
-        col[pos[dst]] = prev + LaurentPoly.lam(Z2, ell)
+        prev = col.get(pos[dst], LaurentPoly.zero())
+        col[pos[dst]] = prev + LaurentPoly.lam(ell)
     return GradedFreeComplex.build(L2, gens, boundary, N=N)
 
 
@@ -344,8 +344,7 @@ def local_pearl_complex(data):
     pos = {nm: i for i, (nm, _) in enumerate(gens)}
     boundary = {}
     for c in data.components:
-        md = c.morse if c.morse is not None else c.default_morse()
-        for srcn, dstn, sign, label in md.trajectories:
+        for srcn, dstn, sign, label in c.morse.trajectories:
             col = boundary.setdefault(pos[srcn], {})
             col[pos[dstn]] = (col.get(pos[dstn], 0) + 1) % 2
     for (src, dst, sign, maslov, area) in data.cascades:
@@ -353,13 +352,6 @@ def local_pearl_complex(data):
             col = boundary.setdefault(pos[src], {})
             col[pos[dst]] = (col.get(pos[dst], 0) + 1) % 2
     return GradedFreeComplex.build(Z2, gens, boundary)
-
-
-def component_of_generator(data):
-    """Map generator name -> component."""
-    return {nm: c for c in data.components
-            for nm, _ in (c.morse if c.morse is not None
-                          else c.default_morse()).critical_points}
 
 
 def monotonicity_check(records, ctx, tol=1e-9):

@@ -191,35 +191,47 @@ def cmd_ss(doc, args):
     }
 
 
+def _displaceable_verdict(datum):
+    comps = datum["components"]
+    if len(comps) != 1 or comps[0]["betti"] is None:
+        raise SchemaError("displaceable check needs one component with betti")
+    v = ob.displaceable_constraints(comps[0]["betti"], datum["N"])
+    return {"kind": "verdict", "verdict": v.kind,
+            "forced_isos": list(v.forced_isos),
+            "witness": [list(w) for w in v.witness]}
+
+
+def _quantum_cases(datum, period, max_rank):
+    res = ob.quantum_case_analysis(datum["components"], datum["N"], period,
+                                   max_rank=max_rank)
+    return {"kind": "quantum_cases",
+            "profiles": [{"dim": d, "betti": list(b)} for d, b in res.profiles]}
+
+
+def _period(datum, args):
+    """The flag's period if given (0 included), else the document's."""
+    return (args.quantum_period if args.quantum_period is not None
+            else datum["period"])
+
+
 def cmd_intersection(doc, args):
     datum = schemas.parse_intersection(doc)
-    comps = datum["components"]
     if args.displaceable:
-        if len(comps) != 1 or comps[0]["betti"] is None:
-            raise SchemaError("displaceable check needs one component with betti")
-        v = ob.displaceable_constraints(comps[0]["betti"], datum["N"])
-        return {"kind": "verdict", "verdict": v.kind,
-                "forced_isos": list(v.forced_isos),
-                "witness": [list(w) for w in v.witness]}
-    period = (args.quantum_period if args.quantum_period is not None
-              else datum.get("period"))
+        return _displaceable_verdict(datum)
+    period = _period(datum, args)
     if period is not None:
-        res = ob.quantum_case_analysis(comps, datum["N"], period,
-                                       max_rank=args.max_rank)
-        return {"kind": "quantum_cases",
-                "profiles": [{"dim": d, "betti": list(b)}
-                             for d, b in res.profiles]}
-    if comps[0]["betti"] is None:
+        return _quantum_cases(datum, period, args.max_rank)
+    comp = datum["components"][0]
+    if comp["betti"] is None:
         raise SchemaError("intersection needs a component with betti")
-    shape = ob.PageShape.from_betti(comps[0]["betti"], datum["N"],
-                                    offset=comps[0].get("mu", 0))
+    shape = ob.PageShape.from_betti(comp["betti"], datum["N"],
+                                    offset=comp.get("mu", 0))
     return {"kind": "intersection",
             "possible_differentials": ob.possible_differentials(shape)}
 
 
 def cmd_displace_check(doc, args):
-    args.displaceable = True
-    return cmd_intersection(doc, args)
+    return _displaceable_verdict(schemas.parse_intersection(doc))
 
 
 def cmd_pozniak(doc, args):
@@ -233,14 +245,10 @@ def cmd_pozniak(doc, args):
 
 def cmd_quantum_cases(doc, args):
     datum = schemas.parse_intersection(doc)
-    period = (args.quantum_period if args.quantum_period is not None
-              else datum.get("period"))
+    period = _period(datum, args)
     if period is None:
         raise SchemaError("quantum-cases needs a period (flag or file)")
-    res = ob.quantum_case_analysis(datum["components"], datum["N"], period,
-                                   max_rank=args.max_rank)
-    return {"kind": "quantum_cases",
-            "profiles": [{"dim": d, "betti": list(b)} for d, b in res.profiles]}
+    return _quantum_cases(datum, period, args.max_rank)
 
 
 def cmd_validate(doc, args):

@@ -1,9 +1,11 @@
-"""Exact arithmetic over Z2, Z and the Laurent ring Lambda = A[l, l^{-1}]
+"""Exact arithmetic over Z2, Z and the Laurent ring Lambda = Z2[l, l^{-1}]
 with deg l = -N, plus homology of finitely generated free graded complexes.
 
-Ring tags: "Z2", "Z", "L2" (Laurent over Z2).  Laurent polynomials are
-kept in canonical form (no zero coefficients); the ring L2 is Euclidean
-with size = exponent span, which makes Smith diagonalization available.
+Ring tags: "Z2", "Z", "L2" (Laurent over Z2).  Laurent polynomials have
+Z2 coefficients and are kept in canonical form (no zero coefficients); the
+ring L2 is Euclidean with size = exponent span, which makes Smith
+diagonalization available.  Homology over Z and L2 reads only the diagonal
+of the Smith form, so that is all ``smith_diagonalize`` returns.
 """
 
 from dataclasses import dataclass
@@ -21,37 +23,33 @@ Z2, Z, L2 = "Z2", "Z", "L2"
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Finite map exponent -> nonzero coefficient over Z2 or Z."""
+    """Finite map exponent -> nonzero coefficient over Z2."""
 
-    ring: str
-    terms: tuple  # sorted tuple of (exp, coeff)
+    terms: tuple  # sorted tuple of (exp, 1)
 
     @staticmethod
-    def make(ring, terms):
-        if ring not in (Z2, Z):
-            raise UnsupportedRing(f"coefficients must be Z2 or Z, got {ring}")
+    def make(terms):
+        """From a map (or pairs) exponent -> integer coefficient, mod 2."""
         acc = {}
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = int(c) % 2 if ring == Z2 else int(c)
+            c = int(c) % 2
             if c:
-                acc[int(e)] = acc.get(int(e), 0) + c
-                if ring == Z2:
-                    acc[int(e)] %= 2
+                acc[int(e)] = (acc.get(int(e), 0) + c) % 2
                 if acc[int(e)] == 0:
                     del acc[int(e)]
-        return LaurentPoly(ring, tuple(sorted(acc.items())))
+        return LaurentPoly(tuple(sorted(acc.items())))
 
     @staticmethod
-    def zero(ring):
-        return LaurentPoly.make(ring, {})
+    def zero():
+        return LaurentPoly.make({})
 
     @staticmethod
-    def one(ring):
-        return LaurentPoly.make(ring, {0: 1})
+    def one():
+        return LaurentPoly.make({0: 1})
 
     @staticmethod
-    def lam(ring, e):
-        return LaurentPoly.make(ring, {e: 1})
+    def lam(e):
+        return LaurentPoly.make({e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -72,61 +70,45 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.make(self.ring, acc)
+        return LaurentPoly.make(acc)
 
-    def __neg__(self):
-        return LaurentPoly.make(self.ring, [(e, -c) for e, c in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
+    __sub__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly.make(self.ring, [(e, c * other) for e, c in self.terms])
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.make(self.ring, acc)
+        return LaurentPoly.make(acc)
 
     def shift(self, k):
-        return LaurentPoly.make(self.ring, [(e + k, c) for e, c in self.terms])
+        return LaurentPoly.make([(e + k, c) for e, c in self.terms])
 
     def __str__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for e, c in self.terms:
-            if e == 0:
-                bits.append(f"{c}")
-            elif e == 1:
-                bits.append(f"{c}*l" if c != 1 else "l")
-            else:
-                bits.append(f"{c}*l^{e}" if c != 1 else f"l^{e}")
-        return " + ".join(bits)
+        return " + ".join("1" if e == 0 else "l" if e == 1 else f"l^{e}"
+                          for e, _ in self.terms)
 
 
 def laurent_divmod(a, b):
-    """(q, r) with a = q b + r and span(r) < span(b) or r = 0; Z2 only."""
-    if a.ring != Z2 or b.ring != Z2:
-        raise UnsupportedRing("Euclidean division only over Z2 coefficients")
+    """(q, r) with a = q b + r and span(r) < span(b) or r = 0."""
     if b.is_zero():
         raise DivisionByZero("division by the zero Laurent polynomial")
-    q = LaurentPoly.zero(Z2)
+    q = LaurentPoly.zero()
     r = a
     while not r.is_zero() and r.span >= b.span:
         shift = r.max_exp - b.max_exp
-        q = q + LaurentPoly.lam(Z2, shift)
+        q = q + LaurentPoly.lam(shift)
         r = r - b.shift(shift)
     return q, r
 
 
 # -- Euclidean ring protocol for Smith normal form --------------------------------
+# Both rings' elements add, subtract and multiply with the Python operators.
 
 
 class _RingZ:
-    zero, one = 0, 1
-
     @staticmethod
     def is_zero(a):
         return a == 0
@@ -144,21 +126,9 @@ class _RingZ:
         return q, r
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
     def normalize(a):
-        """(unit u, canonical a') with a = u a', canonical positive."""
-        return (-1, -a) if a < 0 else (1, a)
+        """The canonical associate of a: its absolute value."""
+        return abs(a)
 
     @staticmethod
     def divides(a, b):
@@ -166,9 +136,6 @@ class _RingZ:
 
 
 class _RingL2:
-    zero = LaurentPoly.zero(Z2)
-    one = LaurentPoly.one(Z2)
-
     @staticmethod
     def is_zero(a):
         return a.is_zero()
@@ -182,24 +149,10 @@ class _RingL2:
         return laurent_divmod(a, b)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
     def normalize(a):
-        """Unit-normalize to lowest exponent zero (monic over Z2 automatic)."""
-        if a.is_zero():
-            return LaurentPoly.one(Z2), a
-        u = LaurentPoly.lam(Z2, a.min_exp)
-        return u, a.shift(-a.min_exp)
+        """The canonical associate of a: lowest exponent zero (monic over Z2
+        is automatic)."""
+        return a if a.is_zero() else a.shift(-a.min_exp)
 
     @staticmethod
     def divides(a, b):
@@ -218,40 +171,19 @@ def _ring_ops(ring):
 
 
 def smith_diagonalize(M, ring):
-    """Smith normal form over Z or L2: returns (D, U, V) with U M V = D.
+    """Diagonal of the Smith normal form of M over Z or L2.
 
-    D is diagonal with a divisibility chain, U and V are invertible over the
-    ring (det a unit).  M is a list of lists of ring elements.
+    Returns the min(m, n) diagonal entries d_1 | d_2 | ..., zeros last, each
+    the canonical associate (see the rings' ``normalize``).  M is a list of
+    lists of ring elements and is left unchanged.
     """
     R = _ring_ops(ring)
     A = [row[:] for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[R.one if i == j else R.zero for j in range(m)] for i in range(m)]
-    V = [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
 
-    def row_op(A, U, i, j, q):
-        # row_i -= q * row_j
-        for k in range(len(A[0])):
-            A[i][k] = R.sub(A[i][k], R.mul(q, A[j][k]))
-        for k in range(len(U[0])):
-            U[i][k] = R.sub(U[i][k], R.mul(q, U[j][k]))
-
-    def col_op(A, V, i, j, q):
-        # col_i -= q * col_j
-        for k in range(len(A)):
-            A[k][i] = R.sub(A[k][i], R.mul(q, A[k][j]))
-        for k in range(len(V)):
-            V[k][i] = R.sub(V[k][i], R.mul(q, V[k][j]))
-
-    def swap_rows(A, U, i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(A, V, i, j):
+    def swap_cols(i, j):
         for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     t = 0
@@ -265,24 +197,25 @@ def smith_diagonalize(M, ring):
                         best = (i, j)
         if best is None:
             break
-        swap_rows(A, U, t, best[0])
-        swap_cols(A, V, t, best[1])
+        A[t], A[best[0]] = A[best[0]], A[t]
+        swap_cols(t, best[1])
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
                 if not R.is_zero(A[i][t]):
                     q, r = R.divmod(A[i][t], A[t][t])
-                    row_op(A, U, i, t, q)
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
                     if not R.is_zero(r):
-                        swap_rows(A, U, t, i)
+                        A[t], A[i] = A[i], A[t]
                         dirty = True
             for j in range(t + 1, n):
                 if not R.is_zero(A[t][j]):
                     q, r = R.divmod(A[t][j], A[t][t])
-                    col_op(A, V, j, t, q)
+                    for row in A:
+                        row[j] = row[j] - q * row[t]
                     if not R.is_zero(r):
-                        swap_cols(A, V, t, j)
+                        swap_cols(t, j)
                         dirty = True
         # enforce divisibility: pivot must divide the rest of the block
         offender = None
@@ -295,27 +228,10 @@ def smith_diagonalize(M, ring):
                 break
         if offender is not None:
             # add the offending row to row t and redo the pivot step
-            for k in range(n):
-                A[t][k] = R.add(A[t][k], A[offender][k])
-            for k in range(m):
-                U[t][k] = R.add(U[t][k], U[offender][k])
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
             continue
         t += 1
-
-    # canonical units on the diagonal
-    for i in range(min(m, n)):
-        if not R.is_zero(A[i][i]):
-            u, a = R.normalize(A[i][i])
-            if a is not A[i][i]:
-                A[i][i] = a
-                # divide row i of U by the unit: multiply by u^{-1}
-                if ring == Z:
-                    inv = u  # u in {1, -1}
-                    U[i] = [R.mul(inv, x) for x in U[i]]
-                else:
-                    inv = LaurentPoly.lam(Z2, -u.min_exp)
-                    U[i] = [R.mul(inv, x) for x in U[i]]
-    return A, U, V
+    return [R.normalize(A[i][i]) for i in range(min(m, n))]
 
 
 # -- graded free complexes -----------------------------------------------------
@@ -330,8 +246,8 @@ def _coeff_make(ring, c):
         if isinstance(c, LaurentPoly):
             return c
         if isinstance(c, dict):
-            return LaurentPoly.make(Z2, c)
-        return LaurentPoly.make(Z2, {0: int(c)})
+            return LaurentPoly.make(c)
+        return LaurentPoly.make({0: int(c)})
     raise UnsupportedRing(ring)
 
 
@@ -463,31 +379,18 @@ def homology(C):
 
     if C.ring == Z:
         by_deg, blocks = _boundary_blocks(C)
-        report = {}
-        for d2, gens in sorted(by_deg.items()):
-            entries, nr, nc = blocks[d2]
+        ranks, torsion = {}, {}
+        for d2, (entries, nr, nc) in blocks.items():
             M = [[0] * nc for _ in range(nr)]
             for (i, j), c in entries.items():
                 M[i][j] = c
-            rk_d = 0
-            if nr and nc:
-                D, _, _ = smith_diagonalize(M, Z)
-                rk_d = sum(1 for i in range(min(nr, nc)) if D[i][i] != 0)
-            up = blocks.get(d2 + 2)
-            tors = []
-            rk_up = 0
-            if up:
-                e2, nr2, nc2 = up
-                M2 = [[0] * nc2 for _ in range(nr2)]
-                for (i, j), c in e2.items():
-                    M2[i][j] = c
-                if nr2 and nc2:
-                    D2, _, _ = smith_diagonalize(M2, Z)
-                    diag = [D2[i][i] for i in range(min(nr2, nc2)) if D2[i][i] != 0]
-                    rk_up = len(diag)
-                    tors = [d for d in diag if abs(d) != 1]
-            report[d2] = {"free_rank": len(gens) - rk_d - rk_up,
-                          "torsion": sorted(abs(t) for t in tors)}
+            diag = [d for d in smith_diagonalize(M, Z) if d != 0]
+            ranks[d2] = len(diag)
+            # d_m's nonunit invariant factors are the torsion of degree m - 1
+            torsion[d2 - 2] = sorted(d for d in diag if d != 1)
+        report = {d2: {"free_rank": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0),
+                       "torsion": torsion.get(d2, [])}
+                  for d2, gens in sorted(by_deg.items())}
         return {"ring": Z, "by_degree": report}
 
     if C.ring == L2:
@@ -498,18 +401,17 @@ def homology(C):
 def _homology_l2(C):
     """Lambda-module homology from one Smith form over the PID L2.
 
-    With U d V = diag(d_1..d_r, 0..), ker d is a direct summand of rank
-    m - r (Lambda^m / ker d = im d is free), so
+    With d equivalent to diag(d_1..d_r, 0..), ker d is a direct summand of
+    rank m - r (Lambda^m / ker d = im d is free), so
     H = ker / im = Lambda^(m - 2r) + sum_i Lambda / (d_i): the free rank is
     m - 2r and the torsion is the nonunit invariant factors.
     """
     m = C.size
-    M = [[LaurentPoly.zero(Z2) for _ in range(m)] for _ in range(m)]
+    M = [[LaurentPoly.zero() for _ in range(m)] for _ in range(m)]
     for j, col in enumerate(C.boundary):
         for i, c in col.items():
             M[i][j] = c
-    D, _, _ = smith_diagonalize(M, L2)
-    diag = [D[i][i] for i in range(m) if not D[i][i].is_zero()]
+    diag = [d for d in smith_diagonalize(M, L2) if not d.is_zero()]
     tors = [str(d) for d in diag if d.span > 0]
     # per-degree betti of the periodic block, via a truncation window
     per_degree = _periodic_block_betti(C) if C.graded else None

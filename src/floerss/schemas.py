@@ -164,7 +164,8 @@ def parse_path(obj, where):
 
 
 @_schema_checked
-def parse_operator(doc, where="operator"):
+def parse_operator(doc):
+    where = "operator"
     n = int(_need(doc, "n", where))
     sigma = parse_sigma(_need(doc, "sigma", where), where)
     frames = _need(doc, "boundary", where)
@@ -179,15 +180,16 @@ def parse_operator(doc, where="operator"):
 def _laurent_coeff(c, where):
     if isinstance(c, dict):
         try:
-            return LaurentPoly.make(Z2, {int(k): int(v) for k, v in c.items()})
+            return LaurentPoly.make({int(k): int(v) for k, v in c.items()})
         except (TypeError, ValueError):
             raise SchemaError(f"{where}: Laurent coefficient must map "
                               "integer exponents to integers", path=where)
-    return LaurentPoly.make(Z2, {0: int(c)})
+    return LaurentPoly.make({0: int(c)})
 
 
 @_schema_checked
-def parse_complex(doc, where="complex"):
+def parse_complex(doc):
+    where = "complex"
     ring = _need(doc, "ring", where)
     if ring not in (Z2, Z, L2):
         raise SchemaError(f"{where}: ring must be Z2, Z or L2", found=ring)
@@ -246,7 +248,8 @@ def parse_pearl(doc, where="pearl"):
 
 
 @_schema_checked
-def parse_intersection(doc, where="intersection"):
+def parse_intersection(doc):
+    where = "intersection"
     N = int(_need(doc, "N", where))
     if N < 1:
         raise SchemaError(f"{where}: N must be a positive integer", path=where,
@@ -263,5 +266,6 @@ def parse_intersection(doc, where="intersection"):
         })
     if not comps:
         raise SchemaError(f"{where}: needs at least one component", path=where)
+    period = doc.get("period")
     return {"N": N, "components": comps,
-            "period": int(doc.get("period", 0)) or None}
+            "period": None if period is None else int(period)}

@@ -425,9 +425,9 @@ def truncate_to_window(C, window):
         for e in range(lmin, lmax + 1):
             tcol = {}
             for i, c in col.items():
-                for ce, cc in c.terms:
+                for ce, _ in c.terms:
                     e2 = e + ce
-                    if lmin <= e2 <= lmax and cc % 2:
+                    if lmin <= e2 <= lmax:
                         k = pos[(i, e2)]
                         tcol[k] = (tcol.get(k, 0) + 1) % 2
             if tcol:
@@ -469,9 +469,9 @@ def novikov_filtration(C, window=None, indexing="plain"):
     for j, col in enumerate(C.boundary):
         for e in range(lmin, lmax + 1):
             for i, c in col.items():
-                for ce, cc in c.terms:
+                for ce, _ in c.terms:
                     e2 = e + ce
-                    if lmin <= e2 <= lmax and cc % 2:
+                    if lmin <= e2 <= lmax:
                         D[pos[(i, e2)], pos[(j, e)]] ^= 1
     fc = FilteredComplex.build(degrees, levels, D, names=gens)
     check_boundedness_formula(fc, C, window, stretch)
@@ -553,8 +553,6 @@ def action_filtration(local_complex, data):
     level(p) = rank of the action value of p's component among the distinct
     action values a_1 < ... < a_kappa (rank 1 = lowest).
     """
-    from .chain import component_of_generator
-    home = component_of_generator(data)
     actions = sorted({c.action for c in data.components})
     rank_of = {a: k + 1 for k, a in enumerate(actions)}
     degrees = []
@@ -564,7 +562,7 @@ def action_filtration(local_complex, data):
         if d2 % 2 != 0:
             raise DimensionMismatch("local pearl degrees must be integers")
         degrees.append(d2 // 2)
-        levels.append(rank_of[home[nm].action])
+        levels.append(rank_of[data.home[nm][0].action])
         names.append(nm)
     n = local_complex.size
     D = np.zeros((n, n), dtype=np.uint8)
@@ -585,8 +583,7 @@ def action_first_page_reference(data):
     rank_of = {a: k + 1 for k, a in enumerate(actions)}
     out = {}
     for c in data.components:
-        md = c.morse if c.morse is not None else c.default_morse()
-        rep = homology(morse_complex(md, Z2))["by_degree"]
+        rep = homology(morse_complex(c.morse, Z2))["by_degree"]
         if c.mu2 % 2 != 0:
             raise DimensionMismatch("component degree offset must be an integer")
         mu = c.mu2 // 2

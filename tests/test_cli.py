@@ -794,6 +794,18 @@ def test_zero_flags_reach_the_library(tmp_path, capsys, cmd, doc, flag, error):
     assert (got, out, json.loads(err)["error"]) == (1, "", error)
 
 
+@pytest.mark.parametrize("cmd", ["intersection", "quantum-cases"])
+def test_document_period_zero_is_refused(tmp_path, capsys, cmd):
+    # a period of 0 in the document is refused like --quantum-period 0; it
+    # used to read as no period at all
+    doc = {"schema": "floerss/1", "kind": "intersection", "N": 2, "period": 0,
+           "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    got, out, err = run_cli([cmd, str(p), "--json"], capsys)
+    assert (got, out, json.loads(err)["error"]) == (1, "", "HypothesisNotMet")
+
+
 def test_successive_calls_see_only_their_own_flags(tmp_path, capsys):
     # the parser is built once per process; a flag of one call must not
     # reach the next
