@@ -160,7 +160,6 @@ def _dense_boundary(C):
 class MonotoneContext:
     tau: float
     N: int
-    ring: str = Z2
 
     def __post_init__(self):
         if self.tau <= 0 or self.N < 1:

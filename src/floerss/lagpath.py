@@ -25,9 +25,10 @@ the winding of det W over 2 pi plus endpoint corrections from the
 eigenvalue angles of W at a and b; it looks for no crossings.
 ``find_crossings`` locates the samples on the intersection and the cells
 where an eigenvalue angle passes 0, bisects those on the net passage count
-(``_bisect_passages``, which ``spectrum.eigenvalues`` shares: it reuses the
-sampler's cell turns and evaluates predicted chains of nested midpoints in
-one stacked call per round), and evaluates ``crossing_form`` and
+(``_bisect_passages``: it reuses the sampler's cell turns and evaluates
+predicted chains of nested midpoints in one stacked call per round;
+``spectrum.eigenvalues`` certifies its brackets without bisecting and falls
+back to it where it cannot), and evaluates ``crossing_form`` and
 ``signature_of`` at the located points.  A tangency strictly between
 two samples is not located; it adds 0 to the index.  The crossing forms
 are computed by finite differences of the paths, not from W, and serve as
@@ -394,9 +395,9 @@ def _souriau_samples(F0, F1, grid):
     over each cell (the sum of the eigenvalue angles of W_k^H W_{k+1}) and
     the stacked evaluator of W.  The first grid has ``grid`` cells, and the
     frames of its grid + 1 points are one stack; a cell in which one of the
-    angles exceeds 1 rad is bisected until none does.  A path that still
-    turns that fast at a resolution of 2^14 samples is not continuous and
-    raises GridTooCoarse.
+    angles exceeds 1 rad is bisected until none does.  A pair whose map
+    still turns that fast in a cell at a resolution of 2^14 samples raises
+    GridTooCoarse with the number of samples reached.
     """
     if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
         raise DimensionMismatch("paths must share interval and half-dimension")
@@ -419,8 +420,8 @@ def _souriau_samples(F0, F1, grid):
                 or np.min(s[bad + 1] - s[bad]) < (b - a) / _MAX_SAMPLES):
             raise GridTooCoarse(
                 "the Souriau map of the pair still turns by more than 1 rad "
-                f"in a cell at {_MAX_SAMPLES} samples; the path is not "
-                "continuous", samples=len(s))
+                f"in a cell at a resolution of {_MAX_SAMPLES} samples",
+                samples=len(s))
         mid = 0.5 * (s[bad] + s[bad + 1])
         Wm = W_at(mid)
         left, left_worst = _cell_turns(W[bad], Wm)
@@ -447,6 +448,13 @@ _CHAIN = 8
 def _nearest_zero(phi):
     """The angle nearest 0 in each row of a stack of eigenvalue angles."""
     return phi[np.arange(len(phi)), np.argmin(np.abs(phi), axis=-1)]
+
+
+def _unhalvable(width):
+    """The refusal of a bracket wider than ``width`` whose midpoint is one
+    of its ends."""
+    return GridTooCoarse(f"a bracket cannot be halved down to width {width}",
+                         tol=float(width))
 
 
 def _bisect_passages(W_at, s, W, phi, turn, cells, width):
@@ -490,8 +498,7 @@ def _bisect_passages(W_at, s, W, phi, turn, cells, width):
             m = 0.5 * (L + R)
             halves = (m != L) & (m != R)
             if not levels and not halves.all():
-                raise GridTooCoarse(f"a bracket cannot be halved down to width "
-                                    f"{width}", tol=float(width))
+                raise _unhalvable(width)
             alive = alive & halves & (R - L > width)
             if not alive.any():
                 break

@@ -14,13 +14,17 @@ is a positive path, so the eigenvalues in a rho-interval are the net
 number of eigenvalue angles of the Souriau map of that path against L1
 that pass 1 (Robbin-Salamon, "The spectral flow and the Maslov index",
 Bull. LMS 1995).  The path is entire in rho; one Chebyshev interpolant of
-it, two flow passes as a rule, feeds the locator of ``lagpath.find_crossings``:
-a stacked scan of the Souriau map (``lagpath._souriau_samples``) and
-bisection on the passage counts of the cells (``lagpath._bisect_passages``),
-which reuses the scan's cell turns and takes up to 8 predicted halvings per
-stacked evaluation.
-A count does not depend on how far apart the eigenvalues in a cell are,
-so eigenvalues closer than one grid cell are all found.
+it, two flow passes as a rule, is scanned as by ``lagpath.find_crossings``
+(``lagpath._souriau_samples``).  The scan's eigenvalue angles are taken
+only at the ends of the cells that may count (``_may_count``: one Hermitian
+eigenvalue problem per sample), and the cells that count are refined by
+``_locate``: a secant root of the eigenvalue angle nearest 0, the
+bisection's halvings replayed on it, and one evaluated count that
+certifies the bracket bisection returns, since all passages of a positive
+path have the same sign.  Cells it cannot certify are bisected
+(``lagpath._bisect_passages``).  A count does not depend on how far apart
+the eigenvalues in a cell are, so eigenvalues closer than one grid cell
+are all found.
 """
 
 from dataclasses import dataclass
@@ -119,6 +123,117 @@ def _frame_interpolant(A, reach):
     return at
 
 
+# the screen's margin over the movement bound of a cell, and the locator's
+# most secant rounds and settled step, relative to the bracket width
+_SCREEN_MARGIN, _SECANT_ROUNDS, _SETTLED = 1e-6, 6, 1e-3
+
+
+def _may_count(W):
+    """The cells between consecutive unitaries of the stack W whose passage
+    count (``lagpath._passages``) can be nonzero, as a boolean mask.
+
+    The count of a cell is read from its ends alone.  With f = |W1 - W0|_F
+    >= |W1 - W0|_2, the spectra of the unitaries W0 and W1 can be matched
+    within |W1 - W0|_2 (Bhatia-Davis-McIntosh), so each matched pair is an
+    arc of at most theta = 2 arcsin(f / 2) apart, and each eigenvalue angle
+    of W0^H W1 is at most theta too.  When n theta < pi, i.e. f < 2
+    sin(pi / 2n), the turn (their sum) equals the sum of the matched arcs;
+    when in addition no eigenvalue at either end lies within f of 1, no arc
+    passes angle 0, and the count is 0.  The distance of the spectrum from 1
+    is the square root of the least eigenvalue of the Hermitian
+    2 I - W - W^H.  Both bounds carry ``_SCREEN_MARGIN``.
+    """
+    n = W.shape[-1]
+    D = W[1:] - W[:-1]
+    f = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(-2, -1))) + _SCREEN_MARGIN
+    G = 2.0 * np.eye(n) - W - np.swapaxes(W.conj(), -1, -2)
+    gap = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0))
+    return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.minimum(gap[:-1], gap[1:]) <= f)
+
+
+def _halvings(L, R, x, eps, width):
+    """The bracket that bisecting [L, R] to ``width`` ends in when the one
+    passage in it lies at x, by the bisection's own arithmetic
+    (``lagpath._bisect_passages``), or None when x lies within eps of one
+    of the midpoints.  A bracket whose midpoint is one of its ends raises
+    the bisection's GridTooCoarse."""
+    while R - L > width:
+        m = 0.5 * (L + R)
+        if m == L or m == R:
+            raise lp._unhalvable(width)
+        if abs(x - m) <= eps:
+            return None
+        L, R = (L, m) if x < m else (m, R)
+    return L, R
+
+
+def _locate(W_at, s, W, turn, width):
+    """The final brackets and passage counts of ``lagpath._bisect_passages``
+    on the cells of the samples s (W = W_at(s), turn the cell turns), from
+    about five evaluations per eigenvalue instead of one per halving.
+
+    Eigenvalue angles are taken only at the ends of the cells that
+    ``_may_count``.  In each cell that counts, Illinois secant steps on
+    the eigenvalue angle nearest 0 (one stacked W_at call per round for all
+    cells) run until a step is at most ``_SETTLED`` times the width.  The
+    bisection's halvings are replayed on that root without an evaluation
+    (``_halvings``), which gives its final bracket, and the counts of all
+    these brackets are one stacked evaluation.  Every passage of the
+    positive spectral path has the same sign, so when a bracket counts as
+    much as its cell, every other half counts 0 and bisection returns that
+    bracket.  The other cells go to ``_bisect_passages``: those without a
+    sign change of the angle at their ends, those whose secant has not
+    settled in ``_SECANT_ROUNDS`` rounds or whose root lies within the last
+    step of a midpoint, and those whose bracket counts less than the cell
+    (two eigenvalues in one cell).
+    """
+    cells = np.flatnonzero(_may_count(W))
+    ends = np.zeros(len(s), bool)
+    ends[cells] = ends[cells + 1] = True
+    phi, h, near = np.full(W.shape[:-1], np.nan), np.zeros(len(s)), np.zeros(len(s))
+    phi[ends] = lp._angles(W[ends])
+    h[ends], near[ends] = lp._h(phi[ends]), lp._nearest_zero(phi[ends])
+    count = lp._passages(turn[cells], h[cells], h[cells + 1])
+    lo, count = cells[count != 0], count[count != 0]
+    # (a) Illinois: b is the latest iterate, a the other end of the sign change
+    act = np.flatnonzero(near[lo] * near[lo + 1] < 0)
+    a, fa, b, fb = s[lo[act]], near[lo[act]], s[lo[act] + 1], near[lo[act] + 1]
+    root, step = np.zeros(len(lo)), np.full(len(lo), np.inf)
+    for _ in range(_SECANT_ROUNDS):
+        if not len(act):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - fb * (b - a) / (fb - fa)
+        x = np.where((x - a) * (x - b) <= 0, x, 0.5 * (a + b))
+        fx = lp._nearest_zero(lp._angles(W_at(x)))
+        root[act], step[act] = x, np.abs(x - b)
+        keep = fx * fb > 0
+        a, fa = np.where(keep, a, b), np.where(keep, 0.5 * fa, fb)
+        b, fb = x, fx
+        go = step[act] > _SETTLED * width
+        act, a, fa, b, fb = act[go], a[go], fa[go], b[go], fb[go]
+    # (b) the bisection's brackets of the roots, (c) their counts
+    brackets = [_halvings(L, R, x, eps, width) if eps <= _SETTLED * width else None
+                for L, R, x, eps in zip(s[lo].tolist(), s[lo + 1].tolist(),
+                                        root.tolist(), step.tolist())]
+    done = np.array([j for j, br in enumerate(brackets) if br is not None], int)
+    LR = np.array([brackets[j] for j in done], float).reshape(-1, 2)
+    We = W_at(LR.ravel())
+    he = lp._h(lp._angles(We))
+    turns = lp._cell_turns(We[::2], We[1::2])[0]
+    ok = lp._passages(turns, he[::2], he[1::2]) == count[done]
+    # the rest is bisected on the cells' own samples
+    back = np.ones(len(lo), bool)
+    back[done[ok]] = False
+    back = lo[back]
+    pairs = np.stack([back, back + 1], axis=1).ravel()
+    los, his, counts = lp._bisect_passages(
+        W_at, s[pairs], W[pairs], phi[pairs], np.repeat(turn[back], 2),
+        2 * np.arange(len(back)), width)
+    return (np.concatenate([LR[ok, 0], los]), np.concatenate([LR[ok, 1], his]),
+            np.concatenate([count[done[ok]], counts]))
+
+
 # default window half-width, cells and bracket width of eigenvalues; an
 # |rho| below _ZERO_EIGEN_TOL is kernel
 _SPECTRUM_WINDOW, _SPECTRUM_GRID, _SPECTRUM_REFINE_TOL = 4 * np.pi, 2048, 1e-8
@@ -131,8 +246,9 @@ def eigenvalues(A, window=None, grid=None, tol=None):
     cell at each end, so that eigenvalues at +-window are kept.
 
     The path is ``_frame_interpolant``'s, two flow passes whatever the grid.
-    Cells that count are bisected to ``tol``; an eigenvalue is the midpoint
-    of a final bracket (touching ones merged), its multiplicity the count.
+    Cells that count are refined to the brackets of bisection to ``tol``
+    (``_locate``); an eigenvalue is the midpoint of a final bracket
+    (touching ones merged), its multiplicity the count.
     """
     window = _SPECTRUM_WINDOW if window is None else float(window)
     grid = _SPECTRUM_GRID if grid is None else int(grid)
@@ -150,8 +266,7 @@ def eigenvalues(A, window=None, grid=None, tol=None):
                               _frame_interpolant(A, reach), "spectral")
     ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
     s, W, turn, W_at = lp._souriau_samples(image, ref, grid + 2)
-    los, his, counts = lp._bisect_passages(W_at, s, W, lp._angles(W), turn,
-                                           np.arange(len(s) - 1), tol)
+    los, his, counts = _locate(W_at, s, W, turn, tol)
     found = []
     if len(los):
         # the path is positive, so eigenvalue angles pass 0 clockwise only

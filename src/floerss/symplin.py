@@ -385,48 +385,97 @@ _BLOCK_ENTRIES = 2 ** 14
 _CHUNK_ENTRIES = 2 ** 12
 
 
+def _add_Jx(k, x):
+    """k += J_std x on (..., d, d) stacks, in place: a signed swap of the
+    row blocks of x."""
+    n = x.shape[-2] // 2
+    k[..., :n, :] -= x[..., n:, :]
+    k[..., n:, :] += x[..., :n, :]
+    return k
+
+
+def _xJ(x, c):
+    """x (c J_std) on a (..., d, d) stack, for a scalar or (..., 1, 1) c: a
+    signed swap of the column blocks of x, times c."""
+    n = x.shape[-1] // 2
+    out = np.empty_like(x)
+    np.multiply(x[..., n:], c, out=out[..., :n])
+    np.multiply(x[..., :n], -c, out=out[..., n:])
+    return out
+
+
 def _step_maps(g1, g2, g4, h, shifted=False):
     """The classical RK4 steps of dM/dt = (g(t) + rho J) M as polynomials in
     rho, M_{k+1} = P(rho) M_k: with stage generators g1, g2, g4 ((s, d, d)
-    stacks) and step h (a scalar or an (s, 1, 1, 1) stack),
+    stacks) and step h (a scalar or an (s, 1, 1) stack),
     P = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = g1 + rho J,
     k2 = (g2 + rho J)(I + h/2 k1), k3 = (g2 + rho J)(I + h/2 k2) and
     k4 = (g4 + rho J)(I + h k3).  Returns the (s, m, d, d) coefficients C,
     P(rho) = sum_j rho^j C[:, j] + (h^4 / 24) rho^4 I: m = 4 if shifted,
-    else m = 1, the rho-free step maps P(0) alone."""
+    else m = 1, the rho-free step maps P(0) alone.
+
+    The coefficient of rho^j in k_i is k_i[j]; with c = h/2, k2[2] = -c I,
+    k3[3] = -c^2 J, and the rest of the coefficients past k_i[i - 1] are 0.
+    Products with J are signed block swaps, products with these multiples
+    of I and J are scalings, so a step takes six stacked products when
+    shifted and three otherwise.  Every entry is rounded as in the dense
+    products with J, I and 0, so C is bitwise that of the dense formula.
+    """
     # sums in place: on a large stack every temporary is a fresh allocation
     d = g1.shape[-1]
-    J, eye = J_std(d // 2), np.eye(d)
-    k1 = np.zeros((len(g1), 4 if shifted else 1, d, d))
-    k1[:, 0] = g1
-    k1[:, 1:2] = J
-    ks, x = [k1], np.empty_like(k1)
-    for g, c in ((g2, 0.5 * h), (g2, 0.5 * h), (g4, h)):
-        np.multiply(ks[-1], c, out=x)
-        x[:, 0] += eye
-        # (g + rho J) x, truncated after the last coefficient
-        ks.append(g[:, None] @ x)
-        ks[-1][:, 1:] += J @ x[:, :-1]
-    k2, k3, k4 = ks[1:]
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2[:, 0] += eye
-    return k2
+    eye, c = np.eye(d), 0.5 * h
+    C = np.empty((4 if shifted else 1, len(g1), d, d))
+    # k2 = (g2 + rho J) x with x = I + c k1
+    x0 = g1 * c
+    x0 += eye
+    k2 = [g2 @ x0]
+    if shifted:
+        k2.append(_add_Jx(_xJ(g2, c), x0))
+    # k3 = (g2 + rho J) x with x = I + c k2, x[2] = -q I
+    x = [k * c for k in k2]
+    x[0] += eye
+    k3 = [g2 @ xj for xj in x]
+    if shifted:
+        q = c * c
+        _add_Jx(k3[1], x[0])
+        k3.append(_add_Jx(g2 * -q, x[1]))
+    # k4 = (g4 + rho J) x with x = I + h k3, x[3] = -(h q) J
+    x = [k * h for k in k3]
+    x[0] += eye
+    k4 = [g4 @ xj for xj in x]
+    if shifted:
+        _add_Jx(k4[1], x[0])
+        _add_Jx(k4[2], x[1])
+        k4.append(_add_Jx(_xJ(g4, -(h * q)), x[2]))
+    # P = I + h/6 (((2 k2 + k1) + 2 k3) + k4) in the dense order, where
+    # k1 = (g1, J, 0, 0), k2[2] = -c I, k2[3] = 0 and k3[3] = -q J
+    k1 = [g1, J_std(d // 2)]
+    if shifted:
+        k2.append(-c * eye)
+        k3.append(-q * J_std(d // 2))
+    for j, out in enumerate(C):
+        if j < 3:
+            np.multiply(k2[j], 2.0, out=out)
+            if j < 2:
+                out += k1[j]
+            out += k3[j] * 2.0
+        else:
+            np.multiply(k3[j], 2.0, out=out)
+        out += k4[j]
+        out *= h / 6.0
+    C[0] += eye
+    return np.moveaxis(C, 0, 1)
 
 
 def _coefficients(sigma, t, step, shifted=False):
     """(h, C): the step map coefficients (``_step_maps``) of every RK4 step
     of sigma on [0, t], (nsteps, m, d, d), built from the stage samples
     (``_stage_samples``) in chunks of at most ``_CHUNK_ENTRIES`` entries
-    per temporary stack; the samples are dropped once C exists."""
+    per temporary (d, d) stack; the samples are dropped once C exists."""
     h, G = _stage_samples(sigma, t, step)
     nsteps = (len(G) - 1) // 2
     C = np.empty((nsteps, 4 if shifted else 1) + G.shape[1:])
-    span = max(1, _CHUNK_ENTRIES // C[0].size)
+    span = max(1, _CHUNK_ENTRIES // C[0, 0].size)
     for k in range(0, nsteps, span):
         end = min(k + span, nsteps)
         C[k:end] = _step_maps(G[2 * k:2 * end:2], G[2 * k + 1:2 * end:2],
@@ -587,7 +636,7 @@ class FundamentalFlow:
             g = self._J @ self.sigma.samples(
                 np.concatenate([t0, t0 + 0.5 * r, t0 + r]))
             g = g.reshape((3, len(part)) + self._J.shape)
-            M[part] = _step_maps(*g, r[:, None, None, None])[:, 0] @ M[part]
+            M[part] = _step_maps(*g, r[:, None, None])[:, 0] @ M[part]
         return M
 
 

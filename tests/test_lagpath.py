@@ -861,9 +861,11 @@ def _sorted_brackets(los, his, counts):
     return los[order], his[order], counts[order]
 
 
-def test_bisect_passages_matches_one_halving_per_round():
+def _spectral_cases(rng):
+    """(samples, bracket width) of spectrum.eigenvalues: random operators
+    with n = 1..4, a multiplicity-2 eigenvalue, a close pair and
+    eigenvalues on samples of the grid."""
     from floerss import spectrum as sp
-    rng = make_rng(131)
     line = sl.horizontal(1)
     cases = []
     for n in range(1, 5):
@@ -882,6 +884,12 @@ def test_bisect_passages_matches_one_halving_per_round():
     cases.append((_spectral_samples(A, 2 * np.pi, 384), 1e-8))
     # eigenvalues 0 and +-pi, on or next to samples of the grid
     cases.append((_spectral_samples(sp.flat_model(0.0), 2 * np.pi, 384), 1e-8))
+    return cases
+
+
+def test_bisect_passages_matches_one_halving_per_round():
+    rng = make_rng(131)
+    cases = _spectral_cases(rng)
     # crossings of random pairs, as find_crossings bisects them
     for n in range(1, 5):
         F0 = random_path(rng, n, scale=2.0)
@@ -918,3 +926,137 @@ def test_one_eigenvalue_is_refined_in_few_rounds():
         assert len(los) == 1 and abs(counts[0]) == 1
         assert his[0] - los[0] <= 1e-8
         assert 1 <= len(calls) <= 4, calls
+
+
+# -- spectrum's locator ------------------------------------------------------------
+
+
+def _locate_recording_fallbacks(monkeypatch, W_at, s, W, turn, width):
+    """spectrum._locate's brackets, sorted, and the left ends of the cells
+    it passes on to _bisect_passages."""
+    from floerss import spectrum as sp
+    passed, bisect = [], lp._bisect_passages
+
+    def recording(W_at, s, W, phi, turn, cells, width):
+        passed.extend(s[cells].tolist())
+        return bisect(W_at, s, W, phi, turn, cells, width)
+
+    monkeypatch.setattr(lp, "_bisect_passages", recording)
+    got = _sorted_brackets(*sp._locate(W_at, s, W, turn, width))
+    monkeypatch.setattr(lp, "_bisect_passages", bisect)
+    return got, passed
+
+
+def _assert_bisection_brackets(got, W_at, s, W, width):
+    want = _sorted_brackets(*_one_halving_per_round(
+        W_at, s, W, np.arange(len(s) - 1), width))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+    return len(want[0])
+
+
+def test_locator_matches_one_halving_per_round(monkeypatch):
+    # the spectral cases of the bisection test give bisection's brackets;
+    # the close pair's cell (two eigenvalues 0.001 apart) is bisected, and
+    # so are few others, though the random operators' cells are 4 times as
+    # wide as at the acceptance scan
+    found, passed = 0, []
+    for (s, W, turn, W_at), width in _spectral_cases(make_rng(131)):
+        got, fell = _locate_recording_fallbacks(monkeypatch, W_at, s, W, turn,
+                                                width)
+        found += _assert_bisection_brackets(got, W_at, s, W, width)
+        passed += fell
+    assert found > 25
+    assert any(lo < 0.4 < 0.401 < lo + 0.04 for lo in passed)
+    assert len(passed) <= 0.2 * found
+
+
+def _diagonal_path(slopes, zeros):
+    """W(s) = diag(exp(-i slope_j (s - zero_j))): a positive path whose
+    eigenvalue j passes 1 clockwise at zero_j, as a stacked evaluator."""
+    def W_at(ss):
+        phi = -np.asarray(slopes) * (np.asarray(ss)[:, None] - np.asarray(zeros))
+        W = np.zeros(phi.shape + phi.shape[-1:], complex)
+        W[:, np.arange(len(slopes)), np.arange(len(slopes))] = np.exp(1j * phi)
+        return W
+    return W_at
+
+
+def test_locator_falls_back_to_bisection(monkeypatch):
+    # cells of 1/8: an eigenvalue passing 1 at the midpoint 7/16 of a cell,
+    # where the secant lands exactly; a cell whose angle nearest 0 is
+    # positive at both ends (one eigenvalue passes at 0.14, the other is
+    # nearest 0 at 0.25 and passes at 0.27, in the next cell, which is
+    # certified); both fall back and give bisection's brackets
+    from floerss import spectrum as sp
+    s = np.linspace(0.0, 1.0, 9)
+    for slopes, zeros, fell in (([2.0], [0.4375], [0.375]),
+                                ([2.0, 1.0], [0.14, 0.27], [0.125])):
+        W_at = _diagonal_path(slopes, zeros)
+        W = W_at(s)
+        turn = lp._cell_turns(W[:-1], W[1:])[0]
+        got, passed = _locate_recording_fallbacks(monkeypatch, W_at, s, W, turn,
+                                                  1e-8)
+        assert _assert_bisection_brackets(got, W_at, s, W, 1e-8) == len(zeros)
+        assert passed == fell
+    # secants that have not settled after their rounds: every cell that
+    # counts falls back
+    monkeypatch.setattr(sp, "_SECANT_ROUNDS", 1)
+    (s, W, turn, W_at), width = _spectral_cases(make_rng(131))[3]
+    got, passed = _locate_recording_fallbacks(monkeypatch, W_at, s, W, turn, width)
+    assert _assert_bisection_brackets(got, W_at, s, W, width) > 0
+    h = lp._h(lp._angles(W))
+    assert passed == s[np.flatnonzero(lp._passages(turn, h[:-1], h[1:]))].tolist()
+
+
+def test_screen_keeps_every_cell_that_counts():
+    # the cells _may_count drops count 0 when angles are taken at every
+    # sample, up to n = 8 and window 16 pi
+    from floerss import spectrum as sp
+    rng = make_rng(133)
+    kept = total = 0
+    for n in range(1, 9):
+        A = sp.AsymptoticOperator(n=n, sigma=random_sigma_poly(rng, n, degree=2),
+                                  boundary=(random_lagrangian(rng, n),
+                                            random_lagrangian(rng, n)))
+        for window in (2 * np.pi, 4 * np.pi, 8 * np.pi, 16 * np.pi):
+            s, W, turn, _ = _spectral_samples(A, window, int(30 * window))
+            h = lp._h(lp._angles(W))
+            counts = lp._passages(turn, h[:-1], h[1:])
+            may = sp._may_count(W)
+            assert not np.any(counts[~may]), (n, window)
+            assert np.any(counts), (n, window)
+            kept, total = kept + np.count_nonzero(may), total + len(may)
+    assert kept < 0.5 * total
+
+
+def test_locator_work_per_job(monkeypatch):
+    # at the acceptance scan (window 2 pi, grid 384), where angles at every
+    # sample and bisection took about 580 eigen-decompositions per job and
+    # 22 evaluated points per eigenvalue, jobs with n = 1..4 take at most
+    # 200 on average and at most 8 per eigenvalue
+    from floerss import spectrum as sp
+    rng = make_rng(134)
+    eigvals, souriau_samples = np.linalg.eigvals, lp._souriau_samples
+    decompositions, points = [], []
+
+    def counted_eigvals(M):
+        decompositions.append(int(np.prod(np.shape(M)[:-2])))
+        return eigvals(M)
+
+    def counted_samples(F0, F1, grid):
+        s, W, turn, W_at = souriau_samples(F0, F1, grid)
+        return s, W, turn, _counting(W_at, points)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(lp, "_souriau_samples", counted_samples)
+    for n in (1, 2, 3, 4):
+        A = sp.AsymptoticOperator(n=n, sigma=random_sigma_poly(rng, n, degree=2),
+                                  boundary=(random_lagrangian(rng, n),
+                                            random_lagrangian(rng, n)))
+        del points[:]
+        rep = sp.eigenvalues(A, window=2 * np.pi, grid=384)
+        found = sum(m for _, m in rep.eigenvalues)
+        assert found >= 2 * n
+        assert sum(points) <= 8 * found, (n, sum(points), found)
+    assert sum(decompositions) <= 4 * 200, sum(decompositions)

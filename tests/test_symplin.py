@@ -220,8 +220,8 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
 def test_step_map_blocks_stay_within_the_budget(monkeypatch):
     # the evaluated stacks of step maps hold at most _BLOCK_ENTRIES entries,
     # or one step when a single step is larger, and cover every step once;
-    # the coefficients are built once per flow, in chunks of at most
-    # _CHUNK_ENTRIES coefficient entries, covering every step once
+    # the coefficients are built once per flow, in chunks whose (steps, d, d)
+    # temporaries hold at most _CHUNK_ENTRIES entries, covering every step once
     blocks, chunks = [], []
     evaluate, step_maps = sl._evaluate, sl._step_maps
 
@@ -239,7 +239,7 @@ def test_step_map_blocks_stay_within_the_budget(monkeypatch):
     sigma = random_sigma_poly(make_rng(45), 4, degree=2)
     flows = sl.shifted_flows(sigma, 1e-3)
     assert all(shape[1:] == (8, 8) for shape in chunks)
-    assert max(shape[0] for shape in chunks) == sl._CHUNK_ENTRIES // (4 * 64)
+    assert max(shape[0] for shape in chunks) == sl._CHUNK_ENTRIES // 64
     assert sum(shape[0] for shape in chunks) == 1000
     for B in (387, 16, 1):
         del blocks[:], chunks[:]
@@ -275,6 +275,47 @@ def _step_map(g1, g2, g4, h):
     return k2
 
 
+def _dense_step_maps(g1, g2, g4, h, shifted=False):
+    """The coefficients of ``symplin._step_maps`` by dense products with the
+    rho-coefficients of every stage, J, I and 0 included; h is a scalar or
+    an (s, 1, 1) stack."""
+    d = g1.shape[-1]
+    J, eye = sl.J_std(d // 2), np.eye(d)
+    h = np.asarray(h)[..., None] if np.ndim(h) else h
+    k1 = np.zeros((len(g1), 4 if shifted else 1, d, d))
+    k1[:, 0] = g1
+    k1[:, 1:2] = J
+    ks, x = [k1], np.empty_like(k1)
+    for g, c in ((g2, 0.5 * h), (g2, 0.5 * h), (g4, h)):
+        np.multiply(ks[-1], c, out=x)
+        x[:, 0] += eye
+        ks.append(g[:, None] @ x)
+        ks[-1][:, 1:] += J @ x[:, :-1]
+    k2, k3, k4 = ks[1:]
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2[:, 0] += eye
+    return k2
+
+
+def test_step_maps_equal_the_dense_products_bitwise():
+    # the swaps and scalings stand for the products with J, I and 0 entry
+    # by entry, for a scalar step and a stack of steps
+    rng = make_rng(49)
+    for n in (1, 2, 3, 4):
+        J = sl.J_std(n)
+        g = [J @ np.stack([random_symmetric(rng, n, 3.0) for _ in range(40)])
+             for _ in range(3)]
+        for h in (1e-3, rng.uniform(1e-3, 0.3, 40)[:, None, None]):
+            for shifted in (False, True):
+                assert np.array_equal(sl._step_maps(*g, h, shifted),
+                                      _dense_step_maps(*g, h, shifted)), n
+
+
 def test_step_maps_are_polynomials_in_rho():
     # the evaluated coefficients are the step maps of g + rho J; the
     # rho-free term is bitwise the step map of g, and what the four stored
@@ -285,10 +326,10 @@ def test_step_maps_are_polynomials_in_rho():
         g = [J @ np.stack([random_symmetric(rng, n) for _ in range(9)])
              for _ in range(3)]
         h = rng.uniform(1e-3, 2e-2, 9)[:, None, None]
-        C = sl._step_maps(*g, h[..., None], shifted=True)
+        C = sl._step_maps(*g, h, shifted=True)
         assert C.shape == (9, 4, 2 * n, 2 * n)
         assert np.array_equal(C[:, 0], _step_map(*g, h))
-        assert np.array_equal(sl._step_maps(*g, h[..., None]), C[:, :1])
+        assert np.array_equal(sl._step_maps(*g, h), C[:, :1])
         for rho in np.linspace(-12.0, 12.0, 25):
             want = _step_map(*(gi + rho * J for gi in g), h)
             powers = np.vander([rho], 5, increasing=True)
