@@ -13,7 +13,7 @@ from functools import wraps
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import FloerssError, SchemaError
 from . import symplin as sl
 from . import lagpath as lp
 from .novikov import GradedFreeComplex, LaurentPoly, Z2, Z, L2
@@ -135,6 +135,26 @@ def _matrix_poly_eval(coeffs, where):
     return f
 
 
+def _samples(items, where):
+    """The (s, frame) samples of a sampled path, every frame from one stacked
+    ``validate_lagrangian``.  Samples that are not one (k, 2n, n) stack of
+    finite numbers with finite s, or whose stack holds a frame that is not
+    Lagrangian, are parsed again one at a time in document order, so that
+    the first bad sample raises the error its own ``parse_frame`` raises."""
+    try:
+        ss = np.array([item["s"] for item in items], dtype=float)
+        M = np.array([item["frame"] for item in items], dtype=float)
+        if (ss.ndim == 1 and M.ndim == 3 and M.size and np.isfinite(ss).all()
+                and np.isfinite(M).all()):
+            frames = sl.validate_lagrangian(M).frame
+            return [(s, sl.LagrangianFrame(n=M.shape[-1], frame=F))
+                    for s, F in zip(ss.tolist(), frames)]
+    except (FloerssError,) + _MALFORMED:
+        pass
+    return [(_finite(item["s"], where), parse_frame(item["frame"], where))
+            for item in items]
+
+
 @_schema_checked
 def parse_path(obj, where):
     a, b = (_finite(x, where) for x in _need(obj, "interval", where))
@@ -157,9 +177,7 @@ def parse_path(obj, where):
         base = parse_frame(_need(obj, "base", where), where)
         return lp.fundamental_image_path(sl.FundamentalFlow(sigma), base, a, b)
     if typ == "sampled":
-        samples = [(_finite(s["s"], where), parse_frame(s["frame"], where))
-                   for s in _need(obj, "samples", where)]
-        return lp.sampled_path(samples, a, b)
+        return lp.sampled_path(_samples(_need(obj, "samples", where), where), a, b)
     raise SchemaError(f"{where}: unknown path type {typ!r}", path=where, found=typ)
 
 

@@ -375,7 +375,8 @@ def check_convergence(fc, final):
         d_up = fc.boundary[np.ix_(cm, np.flatnonzero(deg == m + 1))]
         rk_up = gf2.rank(d_up)
         prev = 0
-        for p in np.unique(lv).tolist():
+        # lv is sorted: its distinct levels without np.unique (numpy.ma)
+        for p in lv[np.r_[True, lv[1:] != lv[:-1]]].tolist():
             k = int(np.searchsorted(lv, p, side="right"))   # |F^p C_m|
             dim_f = k - gf2.rank(d_m[:, :k]) - rk_up + gf2.rank(d_up[k:, :])
             if dim_f != prev:

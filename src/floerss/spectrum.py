@@ -14,7 +14,7 @@ is a positive path, so the eigenvalues in a rho-interval are the net
 number of eigenvalue angles of the Souriau map of that path against L1
 that pass 1 (Robbin-Salamon, "The spectral flow and the Maslov index",
 Bull. LMS 1995).  The path is entire in rho; one Chebyshev interpolant of
-it, two flow passes as a rule, is scanned as by ``lagpath.find_crossings``
+it, one flow pass as a rule, is scanned as by ``lagpath.find_crossings``
 (``lagpath._souriau_samples``).  The scan's eigenvalue angles are taken
 only at the ends of the cells that may count (``_may_count``: one Hermitian
 eigenvalue problem per sample), and the cells that count are refined by
@@ -82,21 +82,25 @@ _MAX_NODES, _ORACLE_TOL = 2 ** 10, 1e-8
 
 def _frame_interpolant(A, reach):
     """rho -> Psi_{sigma+rho}(1) L0 on [-reach, reach], a stacked evaluator of
-    Lagrangian frames: the Chebyshev series through one ``shifted_flows``
-    pass at m first-kind points.  The path is entire of exponential type 1,
-    so m, from 2^ceil(log2(1.4 reach + 16)), doubles only until the last 4
-    coefficients are below 1e-12 max(1, max |c|) or fall by less than 16x
-    (the flows' own noise); past _MAX_NODES, GridTooCoarse.  One
-    Newton-Schulz step takes X + iY to its unitary polar factor, the nearest
-    Lagrangian frame.  The oracle checks 4 points between the nodes.
+    Lagrangian frames: the Chebyshev series through m first-kind points.  The
+    path is entire of exponential type 1, so m, from 2^ceil(log2(1.4 reach +
+    16)), doubles only until the last 4 coefficients are below 1e-12 max(1,
+    max |c|) or fall by less than 16x (the flows' own noise); past
+    _MAX_NODES, GridTooCoarse.  One Newton-Schulz step takes X + iY to its
+    unitary polar factor, the nearest Lagrangian frame.  The oracle checks 4
+    points between the nodes; they ride in the nodes' ``shifted_flows``
+    call, so each m is one flow pass.
     """
     flows = sl.shifted_flows(A.sigma)
     n, frame = A.n, A.boundary[0].frame
     m, tail = 2 ** int(np.ceil(np.log2(1.4 * reach + 16))), np.inf
     while m <= _MAX_NODES:
         theta = np.pi * (np.arange(m) + 0.5) / m
-        values = (flows(reach * np.cos(theta)) @ frame).reshape(m, -1)
-        C = (2.0 / m) * np.cos(np.outer(np.arange(m), theta)) @ values
+        probe = reach * np.cos(
+            np.pi * np.array([1, m // 3, 2 * m // 3, m - 1]) / m)
+        values = flows(np.r_[reach * np.cos(theta), probe]) @ frame
+        nodes = values[:m].reshape(m, -1)
+        C = (2.0 / m) * np.cos(np.outer(np.arange(m), theta)) @ nodes
         C[0] *= 0.5
         last, tail = tail, np.abs(C[-4:]).max()
         if tail <= 1e-12 * max(1.0, np.abs(C).max()) or tail > last / 16:
@@ -113,10 +117,9 @@ def _frame_interpolant(A, reach):
         U = U @ (1.5 * np.eye(n) - 0.5 * (np.swapaxes(U.conj(), 1, 2) @ U))
         return np.concatenate([U.real, U.imag], axis=1)
 
-    probe = reach * np.cos(np.pi * np.array([1, m // 3, 2 * m // 3, m - 1]) / m)
     err = float(sl.principal_angle_sines(
         sl.LagrangianFrame(n=n, frame=at(probe)),
-        sl.validate_lagrangian(flows(probe) @ frame)).max())
+        sl.validate_lagrangian(values[m:])).max())
     if not err <= _ORACLE_TOL:
         raise IntegrationFailure(f"the interpolant on {m} nodes is {err:.3e} "
                                  "from the flow", nodes=m, error=err)
@@ -138,17 +141,19 @@ def _may_count(W):
     arc of at most theta = 2 arcsin(f / 2) apart, and each eigenvalue angle
     of W0^H W1 is at most theta too.  When n theta < pi, i.e. f < 2
     sin(pi / 2n), the turn (their sum) equals the sum of the matched arcs;
-    when in addition no eigenvalue at either end lies within f of 1, no arc
-    passes angle 0, and the count is 0.  The distance of the spectrum from 1
-    is the square root of the least eigenvalue of the Hermitian
-    2 I - W - W^H.  Both bounds carry ``_SCREEN_MARGIN``.
+    when in addition no eigenvalue at one end lies within f of 1, no arc
+    reaches angle 0, the angles at the other end stay off 0 too, and the
+    count is 0.  So a cell is kept only when both of its ends have an
+    eigenvalue within f of 1.  The distance of the spectrum from 1 is the
+    square root of the least eigenvalue of the Hermitian 2 I - W - W^H.
+    Both bounds carry ``_SCREEN_MARGIN``.
     """
     n = W.shape[-1]
     D = W[1:] - W[:-1]
     f = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(-2, -1))) + _SCREEN_MARGIN
     G = 2.0 * np.eye(n) - W - np.swapaxes(W.conj(), -1, -2)
     gap = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0))
-    return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.minimum(gap[:-1], gap[1:]) <= f)
+    return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.maximum(gap[:-1], gap[1:]) <= f)
 
 
 def _halvings(L, R, x, eps, width):
@@ -245,7 +250,8 @@ def eigenvalues(A, window=None, grid=None, tol=None):
     as in the module docstring on ``grid`` cells of the window and one more
     cell at each end, so that eigenvalues at +-window are kept.
 
-    The path is ``_frame_interpolant``'s, two flow passes whatever the grid.
+    The path is ``_frame_interpolant``'s, one flow pass whatever the grid
+    unless its nodes double.
     Cells that count are refined to the brackets of bisection to ``tol``
     (``_locate``); an eigenvalue is the midpoint of a final bracket
     (touching ones merged), its multiplicity the count.

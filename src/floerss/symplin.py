@@ -21,16 +21,19 @@ Every fundamental solution comes from one flow mechanism:
   batched classical RK4 over a batch of shifts rho (generator
   J sigma + rho J).  The RK4 step is a matrix, M_{k+1} = P_k(rho) M_k, and
   a polynomial of degree 4 in rho whose matrix coefficients
-  (``_step_maps``) are built once per flow from the samples; a pass
-  evaluates them for a block of steps as one stack and pays one product
-  per member and step.  Every ``_PROJECT_EVERY`` steps and after the last
-  step the symplectic drift is checked: above ``_SYMPLECTIC_DRIFT_LIMIT``
-  StepTooLarge is raised, above ``_SYMPLECTIC_DRIFT_TOL`` the state is
-  projected back onto Sp(2n).
+  (``_step_maps``) are built once per flow from the samples.  A shifted
+  flow multiplies consecutive steps into pair maps P_{2k+1} P_{2k} of
+  degree 8 (``_pair_maps``), so a pass evaluates the maps of a block as
+  one stack and pays one product per member and pair; the rho-free flows
+  keep one map per step.  Every ``_PROJECT_EVERY`` steps and after the
+  last step the symplectic drift is checked: above
+  ``_SYMPLECTIC_DRIFT_LIMIT`` StepTooLarge is raised, above
+  ``_SYMPLECTIC_DRIFT_TOL`` the state is projected back onto Sp(2n).
 * ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states,
   each block's from the prefix products of its step maps; a batch of
   t-queries is one stack of partial step maps) and ``shifted_flows`` (the
-  nodes of the spectrum interpolant) are the three entry points.
+  nodes and oracle probes of the spectrum interpolant, on pair maps) are
+  the three entry points.
 
 A symmetric path is its stack (``SymmetricPath.stack``: times -> values),
 and ``sigma(t)`` is a stack of one; sums and Z-actions stack their parts.
@@ -377,10 +380,11 @@ def _stage_samples(sigma, t, step):
     return h, J_std(sigma.n) @ sigma.samples(0.5 * h * np.arange(2 * nsteps + 1))
 
 
-# Most entries (steps x B x d x d) in one block of evaluated step maps of
-# ``_rk4``, or one step when a single step holds more; 2^15 raised the peak
-# RSS of 100 spectrum jobs by 0.5 MB and was no faster.  ``_coefficients``
-# builds the coefficients in chunks of at most _CHUNK_ENTRIES entries.
+# Most entries (B x maps x d x d) in one block of evaluated maps of ``_rk4``,
+# or one map when a single map holds more; 2^15 raised the peak RSS of 100
+# spectrum jobs by 0.5 MB and was no faster.  ``_coefficients`` builds the
+# coefficients in chunks whose (steps, d, d) temporaries hold at most
+# _CHUNK_ENTRIES entries.
 _BLOCK_ENTRIES = 2 ** 14
 _CHUNK_ENTRIES = 2 ** 12
 
@@ -410,8 +414,8 @@ def _step_maps(g1, g2, g4, h, shifted=False):
     stacks) and step h (a scalar or an (s, 1, 1) stack),
     P = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = g1 + rho J,
     k2 = (g2 + rho J)(I + h/2 k1), k3 = (g2 + rho J)(I + h/2 k2) and
-    k4 = (g4 + rho J)(I + h k3).  Returns the (s, m, d, d) coefficients C,
-    P(rho) = sum_j rho^j C[:, j] + (h^4 / 24) rho^4 I: m = 4 if shifted,
+    k4 = (g4 + rho J)(I + h k3).  Returns the (m, s, d, d) coefficients C,
+    P(rho) = sum_j rho^j C[j] + (h^4 / 24) rho^4 I: m = 4 if shifted,
     else m = 1, the rho-free step maps P(0) alone.
 
     The coefficient of rho^j in k_i is k_i[j]; with c = h/2, k2[2] = -c I,
@@ -464,90 +468,130 @@ def _step_maps(g1, g2, g4, h, shifted=False):
         out += k4[j]
         out *= h / 6.0
     C[0] += eye
-    return np.moveaxis(C, 0, 1)
+    return C
+
+
+# _PAIR_SUMS[r, 4 p + q] = 1 where p + q = r: the rho^r coefficient of a
+# product of two step maps collects the products of their coefficients p, q
+_PAIR_SUMS = 1.0 * (np.add.outer(np.arange(4), np.arange(4)).ravel()
+                    == np.arange(9)[:, None])
+
+
+def _pair_maps(S, h):
+    """The maps Q_k = P_{2k+1} P_{2k} of consecutive pairs of RK4 steps, from
+    the (4, 2p, d, d) shifted step coefficients S of step h (``_step_maps``),
+    as the (9, p, d, d) coefficients of these degree-8 polynomials in rho.
+
+    With a = h^4 / 24, P_i = sum_{j<4} rho^j S_i[j] + a rho^4 I, so Q_k is
+    the sum of the 16 products S_{2k+1}[p] S_{2k}[q] at rho^(p+q), one
+    stacked product and one product with ``_PAIR_SUMS``, plus
+    a rho^(4+j) (S_{2k+1}[j] + S_{2k}[j]) and a^2 rho^8 I.
+    """
+    even, odd = S[:, 0::2], S[:, 1::2]
+    X = odd[:, None] @ even[None]
+    Q = (_PAIR_SUMS @ X.reshape(16, -1)).reshape((9,) + even.shape[1:])
+    a = h ** 4 / 24.0
+    Q[4:8] += a * (odd + even)
+    Q[8] = (a * a) * np.eye(S.shape[-1])
+    return Q
 
 
 def _coefficients(sigma, t, step, shifted=False):
-    """(h, C): the step map coefficients (``_step_maps``) of every RK4 step
-    of sigma on [0, t], (nsteps, m, d, d), built from the stage samples
-    (``_stage_samples``) in chunks of at most ``_CHUNK_ENTRIES`` entries
-    per temporary (d, d) stack; the samples are dropped once C exists."""
+    """(h, C): the coefficients of the maps of the RK4 steps of sigma on
+    [0, t], (m, maps, d, d), built from the stage samples
+    (``_stage_samples``); the samples are dropped once C exists.
+
+    Rho-free (m = 1), a map is one step (``_step_maps``).  Shifted (m = 9),
+    a map is a pair of consecutive steps (``_pair_maps``), and an odd last
+    step is a map of its own, its coefficients past rho^4 zero.  The steps
+    are taken in chunks of at most _CHUNK_ENTRIES // d^2 steps (one map
+    when a map holds more), an even number when shifted, so that each
+    (steps, d, d) temporary of ``_step_maps`` and each (pairs, d, d)
+    product of ``_pair_maps`` holds at most ``_CHUNK_ENTRIES`` entries.
+    """
     h, G = _stage_samples(sigma, t, step)
-    nsteps = (len(G) - 1) // 2
-    C = np.empty((nsteps, 4 if shifted else 1) + G.shape[1:])
-    span = max(1, _CHUNK_ENTRIES // C[0, 0].size)
+    nsteps, d = (len(G) - 1) // 2, G.shape[-1]
+    per = 2 if shifted else 1
+    C = np.empty((9 if shifted else 1, -(-nsteps // per), d, d))
+    span = per * max(1, _CHUNK_ENTRIES // (per * d * d))
     for k in range(0, nsteps, span):
         end = min(k + span, nsteps)
-        C[k:end] = _step_maps(G[2 * k:2 * end:2], G[2 * k + 1:2 * end:2],
-                              G[2 * k + 2:2 * end + 1:2], h, shifted)
+        S = _step_maps(G[2 * k:2 * end:2], G[2 * k + 1:2 * end:2],
+                       G[2 * k + 2:2 * end + 1:2], h, shifted)
+        if not shifted:
+            C[:, k:end] = S
+            continue
+        pairs = (end - k) // 2
+        C[:, k // 2:k // 2 + pairs] = _pair_maps(S[:, :2 * pairs], h)
+        if (end - k) % 2:  # the lone last step, of degree 4
+            C[:, -1] = 0.0
+            C[:4, -1] = S[:, -1]
+            C[4, -1] = (h ** 4 / 24.0) * np.eye(d)
     return h, C
 
 
-def _evaluate(C, powers, top):
-    """The step maps of the (s, m, d, d) coefficients C (``_step_maps``) at
-    B shifts rho, as an (s, B, d, d) stack: one product of C with the
-    powers rho^0 .. rho^(m - 1) (the rows of powers), plus, when m = 4,
-    top, the (B, d * d) flattened terms (h^4 / 24) rho^4 I."""
-    s, m, d = C.shape[:3]
-    if m == 1:  # rho-free: powers is [[1, 0, ...]]
+def _evaluate(C, powers):
+    """The maps of the (m, s, d, d) coefficients C at B shifts rho, as a
+    (B, s, d, d) stack: one (B x m) @ (m x s d^2) product of the powers
+    rho^0 .. rho^(m - 1) (the rows of powers) with C; rho-free maps (m = 1,
+    powers [[1]]) are C itself."""
+    m, s, d = C.shape[:3]
+    if m == 1:
         return C
-    P = powers[:, :m] @ C.reshape(s, m, d * d)
-    P += top
-    return P.reshape(s, len(powers), d, d)
+    return (powers @ C.reshape(m, s * d * d)).reshape(len(powers), s, d, d)
 
 
-# the drift checkpoints of _rk4 (see its docstring)
+# the drift checkpoints of _rk4 (see its docstring), an even number of steps
 _PROJECT_EVERY = 100
 _SYMPLECTIC_DRIFT_TOL, _SYMPLECTIC_DRIFT_LIMIT = 1e-10, 1e-3
 
 
-def _rk4(C, h, rhos, keep=False):
+def _rk4(C, rhos, keep=False):
     """Integrate dM/dt = (G(t) + rho J) M, M(0) = 1, for each rho in rhos.
 
-    C holds the step map coefficients of the stage samples G of ``h``
-    (``_coefficients``; rho-free ones serve rhos = [0] only).  The steps
-    are taken in blocks: the step maps of a block, evaluated at every rho
-    (``_evaluate``), are one stack of at most ``_BLOCK_ENTRIES`` entries;
-    without keep they are multiplied pairwise and applied to M once, with
-    keep their prefix products are formed by doubling (log2 of the block's
-    length stacked products) and applied to M as one stack.  No block
-    crosses a checkpoint: every ``_PROJECT_EVERY`` steps and after the
-    last one, the drift max |M^T J M - J| of each member is checked: above
-    ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large (StepTooLarge), above
-    ``_SYMPLECTIC_DRIFT_TOL`` the member is projected back onto Sp(2n).
-    Returns the (B, d, d) end states, or with keep every state, shaped
-    (nsteps + 1, B, d, d).
+    C holds the coefficients of the RK4 maps of G in rho (``_coefficients``):
+    a map of degree 4k spans k steps, a rho-free one (which serves rhos =
+    [0] only) one step.  The maps are taken in blocks: the maps of a block,
+    evaluated at every rho (``_evaluate``), are one stack of at most
+    ``_BLOCK_ENTRIES`` entries; without keep they are multiplied pairwise
+    and applied to M once, with keep their prefix products are formed by
+    doubling (log2 of the block's length stacked products) and applied to M
+    as one stack.  No block crosses a checkpoint: every ``_PROJECT_EVERY``
+    steps and after the last map, the drift max |M^T J M - J| of each member
+    is checked: above ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large
+    (StepTooLarge), above ``_SYMPLECTIC_DRIFT_TOL`` the member is projected
+    back onto Sp(2n).  Returns the (B, d, d) end states, or with keep the
+    state after every map, shaped (B, maps + 1, d, d).
     """
-    nsteps, d = C.shape[0], C.shape[-1]
+    m, nmaps, d = C.shape[0], C.shape[1], C.shape[-1]
     J = J_std(d // 2)
-    powers = np.vander(np.asarray(rhos, dtype=float), 5, increasing=True)
-    top = (h ** 4 / 24.0) * powers[:, 4:] * np.eye(d).ravel()
-    every = _PROJECT_EVERY
+    powers = np.vander(np.asarray(rhos, dtype=float), m, increasing=True)
+    every = _PROJECT_EVERY // max(1, (m - 1) // 4)
     M = np.broadcast_to(np.eye(d), (len(powers), d, d)).copy()
-    states = np.empty((nsteps + 1,) + M.shape) if keep else None
+    states = np.empty((len(M), nmaps + 1, d, d)) if keep else None
     if keep:
-        states[0] = M
+        states[:, 0] = M
     span = max(1, _BLOCK_ENTRIES // max(M.size, 1))
     k = 0
-    while k < nsteps:
-        end = min(k + span, (k // every + 1) * every, nsteps)
-        P = _evaluate(C[k:end], powers, top)
+    while k < nmaps:
+        end = min(k + span, (k // every + 1) * every, nmaps)
+        P = _evaluate(C[:, k:end], powers)
         if keep:
             # inclusive prefix products P_j ... P_0 by doubling, on a copy:
             # rho-free P is a view of C
             P, gap = P.copy(), 1
-            while gap < len(P):
-                P[gap:] = P[gap:] @ P[:-gap]
+            while gap < P.shape[1]:
+                P[:, gap:] = P[:, gap:] @ P[:, :-gap]
                 gap *= 2
-            M = np.matmul(P, M, out=states[k + 1:end + 1])[-1]
+            M = np.matmul(P, M[:, None], out=states[:, k + 1:end + 1])[:, -1]
         else:
-            while len(P) > 1:
-                half = len(P) // 2
-                P = np.concatenate([P[1:2 * half:2] @ P[0:2 * half:2],
-                                    P[2 * half:]])
-            M = P[0] @ M
+            while P.shape[1] > 1:
+                half = P.shape[1] // 2
+                P = np.concatenate([P[:, 1:2 * half:2] @ P[:, 0:2 * half:2],
+                                    P[:, 2 * half:]], axis=1)
+            M = P[:, 0] @ M
         k = end
-        if k % every == 0 or k == nsteps:
+        if k % every == 0 or k == nmaps:
             drift = _drift(M, J)
             worst = float(np.max(drift, initial=0.0))
             if worst > _SYMPLECTIC_DRIFT_LIMIT:
@@ -569,8 +613,10 @@ def shifted_flows(sigma, step=None, t=1.0):
 
     A declared constant sigma uses the exact exponential of t (J sigma +
     rho J); otherwise sigma is sampled once here on the RK4 stage grid, the
-    step maps' coefficients in rho are built from those samples, and every
-    call evaluates them for its whole batch (the spectrum interpolant's nodes).
+    coefficients in rho of the maps of consecutive pairs of steps are built
+    from those samples (``_coefficients``), and every call is one ``_rk4``
+    pass that evaluates them for its whole batch (the spectrum
+    interpolant's nodes with its oracle probes).
     """
     if sigma.constant is not None:
         J = J_std(sigma.n)
@@ -578,8 +624,8 @@ def shifted_flows(sigma, step=None, t=1.0):
         return lambda rhos: expm(
             t * (G0 + np.asarray(rhos, dtype=float)[:, None, None] * J))
     step = _ODE_STEP if step is None else float(step)
-    h, C = _coefficients(sigma, t, step, shifted=True)
-    return lambda rhos: _rk4(C, h, rhos)
+    C = _coefficients(sigma, t, step, shifted=True)[1]
+    return lambda rhos: _rk4(C, rhos)
 
 
 def fundamental_solution(sigma, t=1.0, step=None):
@@ -593,8 +639,7 @@ def fundamental_solution(sigma, t=1.0, step=None):
         psi = shifted_flows(sigma, step, t)([0.0])[0]
     else:
         step = _ODE_STEP if step is None else float(step)
-        h, C = _coefficients(sigma, t, step)
-        psi = _rk4(C, h, [0.0])[0]
+        psi = _rk4(_coefficients(sigma, t, step)[1], [0.0])[0]
     return SymplecticMatrix(n=sigma.n, entries=psi)
 
 
@@ -617,7 +662,7 @@ class FundamentalFlow:
             return
         self._const_gen = None
         self._h, C = _coefficients(sigma, 1.0, _ODE_STEP)
-        self._states = _rk4(C, self._h, [0.0], keep=True)[:, 0]
+        self._states = _rk4(C, [0.0], keep=True)[0]
 
     def __call__(self, t):
         return self.at([t])[0]
@@ -636,7 +681,7 @@ class FundamentalFlow:
             g = self._J @ self.sigma.samples(
                 np.concatenate([t0, t0 + 0.5 * r, t0 + r]))
             g = g.reshape((3, len(part)) + self._J.shape)
-            M[part] = _step_maps(*g, r[:, None, None])[:, 0] @ M[part]
+            M[part] = _step_maps(*g, r[:, None, None])[0] @ M[part]
         return M
 
 

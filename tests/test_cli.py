@@ -228,6 +228,21 @@ def test_ss_page_below_one_is_refused(tmp_path, capsys):
                                "message": "pages are defined for r >= 1"}
 
 
+def test_ss_does_not_import_numpy_ma(tmp_path):
+    # the page engine needs no masked arrays (np.unique imports numpy.ma,
+    # 12 ms and about 1.6 MB): a fresh process that runs `floerss ss` on
+    # SS_DOC leaves numpy.ma out of sys.modules
+    p = tmp_path / "ss.json"
+    p.write_text(json.dumps(SS_DOC))
+    code = ("import sys\nfrom floerss.cli import main\n"
+            f"assert main(['ss', {str(p)!r}, '--json']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 SPECTRUM_POLY_DOC = {
     "schema": "floerss/1", "kind": "spectrum", "n": 2,
     "sigma": {"poly": [[[0.3, 0.1, 0.0, 0.2], [0.1, -0.2, 0.2, 0.0],
@@ -332,6 +347,121 @@ def test_spectrum_output_is_unchanged(tmp_path, capsys):
             for e, f in zip(new["eigenvalues"], old["eigenvalues"]):
                 assert abs(e["rho"] - f["rho"]) < 1e-8, name
             assert abs(new["gap"] - old["gap"]) < 1e-8, name
+
+
+# an n = 4 operator: sigma(t) = S0 + t S1 on R^8, L0 = R^4 x 0 and L1 the
+# graph of a symmetric B
+_S0 = [[1.0, 0.0, 0.5, -0.4, -0.55, -0.2, -0.65, 0.15],
+       [0.0, -0.5, 0.1, -0.55, -0.75, -0.5, -0.2, -0.35],
+       [0.5, 0.1, 0.5, 0.4, 0.15, 0.15, 0.4, -0.05],
+       [-0.4, -0.55, 0.4, 0.1, -0.3, 0.35, -0.05, -0.3],
+       [-0.55, -0.75, 0.15, -0.3, -0.3, -0.1, -0.7, 0.25],
+       [-0.2, -0.5, 0.15, 0.35, -0.1, -0.2, -0.35, 0.4],
+       [-0.65, -0.2, 0.4, -0.05, -0.7, -0.35, -0.9, -0.4],
+       [0.15, -0.35, -0.05, -0.3, 0.25, 0.4, -0.4, -0.7]]
+_S1 = [[0.4, -0.3, 0.25, 0.1, 0.0, 0.05, -0.25, 0.15],
+       [-0.3, -0.3, -0.1, -0.2, -0.1, -0.1, 0.1, 0.1],
+       [0.25, -0.1, -0.5, -0.25, 0.05, 0.15, -0.4, -0.3],
+       [0.1, -0.2, -0.25, 0.5, -0.1, -0.2, -0.15, -0.25],
+       [0.0, -0.1, 0.05, -0.1, 0.2, 0.1, -0.25, -0.4],
+       [0.05, -0.1, 0.15, -0.2, 0.1, 0.5, -0.2, -0.45],
+       [-0.25, 0.1, -0.4, -0.15, -0.25, -0.2, -0.3, -0.3],
+       [0.15, 0.1, -0.3, -0.25, -0.4, -0.45, -0.3, -0.3]]
+_B4 = [[0.4, 0.2, -0.35, -0.1],
+       [0.2, -0.7, -0.75, -0.25],
+       [-0.35, -0.75, 0.2, -0.4],
+       [-0.1, -0.25, -0.4, -0.1]]
+SPECTRUM_N4_DOC = {
+    "schema": "floerss/1", "kind": "spectrum", "n": 4,
+    "sigma": {"poly": [_S0, _S1]},
+    "boundary": [np.eye(8, 4).tolist(), np.vstack([np.eye(4), _B4]).tolist()],
+    "window": 6.283185307179586, "grid": 384}
+# stdout of `floerss spectrum --json` on it, recorded from the flow passes
+# that took one RK4 step map at a time
+SPECTRUM_N4_JSON = (
+    '{"eigenvalues": [{"multiplicity": 1, "rho": -6.22534203737141}, '
+    '{"multiplicity": 1, "rho": -5.488863909160265}, '
+    '{"multiplicity": 1, "rho": -3.660603043198636}, '
+    '{"multiplicity": 1, "rho": -3.6384112547301424}, '
+    '{"multiplicity": 1, "rho": -3.156608150085493}, '
+    '{"multiplicity": 1, "rho": -2.5225616342383432}, '
+    '{"multiplicity": 1, "rho": -1.3967418798371143}, '
+    '{"multiplicity": 1, "rho": -0.6990570075360266}, '
+    '{"multiplicity": 1, "rho": -0.4738757700355337}, '
+    '{"multiplicity": 1, "rho": 1.1212334360026586}, '
+    '{"multiplicity": 1, "rho": 2.5703570248186827}, '
+    '{"multiplicity": 1, "rho": 3.2633044378274807}, '
+    '{"multiplicity": 1, "rho": 3.6806861230309513}, '
+    '{"multiplicity": 1, "rho": 4.323004781327943}, '
+    '{"multiplicity": 1, "rho": 5.742022194866638}], '
+    '"gap": 0.4738757700355337, "kernel_dim": 0, '
+    '"kind": "spectrum", '
+    '"window": [-6.283185307179586, 6.283185307179586]}\n')
+
+
+def test_spectrum_n4_output_is_unchanged(tmp_path, capsys):
+    # d = 8, the largest flows of the benchmark: the shifted flow's pair
+    # maps and its one pass for nodes and oracle leave stdout byte-identical
+    p = tmp_path / "n4.json"
+    p.write_text(json.dumps(SPECTRUM_N4_DOC))
+    assert (run_cli(["spectrum", str(p), "--json"], capsys)
+            == (0, SPECTRUM_N4_JSON, ""))
+
+
+# a sampled n = 2 path with a good middle sample and the refusals of bad
+# ones, recorded from the parser that validated one sample at a time
+_SAMPLE_MID = [[C, 0], [0, 1], [0.5, 0], [0, 0]]
+SAMPLED_DOC = {
+    "schema": "floerss/1", "kind": "rs_index", "grid": 64,
+    "F0": {"type": "sampled", "interval": [0, 1],
+           "samples": [
+               {"s": 0.0, "frame": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+               {"s": 0.5, "frame": _SAMPLE_MID},
+               {"s": 1.0, "frame": [[0.5, 0], [0, 1], [C, 0], [0, 0]]}]},
+    "F1": {"type": "constant", "interval": [0, 1],
+           "frame": [[0, 0], [0, 1], [1, 0], [0, 0]]}}
+BAD_SAMPLES = [
+    ({"s": 0.5, "frame": [[1, 0], [0, 0], [0, 1], [0, 0]]}, 1,
+     '{"error": "NotIsotropic", "max_pairing": 1.0, '
+     '"message": "max |omega(col_i, col_j)| = 1.000e+00"}\n'),
+    ({"s": 0.5, "frame": [[1, 1], [0, 0], [0, 0], [0, 0]]}, 1,
+     '{"error": "NotFullRank", '
+     '"message": "smallest column pivot 0.000e+00 below tolerance", '
+     '"smallest_pivot": 0.0}\n'),
+    ({"s": 0.5, "frame": [[1, 0], [0, 1], [0, 0]]}, 1,
+     '{"error": "DimensionMismatch", '
+     '"message": "expected a 2n x n matrix, got shape (3, 2)"}\n'),
+    ({"s": 0.5, "frame": [[1, 0], [0, 1], [0, float("inf")], [0, 0]]}, 2,
+     '{"error": "SchemaError", '
+     '"message": "F0: expected a nonempty matrix of finite numbers", '
+     '"path": "F0"}\n'),
+    ({"s": "half", "frame": _SAMPLE_MID}, 2,
+     '{"error": "SchemaError", '
+     '"message": "malformed input in parse_path: ValueError: '
+     'could not convert string to float: \'half\'"}\n'),
+    ({"s": 0.5, "frame": [[1], [0]]}, 2,
+     '{"error": "SchemaError", '
+     '"message": "malformed input in parse_path: ValueError: '
+     'all input arrays must have the same shape"}\n'),
+    ({"s": 0.5, "frame": [[1, 0], [0, 1], [0], [0, 0]]}, 2,
+     '{"error": "SchemaError", '
+     '"message": "F0: expected a numeric matrix", "path": "F0"}\n'),
+]
+
+
+@pytest.mark.parametrize("sample, code, err", BAD_SAMPLES)
+def test_sampled_path_with_one_bad_sample(tmp_path, capsys, sample, code, err):
+    # the frames are validated as one stack; a bad sample still gets the
+    # refusal that its own parse gave
+    doc = copy.deepcopy(SAMPLED_DOC)
+    doc["F0"]["samples"][1] = sample
+    p = tmp_path / "sampled.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli(["rs-index", str(p), "--json"], capsys) == (code, "", err)
+    doc["F0"]["samples"][1]["frame"] = _SAMPLE_MID
+    doc["F0"]["samples"][1]["s"] = 0.5
+    p.write_text(json.dumps(doc))
+    assert run_cli(["rs-index", str(p), "--json"], capsys)[0] == 0
 
 
 def test_spectrum_window_cap(tmp_path, capsys, monkeypatch):

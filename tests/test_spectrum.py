@@ -156,15 +156,15 @@ def _count_flow_passes(monkeypatch):
     passes = []
     rk4 = sl._rk4
 
-    def recorder(C, h, rhos, keep=False):
+    def recorder(C, rhos, keep=False):
         passes.append(len(rhos))
-        return rk4(C, h, rhos, keep)
+        return rk4(C, rhos, keep)
 
     monkeypatch.setattr(sl, "_rk4", recorder)
     return passes
 
 
-def test_eigenvalues_make_one_node_and_one_oracle_pass(monkeypatch):
+def test_eigenvalues_make_one_flow_pass(monkeypatch):
     rng = make_rng(39)
     passes = _count_flow_passes(monkeypatch)
     counts = set()
@@ -175,8 +175,8 @@ def test_eigenvalues_make_one_node_and_one_oracle_pass(monkeypatch):
         for grid in (64, 384):
             del passes[:]
             rep = sp.eigenvalues(A, window=2 * np.pi, grid=grid)
-            # 32 nodes at window 2 pi, then the 4 oracle shifts
-            assert passes == [32, 4], (n, grid)
+            # 32 nodes at window 2 pi and the 4 oracle shifts, in one pass
+            assert passes == [36], (n, grid)
             counts.add(len(rep.eigenvalues))
     assert len(counts) > 1
     del passes[:]
@@ -187,14 +187,15 @@ def test_eigenvalues_make_one_node_and_one_oracle_pass(monkeypatch):
 def test_eigenvalues_of_a_strongly_coupled_sigma(monkeypatch):
     # |Psi(1)| is about 1e2: the flows' projections onto Sp(2n) leave noise
     # in rho above 1e-12 of the coefficients, so the tail stops falling at
-    # 64 nodes and the series is taken there
+    # 64 nodes and the series is taken there; each m is one pass with its 4
+    # oracle shifts
     rng = make_rng(48)
     sig = random_sigma_poly(rng, 2, degree=2, scale=5.0)
     A = sp.AsymptoticOperator(n=2, sigma=sig, boundary=(
         random_lagrangian(rng, 2), random_lagrangian(rng, 2)))
     passes = _count_flow_passes(monkeypatch)
     rep = sp.eigenvalues(A, window=2 * np.pi, grid=384)
-    assert passes == [32, 64, 4]
+    assert passes == [36, 68]
     assert rep.eigenvalues
     for rho, m in rep.eigenvalues:
         B = sp.AsymptoticOperator(n=2, sigma=sp._shifted_path(sig, -rho),
@@ -206,13 +207,19 @@ def test_eigenvalues_of_a_strongly_coupled_sigma(monkeypatch):
 
 
 def test_interpolant_oracle_refuses_flows_it_does_not_match(monkeypatch):
-    # flows that are not one function of rho: the 4 oracle shifts see frames
-    # the nodes did not
+    # flows that are not one function of rho: the 4 oracle shifts, the last
+    # members of the nodes' batch, see frames the nodes did not
     shifted_flows = sl.shifted_flows
 
     def skewed(sigma, step=None, t=1.0):
         flows = shifted_flows(sigma, step, t)
-        return lambda rhos: flows(rhos) @ sl.rotation(sigma.n, 1e-6 * (len(rhos) == 4))
+
+        def skewed_flows(rhos):
+            F = flows(rhos)
+            F[-4:] = F[-4:] @ sl.rotation(sigma.n, 1e-6)
+            return F
+
+        return skewed_flows
 
     monkeypatch.setattr(sl, "shifted_flows", skewed)
     with pytest.raises(IntegrationFailure) as info:
@@ -241,7 +248,7 @@ def test_window_cap(monkeypatch):
     passes = _count_flow_passes(monkeypatch)
     # 16 pi is the widest window of spectral_gap's doublings from 4 pi
     rep = sp.eigenvalues(A, window=16 * np.pi)
-    assert passes == [128, 4]
+    assert passes == [132]
     assert 60 <= sum(m for _, m in rep.eigenvalues) <= 68
     # the eigenvalues inside 2 pi are those of the 2 pi window
     near = sp.eigenvalues(A, window=2 * np.pi, grid=384).eigenvalues

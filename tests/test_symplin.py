@@ -187,11 +187,20 @@ def _per_step_rk4(G, h, rhos, keep):
     return np.stack(states) if keep else M
 
 
+def _with_top(C, h):
+    """The (4, s, d, d) shifted step coefficients C of step h with the rho^4
+    coefficient (h^4 / 24) I appended: the step maps as (5, s, d, d)
+    polynomials, one step a map in ``sl._rk4``."""
+    top = (h ** 4 / 24.0) * np.broadcast_to(np.eye(C.shape[-1]), C[:1].shape)
+    return np.concatenate([C, top])
+
+
 def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
-    # blocks of step maps agree with one step at a time, on step counts that
-    # are not multiples of a block, with and without every state kept, and
-    # with drift tolerance 0 (a projection at every checkpoint); the drift
-    # is checked exactly at the checkpoints
+    # blocks of step maps and of pair maps agree with one step at a time, on
+    # step counts that are not multiples of a block (177 leaves a lone last
+    # step), with and without every state kept, and with drift tolerance 0
+    # (a projection at every checkpoint); the drift is checked exactly at
+    # the checkpoints
     checks = []
     drift = sl._drift
     monkeypatch.setattr(sl, "_drift", lambda M, J: checks.append(1) or drift(M, J))
@@ -202,54 +211,77 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
         for nsteps in (176, 177, 1000):
             h, G = sl._stage_samples(sigma, 1.0, 1.0 / nsteps)
             assert len(G) == 2 * nsteps + 1
-            C = sl._coefficients(sigma, 1.0, 1.0 / nsteps, shifted=True)[1]
+            single = _with_top(
+                sl._step_maps(G[0:-1:2], G[1::2], G[2::2], h, shifted=True), h)
+            pairs = sl._coefficients(sigma, 1.0, 1.0 / nsteps, shifted=True)[1]
+            assert pairs.shape == (9, -(-nsteps // 2), 2 * n, 2 * n)
             for B in (1, 4 * n, 387):
                 rhos = np.linspace(-12.0, 12.0, B)
                 for tol in (default_tol, 0.0):
                     monkeypatch.setattr(sl, "_SYMPLECTIC_DRIFT_TOL", tol)
                     # every state of a 387-wide batch does not fit in a test
-                    for keep in (False, True) if B < 387 else (False,):
+                    runs = [(single, False), (pairs, False)]
+                    if B < 387:
+                        runs.append((single, True))
+                    for C, keep in runs:
                         want = _per_step_rk4(G, h, rhos, keep)
                         del checks[:]
-                        got = sl._rk4(C, h, rhos, keep=keep)
+                        got = sl._rk4(C, rhos, keep=keep)
+                        if keep:
+                            got = np.swapaxes(got, 0, 1)
                         assert len(checks) == -(-nsteps // sl._PROJECT_EVERY)
                         assert got.shape == want.shape
                         assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_step_map_blocks_stay_within_the_budget(monkeypatch):
-    # the evaluated stacks of step maps hold at most _BLOCK_ENTRIES entries,
-    # or one step when a single step is larger, and cover every step once;
-    # the coefficients are built once per flow, in chunks whose (steps, d, d)
-    # temporaries hold at most _CHUNK_ENTRIES entries, covering every step once
-    blocks, chunks = [], []
-    evaluate, step_maps = sl._evaluate, sl._step_maps
+    # the evaluated stacks of pair maps hold at most _BLOCK_ENTRIES entries,
+    # or one pair when a single pair is larger, and cover every pair once;
+    # the coefficients are built once per flow, in chunks of an even number
+    # of steps whose (steps, d, d) temporaries and (pairs, d, d) products
+    # hold at most _CHUNK_ENTRIES entries, covering every step once; the
+    # rho-free blocks of a kept flow are views of the coefficients
+    blocks, chunks, pair_chunks = [], [], []
+    evaluate, step_maps, pair_maps = sl._evaluate, sl._step_maps, sl._pair_maps
 
-    def record_blocks(C, powers, top):
-        P = evaluate(C, powers, top)
-        blocks.append(P.shape)
+    def record_blocks(C, powers):
+        P = evaluate(C, powers)
+        blocks.append((P.shape, np.shares_memory(P, C)))
         return P
 
     def record_chunks(g1, g2, g4, h, shifted=False):
         chunks.append(g1.shape)
         return step_maps(g1, g2, g4, h, shifted)
 
+    def record_pairs(S, h):
+        pair_chunks.append(S.shape)
+        return pair_maps(S, h)
+
     monkeypatch.setattr(sl, "_evaluate", record_blocks)
     monkeypatch.setattr(sl, "_step_maps", record_chunks)
+    monkeypatch.setattr(sl, "_pair_maps", record_pairs)
     sigma = random_sigma_poly(make_rng(45), 4, degree=2)
     flows = sl.shifted_flows(sigma, 1e-3)
     assert all(shape[1:] == (8, 8) for shape in chunks)
     assert max(shape[0] for shape in chunks) == sl._CHUNK_ENTRIES // 64
+    assert all(shape[0] % 2 == 0 for shape in chunks)
     assert sum(shape[0] for shape in chunks) == 1000
+    assert [S[1] for S in pair_chunks] == [shape[0] for shape in chunks]
+    assert all(S[0] == 4 and S[1] // 2 * 64 <= sl._CHUNK_ENTRIES for S in pair_chunks)
+    assert not blocks
     for B in (387, 16, 1):
-        del blocks[:], chunks[:]
+        del blocks[:], chunks[:], pair_chunks[:]
         flows(np.linspace(-12.0, 12.0, B))
-        per_step = B * 8 * 8
-        assert not chunks
-        assert all(shape[1:] == (B, 8, 8) for shape in blocks)
-        assert max(shape[0] for shape in blocks) == max(
-            1, min(sl._BLOCK_ENTRIES // per_step, sl._PROJECT_EVERY))
-        assert sum(shape[0] for shape in blocks) == 1000
+        per_pair = B * 8 * 8
+        assert not chunks and not pair_chunks
+        assert all(shape[0] == B and shape[2:] == (8, 8) for shape, _ in blocks)
+        assert max(shape[1] for shape, _ in blocks) == max(
+            1, min(sl._BLOCK_ENTRIES // per_pair, sl._PROJECT_EVERY // 2))
+        assert sum(shape[1] for shape, _ in blocks) == 500
+    del blocks[:]
+    sl.FundamentalFlow(sigma)
+    assert all(view for _, view in blocks)
+    assert sum(shape[1] for shape, _ in blocks) == 1000
 
 
 def _step_map(g1, g2, g4, h):
@@ -312,8 +344,9 @@ def test_step_maps_equal_the_dense_products_bitwise():
              for _ in range(3)]
         for h in (1e-3, rng.uniform(1e-3, 0.3, 40)[:, None, None]):
             for shifted in (False, True):
-                assert np.array_equal(sl._step_maps(*g, h, shifted),
-                                      _dense_step_maps(*g, h, shifted)), n
+                assert np.array_equal(
+                    sl._step_maps(*g, h, shifted),
+                    np.moveaxis(_dense_step_maps(*g, h, shifted), 1, 0)), n
 
 
 def test_step_maps_are_polynomials_in_rho():
@@ -327,21 +360,41 @@ def test_step_maps_are_polynomials_in_rho():
              for _ in range(3)]
         h = rng.uniform(1e-3, 2e-2, 9)[:, None, None]
         C = sl._step_maps(*g, h, shifted=True)
-        assert C.shape == (9, 4, 2 * n, 2 * n)
-        assert np.array_equal(C[:, 0], _step_map(*g, h))
-        assert np.array_equal(sl._step_maps(*g, h), C[:, :1])
+        assert C.shape == (4, 9, 2 * n, 2 * n)
+        assert np.array_equal(C[0], _step_map(*g, h))
+        assert np.array_equal(sl._step_maps(*g, h), C[:1])
         for rho in np.linspace(-12.0, 12.0, 25):
             want = _step_map(*(gi + rho * J for gi in g), h)
-            powers = np.vander([rho], 5, increasing=True)
-            top = (h ** 4 / 24.0) * powers[:, 4:] * np.eye(2 * n).ravel()
-            got = sl._evaluate(C, powers, top)[:, 0]
+            powers = np.vander([rho], 4, increasing=True)
+            top = (h ** 4 / 24.0) * rho ** 4 * np.eye(2 * n)
+            got = sl._evaluate(C, powers)[0] + top
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
         for rho in (-8.0, 8.0):
             rhos = rho / h
             want = _step_map(*(gi + rhos * J for gi in g), h)
-            low = sum(rhos ** j * C[:, j] for j in range(4))
+            low = sum(rhos ** j * C[j] for j in range(4))
             top = (want - low) / (h ** 4 / 24.0 * rhos ** 4)
             assert np.max(np.abs(top - np.eye(2 * n))) < 1e-9
+
+
+def test_pair_maps_are_products_of_two_step_maps():
+    # the degree-8 pair map equals the product of the two step maps it
+    # joins, at random rho, within 1e-14 of the largest entry
+    rng = make_rng(50)
+    for n in (1, 2, 3, 4):
+        J = sl.J_std(n)
+        g = [J @ np.stack([random_symmetric(rng, n) for _ in range(10)])
+             for _ in range(3)]
+        for h in (1e-3, 2e-2):
+            C = sl._step_maps(*g, h, shifted=True)
+            single, Q = _with_top(C, h), sl._pair_maps(C, h)
+            assert Q.shape == (9, 5, 2 * n, 2 * n)
+            for rho in rng.uniform(-50.0, 50.0, 20):
+                powers = np.vander([rho], 9, increasing=True)
+                P = sl._evaluate(single, powers[:, :5])[0]
+                want = P[1::2] @ P[0::2]
+                got = sl._evaluate(Q, powers)[0]
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
 
 
 def test_empty_batches_give_empty_stacks():
