@@ -25,10 +25,10 @@ the winding of det W over 2 pi plus endpoint corrections from the
 eigenvalue angles of W at a and b; it looks for no crossings.
 ``find_crossings`` locates the samples on the intersection and the cells
 where an eigenvalue angle passes 0, bisects those on the net passage count
-(``_bisect_passages``: it reuses the sampler's cell turns and evaluates
-predicted chains of nested midpoints in one stacked call per round;
-``spectrum.eigenvalues`` certifies its brackets without bisecting and falls
-back to it where it cannot), and evaluates ``crossing_form`` and
+(``_bisect_passages``: it reuses the sampler's cell turns and halves every
+bracket once per round, all midpoints in one stacked call;
+``spectrum.eigenvalues`` certifies the same brackets without bisecting and
+falls back to it where it cannot), and evaluates ``crossing_form`` and
 ``signature_of`` at the located points.  A tangency strictly between
 two samples is not located; it adds 0 to the index.  The crossing forms
 are computed by finite differences of the paths, not from W, and serve as
@@ -441,15 +441,6 @@ def _passages(turn, h0, h1):
     return np.rint(turn / (2 * np.pi) + h1 - h0)
 
 
-# nested midpoints evaluated per bracket and round by _bisect_passages
-_CHAIN = 8
-
-
-def _nearest_zero(phi):
-    """The angle nearest 0 in each row of a stack of eigenvalue angles."""
-    return phi[np.arange(len(phi)), np.argmin(np.abs(phi), axis=-1)]
-
-
 def _unhalvable(width):
     """The refusal of a bracket wider than ``width`` whose midpoint is one
     of its ends."""
@@ -465,18 +456,12 @@ def _bisect_passages(W_at, s, W, phi, turn, cells, width):
     half whose count is nonzero.  Returns the final brackets and their
     counts.
 
-    Each round predicts where each wide bracket's passage lies, at the
-    secant zero of the eigenvalue angle nearest 0 at its two ends, and
-    evaluates up to ``_CHAIN`` nested midpoints towards that point in one
-    stacked call.  The halvings are then replayed one level at a time: a
-    nonzero half off the predicted side waits for the next round, and a
-    predicted half whose count is 0 ends the chain.  A wrong prediction
-    only costs rounds; the brackets are those of halving every bracket once
-    per round.  A bracket whose midpoint is one of its ends cannot be
-    halved (GridTooCoarse).
+    Each round halves every bracket wider than ``width`` with one stacked
+    W_at call on all the midpoints and counts both halves.  A bracket whose
+    midpoint is one of its ends cannot be halved (GridTooCoarse).
     """
     # brackets are index pairs into the samples; midpoints are appended
-    h, near = _h(phi), _nearest_zero(phi)
+    h = _h(phi)
     count = _passages(turn[cells], h[cells], h[cells + 1])
     lo, count = cells[count != 0], count[count != 0]
     hi = lo + 1
@@ -484,59 +469,19 @@ def _bisect_passages(W_at, s, W, phi, turn, cells, width):
         wide = s[hi] - s[lo] > width
         if not wide.any():
             return s[lo], s[hi], count
-        done = [(lo[~wide], hi[~wide], count[~wide])]
-        lo, hi, count = lo[wide], hi[wide], count[wide]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = near[lo] / (near[lo] - near[hi])
-        aim = s[lo] + np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.5) * (
-            s[hi] - s[lo])
-        # the chain: per level the brackets it halves (alive), their ends
-        # and midpoints as sample indices, and whether the aim is left of it
-        levels, alive, mids, nxt = [], np.ones(len(lo), bool), [], len(s)
-        L, R = s[lo], s[hi]
-        for _ in range(_CHAIN):
-            m = 0.5 * (L + R)
-            halves = (m != L) & (m != R)
-            if not levels and not halves.all():
-                raise _unhalvable(width)
-            alive = alive & halves & (R - L > width)
-            if not alive.any():
-                break
-            mi = np.full(len(alive), -1)
-            mi[alive] = nxt + np.arange(np.count_nonzero(alive))
-            nxt += np.count_nonzero(alive)
-            left = aim < m
-            levels.append((alive, lo, mi, hi, left))
-            mids.append(m[alive])
-            to_l, to_r = alive & left, alive & ~left
-            L, lo = np.where(to_r, m, L), np.where(to_r, mi, lo)
-            R, hi = np.where(to_l, m, R), np.where(to_l, mi, hi)
-        new = np.concatenate(mids)
-        s = np.concatenate([s, new])
-        W = np.concatenate([W, W_at(new)])
-        phi = _angles(W[-len(new):])
-        h = np.concatenate([h, _h(phi)])
-        near = np.concatenate([near, _nearest_zero(phi)])
-        a = np.concatenate([x for v, l, mi, r, _ in levels for x in (l[v], mi[v])])
-        b = np.concatenate([x for v, l, mi, r, _ in levels for x in (mi[v], r[v])])
-        counts = _passages(_cell_turns(W[a], W[b])[0], h[a], h[b])
-        # replay: one halving per level of the brackets the chain still follows
-        on, at = np.ones(len(alive), bool), 0
-        for alive, l, mi, r, left in levels:
-            k = np.count_nonzero(alive)
-            cl, cr = np.zeros(len(alive)), np.zeros(len(alive))
-            cl[alive], cr[alive] = counts[at:at + k], counts[at + k:at + 2 * k]
-            at += 2 * k
-            stop = on & ~alive          # at most width wide, or not halvable
-            done.append((l[stop], r[stop], count[stop]))
-            on &= alive
-            off = on & (np.where(left, cr, cl) != 0)
-            done.append((np.where(left, mi, l)[off], np.where(left, r, mi)[off],
-                         np.where(left, cr, cl)[off]))
-            count = np.where(left, cl, cr)
-            on &= count != 0
-        done.append((lo[on], hi[on], count[on]))
-        lo, hi, count = (np.concatenate(x) for x in zip(*done))
+        l, r = lo[wide], hi[wide]
+        mid = 0.5 * (s[l] + s[r])
+        if np.any((mid == s[l]) | (mid == s[r])):
+            raise _unhalvable(width)
+        m = len(s) + np.arange(len(mid))
+        s = np.concatenate([s, mid])
+        W = np.concatenate([W, W_at(mid)])
+        h = np.concatenate([h, _h(_angles(W[m]))])
+        a, b = np.concatenate([l, m]), np.concatenate([m, r])
+        halves = _passages(_cell_turns(W[a], W[b])[0], h[a], h[b])
+        lo = np.concatenate([lo[~wide], a[halves != 0]])
+        hi = np.concatenate([hi[~wide], b[halves != 0]])
+        count = np.concatenate([count[~wide], halves[halves != 0]])
 
 
 # the intersection angle (rs_index's too) and bracket width of find_crossings

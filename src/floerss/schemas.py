@@ -102,8 +102,12 @@ def parse_sigma(obj, where):
 
 
 def _poly_eval(coeffs, where):
-    """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k."""
+    """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k; an empty
+    coefficient list is refused."""
     cs = [_finite(c, where) for c in coeffs]
+    if not cs:
+        raise SchemaError(f"{where}: a polynomial needs at least one coefficient",
+                          path=where)
 
     def f(ss):
         acc, sk = 0.0, np.ones_like(ss)

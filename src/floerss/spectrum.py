@@ -18,13 +18,13 @@ it, one flow pass as a rule, is scanned as by ``lagpath.find_crossings``
 (``lagpath._souriau_samples``).  The scan's eigenvalue angles are taken
 only at the ends of the cells that may count (``_may_count``: one Hermitian
 eigenvalue problem per sample), and the cells that count are refined by
-``_locate``: a secant root of the eigenvalue angle nearest 0, the
-bisection's halvings replayed on it, and one evaluated count that
-certifies the bracket bisection returns, since all passages of a positive
-path have the same sign.  Cells it cannot certify are bisected
-(``lagpath._bisect_passages``).  A count does not depend on how far apart
-the eigenvalues in a cell are, so eigenvalues closer than one grid cell
-are all found.
+``_locate``, the one fast locator: a secant root of the eigenvalue angle
+nearest 0, the bisection's halvings replayed on it, and one evaluated
+count that certifies the bracket bisection returns, since all passages of
+a positive path have the same sign.  Cells it cannot certify are bisected
+(``lagpath._bisect_passages``, one stacked evaluation per halving).  A
+count does not depend on how far apart the eigenvalues in a cell are, so
+eigenvalues closer than one grid cell are all found.
 """
 
 from dataclasses import dataclass
@@ -156,6 +156,11 @@ def _may_count(W):
     return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.maximum(gap[:-1], gap[1:]) <= f)
 
 
+def _nearest_zero(phi):
+    """The angle nearest 0 in each row of a stack of eigenvalue angles."""
+    return phi[np.arange(len(phi)), np.argmin(np.abs(phi), axis=-1)]
+
+
 def _halvings(L, R, x, eps, width):
     """The bracket that bisecting [L, R] to ``width`` ends in when the one
     passage in it lies at x, by the bisection's own arithmetic
@@ -175,7 +180,8 @@ def _halvings(L, R, x, eps, width):
 def _locate(W_at, s, W, turn, width):
     """The final brackets and passage counts of ``lagpath._bisect_passages``
     on the cells of the samples s (W = W_at(s), turn the cell turns), from
-    about five evaluations per eigenvalue instead of one per halving.
+    at most ``_SECANT_ROUNDS`` + 1 stacked evaluations for all the cells it
+    certifies, instead of one per halving.
 
     Eigenvalue angles are taken only at the ends of the cells that
     ``_may_count``.  In each cell that counts, Illinois secant steps on
@@ -197,7 +203,7 @@ def _locate(W_at, s, W, turn, width):
     ends[cells] = ends[cells + 1] = True
     phi, h, near = np.full(W.shape[:-1], np.nan), np.zeros(len(s)), np.zeros(len(s))
     phi[ends] = lp._angles(W[ends])
-    h[ends], near[ends] = lp._h(phi[ends]), lp._nearest_zero(phi[ends])
+    h[ends], near[ends] = lp._h(phi[ends]), _nearest_zero(phi[ends])
     count = lp._passages(turn[cells], h[cells], h[cells + 1])
     lo, count = cells[count != 0], count[count != 0]
     # (a) Illinois: b is the latest iterate, a the other end of the sign change
@@ -210,7 +216,7 @@ def _locate(W_at, s, W, turn, width):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = b - fb * (b - a) / (fb - fa)
         x = np.where((x - a) * (x - b) <= 0, x, 0.5 * (a + b))
-        fx = lp._nearest_zero(lp._angles(W_at(x)))
+        fx = _nearest_zero(lp._angles(W_at(x)))
         root[act], step[act] = x, np.abs(x - b)
         keep = fx * fb > 0
         a, fa = np.where(keep, a, b), np.where(keep, 0.5 * fa, fb)
@@ -245,40 +251,37 @@ _SPECTRUM_WINDOW, _SPECTRUM_GRID, _SPECTRUM_REFINE_TOL = 4 * np.pi, 2048, 1e-8
 _ZERO_EIGEN_TOL = 1e-7
 
 
-def eigenvalues(A, window=None, grid=None, tol=None):
+def eigenvalues(A, window=None, grid=None):
     """Eigenvalues in [-window, window] with their multiplicities, counted
     as in the module docstring on ``grid`` cells of the window and one more
     cell at each end, so that eigenvalues at +-window are kept.
 
     The path is ``_frame_interpolant``'s, one flow pass whatever the grid
     unless its nodes double.
-    Cells that count are refined to the brackets of bisection to ``tol``
-    (``_locate``); an eigenvalue is the midpoint of a final bracket
-    (touching ones merged), its multiplicity the count.
+    Cells that count are refined to the brackets of bisection to
+    ``_SPECTRUM_REFINE_TOL`` (``_locate``); an eigenvalue is the midpoint
+    of a final bracket (touching ones merged), its multiplicity the count.
     """
     window = _SPECTRUM_WINDOW if window is None else float(window)
     grid = _SPECTRUM_GRID if grid is None else int(grid)
-    tol = _SPECTRUM_REFINE_TOL if tol is None else float(tol)
     if not window > 0:
         raise WindowTooSmall("window must be positive")
     if not np.isfinite(window):
         raise WindowTooSmall(f"window must be finite, got {window}")
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
-    if not (np.isfinite(tol) and tol > 0):
-        raise GridTooCoarse(f"tol must be positive and finite, got {tol}", tol=tol)
     reach = window * (1.0 + 2.0 / grid)
     image = lp.LagrangianPath(A.n, -reach, reach,
                               _frame_interpolant(A, reach), "spectral")
     ref = lp.constant_lagrangian_path(A.boundary[1], -reach, reach)
     s, W, turn, W_at = lp._souriau_samples(image, ref, grid + 2)
-    los, his, counts = _locate(W_at, s, W, turn, tol)
+    los, his, counts = _locate(W_at, s, W, turn, _SPECTRUM_REFINE_TOL)
     found = []
     if len(los):
         # the path is positive, so eigenvalue angles pass 0 clockwise only
         los, his, counts = _merge(los, his, counts)
         found = [(float(rho), int(-m)) for rho, m in zip(0.5 * (los + his), counts)
-                 if abs(rho) <= window + 10 * tol]
+                 if abs(rho) <= window + 10 * _SPECTRUM_REFINE_TOL]
 
     kd = sum(m for r, m in found if abs(r) < _ZERO_EIGEN_TOL)
     nonzero = [abs(r) for r, m in found if abs(r) >= _ZERO_EIGEN_TOL]
@@ -307,7 +310,7 @@ def _kernel_of(psi, L0, L1):
 
 def kernel_dim(A):
     """dim(Psi_sigma(1) L0 /\\ L1): kernel of J d/dt + sigma on the boundary pair."""
-    psi = sl.fundamental_solution(A.sigma, 1.0)
+    psi = sl.fundamental_solution(A.sigma)
     return _kernel_of(psi.entries, *A.boundary)
 
 

@@ -46,8 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IntegrationFailure, NotFullRank,
-                     NotIsotropic, NotSymmetric, StepTooLarge)
+from .errors import (DimensionMismatch, NotFullRank, NotIsotropic, NotSymmetric,
+                     StepTooLarge)
 
 
 @lru_cache(maxsize=None)
@@ -370,13 +370,12 @@ def expm(G):
     return out
 
 
-def _stage_samples(sigma, t, step):
+def _stage_samples(sigma, step):
     """(h, G) with G[j] = J sigma(j h / 2), j = 0 .. 2 nsteps: the generator
-    on the RK4 stage grid of [0, t], sampled in one ``samples`` call."""
-    if step <= 0:
-        raise IntegrationFailure(f"step must be positive, got {step}")
-    nsteps = max(1, int(np.ceil(t / step - 1e-12))) if t > 0 else 0
-    h = t / nsteps if nsteps else 0.0
+    on the RK4 stage grid of [0, 1] with h at most ``step``, sampled in one
+    ``samples`` call."""
+    nsteps = max(1, int(np.ceil(1.0 / step - 1e-12)))
+    h = 1.0 / nsteps
     return h, J_std(sigma.n) @ sigma.samples(0.5 * h * np.arange(2 * nsteps + 1))
 
 
@@ -496,9 +495,9 @@ def _pair_maps(S, h):
     return Q
 
 
-def _coefficients(sigma, t, step, shifted=False):
+def _coefficients(sigma, step, shifted=False):
     """(h, C): the coefficients of the maps of the RK4 steps of sigma on
-    [0, t], (m, maps, d, d), built from the stage samples
+    [0, 1], (m, maps, d, d), built from the stage samples
     (``_stage_samples``); the samples are dropped once C exists.
 
     Rho-free (m = 1), a map is one step (``_step_maps``).  Shifted (m = 9),
@@ -509,7 +508,7 @@ def _coefficients(sigma, t, step, shifted=False):
     (steps, d, d) temporary of ``_step_maps`` and each (pairs, d, d)
     product of ``_pair_maps`` holds at most ``_CHUNK_ENTRIES`` entries.
     """
-    h, G = _stage_samples(sigma, t, step)
+    h, G = _stage_samples(sigma, step)
     nsteps, d = (len(G) - 1) // 2, G.shape[-1]
     per = 2 if shifted else 1
     C = np.empty((9 if shifted else 1, -(-nsteps // per), d, d))
@@ -608,38 +607,36 @@ def _rk4(C, rhos, keep=False):
 _ODE_STEP = 1e-3
 
 
-def shifted_flows(sigma, step=None, t=1.0):
-    """rhos -> Psi_{sigma + rho}(t) for a batch of shifts, as a (B, 2n, 2n) stack.
+def shifted_flows(sigma):
+    """rhos -> Psi_{sigma + rho}(1) for a batch of shifts, as a (B, 2n, 2n) stack.
 
-    A declared constant sigma uses the exact exponential of t (J sigma +
-    rho J); otherwise sigma is sampled once here on the RK4 stage grid, the
-    coefficients in rho of the maps of consecutive pairs of steps are built
-    from those samples (``_coefficients``), and every call is one ``_rk4``
-    pass that evaluates them for its whole batch (the spectrum
-    interpolant's nodes with its oracle probes).
+    A declared constant sigma uses the exact exponential of J sigma +
+    rho J; otherwise sigma is sampled once here on the RK4 stage grid of
+    ``_ODE_STEP``, the coefficients in rho of the maps of consecutive pairs
+    of steps are built from those samples (``_coefficients``), and every
+    call is one ``_rk4`` pass that evaluates them for its whole batch (the
+    spectrum interpolant's nodes with its oracle probes).
     """
     if sigma.constant is not None:
         J = J_std(sigma.n)
         G0 = J @ sigma.constant
         return lambda rhos: expm(
-            t * (G0 + np.asarray(rhos, dtype=float)[:, None, None] * J))
-    step = _ODE_STEP if step is None else float(step)
-    C = _coefficients(sigma, t, step, shifted=True)[1]
+            G0 + np.asarray(rhos, dtype=float)[:, None, None] * J)
+    C = _coefficients(sigma, _ODE_STEP, shifted=True)[1]
     return lambda rhos: _rk4(C, rhos)
 
 
-def fundamental_solution(sigma, t=1.0, step=None):
-    """Psi(t) with J dPsi + sigma Psi = 0, Psi(0) = 1.
+def fundamental_solution(sigma):
+    """Psi(1) with J dPsi + sigma Psi = 0, Psi(0) = 1.
 
     The exact exponential for a declared constant sigma, classical RK4 at
-    ``step`` (default ``_ODE_STEP``) on rho-free step maps
-    otherwise; see ``_rk4`` for the projection and drift policy.
+    ``_ODE_STEP`` on rho-free step maps otherwise; see ``_rk4`` for the
+    projection and drift policy.
     """
     if sigma.constant is not None:
-        psi = shifted_flows(sigma, step, t)([0.0])[0]
+        psi = shifted_flows(sigma)([0.0])[0]
     else:
-        step = _ODE_STEP if step is None else float(step)
-        psi = _rk4(_coefficients(sigma, t, step)[1], [0.0])[0]
+        psi = _rk4(_coefficients(sigma, _ODE_STEP)[1], [0.0])[0]
     return SymplecticMatrix(n=sigma.n, entries=psi)
 
 
@@ -661,7 +658,7 @@ class FundamentalFlow:
             self._const_gen = self._J @ sigma.constant
             return
         self._const_gen = None
-        self._h, C = _coefficients(sigma, 1.0, _ODE_STEP)
+        self._h, C = _coefficients(sigma, _ODE_STEP)
         self._states = _rk4(C, [0.0], keep=True)[0]
 
     def __call__(self, t):

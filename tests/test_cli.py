@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floerss.cli import main
 
@@ -736,11 +736,28 @@ def _run_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_contract(code, out, err):
+    """Exit 0, 1 or 2; a refusal is one JSON object on stderr and nothing on
+    stdout; an answer is something on stdout and nothing on stderr."""
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
+    else:
+        assert err == "" and out
+
+
+# a rotation path whose theta polynomial has no coefficients
+EMPTY_THETA = _mutate(dict({"schema": "floerss/1"}, **FUZZ_TEMPLATES[3][1]),
+                      ("F0", "theta", "poly"), [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(fuzz_jobs())
+@example(("rs-index", EMPTY_THETA, False))
 def test_cli_contract_on_fuzzed_inputs(job):
-    # exit 0, 1 or 2; a refusal is one JSON object on stderr and nothing on
-    # stdout; two runs print the same bytes; no exception escapes main
+    # the contract of _assert_contract; two runs print the same bytes; no
+    # exception escapes main
     cmd, doc, as_json = job
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "doc.json")
@@ -749,13 +766,27 @@ def test_cli_contract_on_fuzzed_inputs(job):
         argv = [cmd, path] + (["--json"] if as_json else [])
         first = _run_quiet(argv)
         assert _run_quiet(argv) == first
-    code, out, err = first
-    assert code in (0, 1, 2)
-    if code:
-        assert out == ""
-        assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
-    else:
-        assert err == "" and out
+    _assert_contract(*first)
+
+
+def test_cli_contract_on_every_single_mutation():
+    # every template with one entry replaced by each atom, or deleted, runs
+    # once under the contract of the fuzzed test
+    runs = 0
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        for cmd, body in FUZZ_TEMPLATES:
+            doc = dict({"schema": "floerss/1"}, **body)
+            for where in _paths(doc):
+                for value in FUZZ_ATOMS + [DELETE]:
+                    with open(path, "w") as fh:
+                        json.dump(_mutate(doc, where, value), fh)
+                    try:
+                        _assert_contract(*_run_quiet([cmd, path]))
+                    except Exception as exc:
+                        raise AssertionError((cmd, where, value)) from exc
+                    runs += 1
+    assert runs > 9000
 
 
 # -- index commands ------------------------------------------------------------

@@ -811,7 +811,7 @@ def test_cell_turn_certificate():
 
 def _one_halving_per_round(W_at, s, W, cells, width):
     """The locator's bisection with one halving of every wide bracket per
-    round, on eigvals turns: the reference of the predicted chains."""
+    round, on eigvals turns: the reference of the bisection and the locator."""
     def turns(W0, W1):
         P = np.swapaxes(W0.conj(), -1, -2) @ W1
         return np.angle(np.linalg.eigvals(P)).sum(axis=-1)
@@ -909,23 +909,27 @@ def test_bisect_passages_matches_one_halving_per_round():
 
 
 def test_one_eigenvalue_is_refined_in_few_rounds():
-    # from a grid cell 0.03 wide to 1e-8 is 22 halvings; the chains take
-    # them in at most 4 stacked evaluations
+    # from a grid cell 0.03 wide to 1e-8 is 22 halvings; the locator ends
+    # each eigenvalue's cell at bisection's bracket after its secant rounds
+    # and one evaluation of the bracket's count, all stacked
     from floerss import spectrum as sp
     rng = make_rng(132)
     A = sp.AsymptoticOperator(n=1, sigma=random_sigma_poly(rng, 1, degree=2),
                               boundary=(sl.horizontal(1),
                                         random_lagrangian(rng, 1)))
     s, W, turn, W_at = _spectral_samples(A, 2 * np.pi, 384)
-    cells = np.arange(len(s) - 1)
-    count = lp._passages(turn, lp._h(lp._angles(W))[:-1], lp._h(lp._angles(W))[1:])
+    h = lp._h(lp._angles(W))
+    count = lp._passages(turn, h[:-1], h[1:])
+    assert np.any(count)
     for k in np.flatnonzero(count):
-        calls = []
-        los, his, counts = lp._bisect_passages(
-            _counting(W_at, calls), s, W, lp._angles(W), turn, cells[k:k + 1], 1e-8)
+        calls, cell = [], slice(k, k + 2)
+        got = sp._locate(_counting(W_at, calls), s[cell], W[cell], turn[k:k + 1],
+                         1e-8)
+        los, his, counts = got
         assert len(los) == 1 and abs(counts[0]) == 1
         assert his[0] - los[0] <= 1e-8
-        assert 1 <= len(calls) <= 4, calls
+        assert 1 <= len(calls) <= sp._SECANT_ROUNDS + 1, calls
+        assert _assert_bisection_brackets(got, W_at, s[cell], W[cell], 1e-8) == 1
 
 
 # -- spectrum's locator ------------------------------------------------------------
@@ -1007,6 +1011,22 @@ def test_locator_falls_back_to_bisection(monkeypatch):
     assert _assert_bisection_brackets(got, W_at, s, W, width) > 0
     h = lp._h(lp._angles(W))
     assert passed == s[np.flatnonzero(lp._passages(turn, h[:-1], h[1:]))].tolist()
+
+
+def test_bisection_refuses_a_width_below_the_float_spacing():
+    # positive but below the spacing of the floats: no bracket halves to it,
+    # in the bisection and in the locator that falls back to it
+    from floerss import spectrum as sp
+    s = np.linspace(0.0, 1.0, 9)
+    W_at = _diagonal_path([2.0], [0.45])
+    W = W_at(s)
+    turn = lp._cell_turns(W[:-1], W[1:])[0]
+    with pytest.raises(GridTooCoarse) as info:
+        lp._bisect_passages(W_at, s, W, lp._angles(W), turn, np.arange(8), 1e-300)
+    assert info.value.payload == {"tol": 1e-300}
+    with pytest.raises(GridTooCoarse) as info:
+        sp._locate(W_at, s, W, turn, 1e-300)
+    assert info.value.payload == {"tol": 1e-300}
 
 
 def test_screen_keeps_every_cell_that_counts():

@@ -139,7 +139,7 @@ def test_frames_isotropic_property():
 
 
 def test_fundamental_solution_zero_generator():
-    psi = sl.fundamental_solution(sl.zero_path(2), 1.0)
+    psi = sl.fundamental_solution(sl.zero_path(2))
     assert np.max(np.abs(psi.entries - np.eye(4))) < 1e-12
 
 
@@ -148,7 +148,7 @@ def test_fundamental_solution_constant_multiple():
     # ODE residual is the oracle for the sign
     c = 0.7
     sig = sl.constant_path(c * np.eye(2))
-    psi = sl.fundamental_solution(sig, 1.0)
+    psi = sl.fundamental_solution(sig)
     assert np.max(np.abs(psi.entries - sl.rotation(1, c))) < 1e-10
     flow = sl.FundamentalFlow(random_sigma_poly(make_rng(3), 1))
     h = 1e-6
@@ -209,11 +209,11 @@ def test_blocked_rk4_matches_the_per_step_rk4(monkeypatch):
     for n in (1, 2, 3, 4):
         sigma = random_sigma_poly(rng, n, degree=2)
         for nsteps in (176, 177, 1000):
-            h, G = sl._stage_samples(sigma, 1.0, 1.0 / nsteps)
+            h, G = sl._stage_samples(sigma, 1.0 / nsteps)
             assert len(G) == 2 * nsteps + 1
             single = _with_top(
                 sl._step_maps(G[0:-1:2], G[1::2], G[2::2], h, shifted=True), h)
-            pairs = sl._coefficients(sigma, 1.0, 1.0 / nsteps, shifted=True)[1]
+            pairs = sl._coefficients(sigma, 1.0 / nsteps, shifted=True)[1]
             assert pairs.shape == (9, -(-nsteps // 2), 2 * n, 2 * n)
             for B in (1, 4 * n, 387):
                 rhos = np.linspace(-12.0, 12.0, B)
@@ -261,7 +261,7 @@ def test_step_map_blocks_stay_within_the_budget(monkeypatch):
     monkeypatch.setattr(sl, "_step_maps", record_chunks)
     monkeypatch.setattr(sl, "_pair_maps", record_pairs)
     sigma = random_sigma_poly(make_rng(45), 4, degree=2)
-    flows = sl.shifted_flows(sigma, 1e-3)
+    flows = sl.shifted_flows(sigma)
     assert all(shape[1:] == (8, 8) for shape in chunks)
     assert max(shape[0] for shape in chunks) == sl._CHUNK_ENTRIES // 64
     assert all(shape[0] % 2 == 0 for shape in chunks)
@@ -465,25 +465,26 @@ def test_fundamental_solution_delta_shift_path():
     # the shifted-by-(-delta) zero path integrates to clockwise rotation
     delta = 0.3
     sig = sl.constant_path(-delta * np.eye(2))
-    psi = sl.fundamental_solution(sig, 1.0)
+    psi = sl.fundamental_solution(sig)
     assert np.max(np.abs(psi.entries - sl.rotation(1, -delta))) < 1e-10
 
 
 def test_fundamental_solution_symplectic_drift():
     rng = make_rng(4)
     sig = random_sigma_poly(rng, 2, degree=2)
-    psi = sl.fundamental_solution(sig, 1.0)
+    psi = sl.fundamental_solution(sig)
     assert psi.drift() < 1e-9
 
 
 def test_fundamental_solution_order_four():
     rng = make_rng(5)
     sig = random_sigma_poly(rng, 1, degree=2)
-    ref = sl.fundamental_solution(sig, 1.0, step=1e-4).entries
-    errs = []
-    for step in (4e-2, 2e-2, 1e-2):
-        got = sl.fundamental_solution(sig, 1.0, step=step).entries
-        errs.append(np.max(np.abs(got - ref)))
+
+    def psi(step):
+        return sl._rk4(sl._coefficients(sig, step)[1], [0.0])[0]
+
+    ref = psi(1e-4)
+    errs = [np.max(np.abs(psi(step) - ref)) for step in (4e-2, 2e-2, 1e-2)]
     rate1 = np.log2(errs[0] / errs[1])
     rate2 = np.log2(errs[1] / errs[2])
     assert rate1 > 3.5 and rate2 > 3.5
@@ -492,9 +493,9 @@ def test_fundamental_solution_order_four():
 def test_step_too_large(monkeypatch):
     # non-constant sigma: a declared constant path takes the exact exponential
     sig = sl.poly_path([80.0 * np.eye(2), 1e-3 * np.eye(2)])
-    with pytest.raises(StepTooLarge):
-        sl.fundamental_solution(sig, 1.0, step=0.25)
     monkeypatch.setattr(sl, "_ODE_STEP", 0.25)
+    with pytest.raises(StepTooLarge):
+        sl.fundamental_solution(sig)
     with pytest.raises(StepTooLarge):
         sl.FundamentalFlow(sig)
 
