@@ -89,25 +89,56 @@ def render_page_table(dims):
     return out
 
 
+def _path(doc, key, where):
+    return schemas.parse_path(schemas._need(doc, key, where), key)
+
+
+def _parse_index_formula(doc):
+    """((sigma, L0, L1) of plus, the same of minus, (F0, F1))."""
+    need = schemas._need
+    sides = {s: need(doc, s, "index_formula") for s in ("plus", "minus")}
+    sigmas = {s: schemas.parse_sigma(need(d, "sigma", s), f"{s}.sigma")
+              for s, d in sides.items()}
+    frames = {(s, k): schemas.parse_frame(need(d, k, s), f"{s}.{k}")
+              for s, d in sides.items() for k in ("L0", "L1")}
+    F = tuple(_path(doc, k, "index_formula") for k in ("F0", "F1"))
+    return tuple((sigmas[s], frames[s, "L0"], frames[s, "L1"])
+                 for s in sides) + (F,)
+
+
+# kind -> the parse code of its commands, which ``validate`` runs alone; a
+# bare "pearl" document is validated like the pearl of an ss document
+PARSERS = {
+    "rs_index": lambda d: [_path(d, k, "rs_index") for k in ("F0", "F1")],
+    "maslov": lambda d: (_path(d, "path", "maslov"), schemas.parse_frame(
+        schemas._need(d, "ref", "maslov"), "ref")),
+    "viterbo": lambda d: [_path(d, k, "viterbo") for k in ("F0", "F1", "Fm", "Fp")],
+    "spectrum": schemas.parse_operator,
+    "index_formula": _parse_index_formula,
+    "complex": schemas.parse_complex,
+    "morse": lambda d: (schemas.parse_morse(d),
+                        schemas.parse_ring(d.get("ring", Z2), "morse")),
+    "pearl": lambda d: schemas.parse_pearl(d.get("pearl", d)),
+    "ss": lambda d: schemas.parse_pearl(schemas._need(d, "pearl", "ss"), "pearl"),
+    "intersection": schemas.parse_intersection,
+}
+
+
 def cmd_rs_index(doc, args):
-    F0 = schemas.parse_path(schemas._need(doc, "F0", "rs_index"), "F0")
-    F1 = schemas.parse_path(schemas._need(doc, "F1", "rs_index"), "F1")
+    F0, F1 = PARSERS["rs_index"](doc)
     grid = schemas.option(doc, "grid", int, args.grid)
     mu = lp.rs_index(F0, F1, grid=grid)
     return {"kind": "rs_index", "rs_index": mu, "value": float(mu)}
 
 
 def cmd_maslov(doc, args):
-    path = schemas.parse_path(schemas._need(doc, "path", "maslov"), "path")
-    ref = schemas.parse_frame(schemas._need(doc, "ref", "maslov"), "ref")
+    path, ref = PARSERS["maslov"](doc)
     m = lp.maslov_loop(path, ref, grid=schemas.option(doc, "grid", int, args.grid))
     return {"kind": "maslov", "maslov": m}
 
 
 def cmd_viterbo(doc, args):
-    paths = {k: schemas.parse_path(schemas._need(doc, k, "viterbo"), k)
-             for k in ("F0", "F1", "Fm", "Fp")}
-    mu = lp.viterbo_index(paths["F0"], paths["F1"], paths["Fm"], paths["Fp"],
+    mu = lp.viterbo_index(*PARSERS["viterbo"](doc),
                           grid=schemas.option(doc, "grid", int, args.grid))
     return {"kind": "viterbo", "viterbo_index": mu, "value": float(mu)}
 
@@ -127,20 +158,9 @@ def cmd_spectrum(doc, args):
 
 
 def cmd_index_formula(doc, args):
-    need = schemas._need
-    plus = need(doc, "plus", "index_formula")
-    minus = need(doc, "minus", "index_formula")
-    sig_p = schemas.parse_sigma(need(plus, "sigma", "plus"), "plus.sigma")
-    sig_m = schemas.parse_sigma(need(minus, "sigma", "minus"), "minus.sigma")
-    L0p = schemas.parse_frame(need(plus, "L0", "plus"), "plus.L0")
-    L1p = schemas.parse_frame(need(plus, "L1", "plus"), "plus.L1")
-    L0m = schemas.parse_frame(need(minus, "L0", "minus"), "minus.L0")
-    L1m = schemas.parse_frame(need(minus, "L1", "minus"), "minus.L1")
-    F0 = schemas.parse_path(need(doc, "F0", "index_formula"), "F0")
-    F1 = schemas.parse_path(need(doc, "F1", "index_formula"), "F1")
+    plus, minus, F = _parse_index_formula(doc)
     kernel_dims = schemas.option(doc, "kernel_dims", tuple)
-    idx = sp.fredholm_index((sig_p, L0p, L1p), (sig_m, L0m, L1m), (F0, F1),
-                            kernel_dims=kernel_dims)
+    idx = sp.fredholm_index(plus, minus, F, kernel_dims=kernel_dims)
     return {"kind": "index_formula", "index": idx}
 
 
@@ -151,16 +171,14 @@ def cmd_homology(doc, args):
 
 
 def cmd_morse(doc, args):
-    data = schemas.parse_morse(doc)
-    ring = doc.get("ring", Z2)
-    C = ch.morse_complex(data, ring)
+    C = ch.morse_complex(*PARSERS["morse"](doc))
     rep = homology(C)
     return {"kind": "morse", **rep}
 
 
 def cmd_ss(doc, args):
     filtration = doc.get("filtration", "novikov")
-    pearl = schemas.parse_pearl(schemas._need(doc, "pearl", "ss"), "pearl")
+    pearl = PARSERS["ss"](doc)
     if filtration == "novikov":
         C = ch.pearl_complex(pearl)
         window = None
@@ -253,24 +271,11 @@ def cmd_quantum_cases(doc, args):
 
 def cmd_validate(doc, args):
     kind = doc.get("kind")
-    parsers = {
-        "rs_index": lambda d: (schemas.parse_path(d["F0"], "F0"),
-                               schemas.parse_path(d["F1"], "F1")),
-        "maslov": lambda d: (schemas.parse_path(d["path"], "path"),
-                             schemas.parse_frame(d["ref"], "ref")),
-        "viterbo": lambda d: [schemas.parse_path(d[k], k)
-                              for k in ("F0", "F1", "Fm", "Fp")],
-        "spectrum": schemas.parse_operator,
-        "complex": schemas.parse_complex,
-        "morse": schemas.parse_morse,
-        "pearl": lambda d: schemas.parse_pearl(d.get("pearl", d)),
-        "ss": lambda d: schemas.parse_pearl(d["pearl"], "pearl"),
-        "intersection": schemas.parse_intersection,
-    }
-    if kind not in parsers:
+    # a list or dict kind would not hash
+    if not isinstance(kind, str) or kind not in PARSERS:
         raise SchemaError(f"unknown kind {kind!r}", found=kind,
-                          expected=sorted(parsers))
-    parsers[kind](doc)
+                          expected=sorted(PARSERS))
+    PARSERS[kind](doc)
     return {"kind": "validate", "ok": True, "validated_kind": kind}
 
 

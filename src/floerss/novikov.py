@@ -1,11 +1,15 @@
 """Exact arithmetic over Z2, Z and the Laurent ring Lambda = Z2[l, l^{-1}]
 with deg l = -N, plus homology of finitely generated free graded complexes.
 
-Ring tags: "Z2", "Z", "L2" (Laurent over Z2).  Laurent polynomials have
-Z2 coefficients and are kept in canonical form (no zero coefficients); the
-ring L2 is Euclidean with size = exponent span, which makes Smith
-diagonalization available.  Homology over Z and L2 reads only the diagonal
-of the Smith form, so that is all ``smith_diagonalize`` returns.
+Ring tags: "Z2", "Z", "L2" (Laurent over Z2), each with one class of the
+ring table (``_ring``) that builds, checks and Smith-diagonalizes its
+complexes.  Laurent polynomials have Z2 coefficients and are kept in
+canonical form (no zero coefficients); the ring L2 is Euclidean with size =
+exponent span, which makes Smith diagonalization available.  Homology over
+Z and L2 reads only the diagonal of the Smith form, so that is all
+``smith_diagonalize`` returns.  The lambda-window truncation of an L2
+complex (``truncate_to_window``) serves the periodic Betti numbers here and
+the Novikov filtration of ``specseq``.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .errors import DivisionByZero, NotAComplex, UnsupportedRing
+from .errors import (DimensionMismatch, DivisionByZero, NotAComplex,
+                     UnsupportedRing)
 
 Z2, Z, L2 = "Z2", "Z", "L2"
 
@@ -104,18 +109,20 @@ def laurent_divmod(a, b):
     return q, r
 
 
-# -- Euclidean ring protocol for Smith normal form --------------------------------
-# Both rings' elements add, subtract and multiply with the Python operators.
+# -- the coefficient rings ---------------------------------------------------------
+# One class per ring tag: ``make`` converts an input coefficient (or reduces
+# a sum of products) and ``is_zero`` tests it; the Euclidean rings Z and L2
+# also give the Smith form ``size``, ``divmod``, ``normalize`` (the
+# canonical associate) and ``divides``.  Elements add, subtract and multiply
+# with the Python operators.
 
 
 class _RingZ:
+    tag, make, size, normalize = Z, int, abs, abs
+
     @staticmethod
     def is_zero(a):
         return a == 0
-
-    @staticmethod
-    def size(a):
-        return abs(a)
 
     @staticmethod
     def divmod(a, b):
@@ -126,48 +133,49 @@ class _RingZ:
         return q, r
 
     @staticmethod
-    def normalize(a):
-        """The canonical associate of a: its absolute value."""
-        return abs(a)
-
-    @staticmethod
     def divides(a, b):
         return a != 0 and b % a == 0
 
 
-class _RingL2:
+class _RingZ2:
+    tag, is_zero = Z2, staticmethod(_RingZ.is_zero)
+
     @staticmethod
-    def is_zero(a):
-        return a.is_zero()
+    def make(c):
+        return int(c) % 2
+
+
+class _RingL2:
+    tag, is_zero, divmod = L2, LaurentPoly.is_zero, staticmethod(laurent_divmod)
+
+    @staticmethod
+    def make(c):
+        """A LaurentPoly, a map exponent -> coefficient or an integer."""
+        if isinstance(c, LaurentPoly):
+            return c
+        return LaurentPoly.make(c if isinstance(c, dict) else {0: int(c)})
 
     @staticmethod
     def size(a):
         return a.span
 
     @staticmethod
-    def divmod(a, b):
-        return laurent_divmod(a, b)
-
-    @staticmethod
     def normalize(a):
-        """The canonical associate of a: lowest exponent zero (monic over Z2
-        is automatic)."""
+        """Lowest exponent zero (monic over Z2 is automatic)."""
         return a if a.is_zero() else a.shift(-a.min_exp)
 
     @staticmethod
     def divides(a, b):
-        if a.is_zero():
-            return False
-        _, r = laurent_divmod(b, a)
-        return r.is_zero()
+        return not a.is_zero() and laurent_divmod(b, a)[1].is_zero()
 
 
-def _ring_ops(ring):
-    if ring == Z:
-        return _RingZ
-    if ring == L2:
-        return _RingL2
-    raise UnsupportedRing(f"Smith form needs a Euclidean ring, got {ring}")
+def _ring(tag):
+    """The ring class of a tag.  Tags are compared with ==, never hashed, so
+    that any JSON value is refused as UnsupportedRing."""
+    for R in (_RingZ2, _RingZ, _RingL2):
+        if R.tag == tag:
+            return R
+    raise UnsupportedRing(f"unknown ring {tag!r}", found=tag)
 
 
 def smith_diagonalize(M, ring):
@@ -177,7 +185,9 @@ def smith_diagonalize(M, ring):
     the canonical associate (see the rings' ``normalize``).  M is a list of
     lists of ring elements and is left unchanged.
     """
-    R = _ring_ops(ring)
+    R = _ring(ring)
+    if R is _RingZ2:
+        raise UnsupportedRing(f"Smith form needs a Euclidean ring, got {ring}")
     A = [row[:] for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -237,36 +247,6 @@ def smith_diagonalize(M, ring):
 # -- graded free complexes -----------------------------------------------------
 
 
-def _coeff_make(ring, c):
-    if ring == Z2:
-        return int(c) % 2
-    if ring == Z:
-        return int(c)
-    if ring == L2:
-        if isinstance(c, LaurentPoly):
-            return c
-        if isinstance(c, dict):
-            return LaurentPoly.make(c)
-        return LaurentPoly.make({0: int(c)})
-    raise UnsupportedRing(ring)
-
-
-def _coeff_is_zero(ring, c):
-    return c.is_zero() if ring == L2 else c == 0
-
-
-def _coeff_add(ring, a, b):
-    if ring == Z2:
-        return (a + b) % 2
-    return a + b
-
-
-def _coeff_mul(ring, a, b):
-    if ring == Z2:
-        return (a * b) % 2
-    return a * b
-
-
 @dataclass(frozen=True)
 class GradedFreeComplex:
     """Finitely generated free graded complex over Z2, Z, or L2.
@@ -284,14 +264,15 @@ class GradedFreeComplex:
     graded: bool = True
 
     @staticmethod
-    def build(ring, generators, boundary, N=0, check=True, require_graded=True):
+    def build(ring, generators, boundary, N=0, require_graded=True):
+        R = _ring(ring)
         gens = tuple((str(nm), int(d2)) for nm, d2 in generators)
         cols = []
         for j in range(len(gens)):
             col = {}
             for i, c in (boundary.get(j, {}) or {}).items():
-                c = _coeff_make(ring, c)
-                if not _coeff_is_zero(ring, c):
+                c = R.make(c)
+                if not R.is_zero(c):
                     col[int(i)] = c
             cols.append(col)
         graded = True
@@ -307,12 +288,7 @@ class GradedFreeComplex:
             raise NotAComplex("boundary does not lower the degree by exactly 1")
         C = GradedFreeComplex(ring=ring, generators=gens, boundary=tuple(cols),
                               N=N, graded=graded)
-        if check:
-            ok, cert = verify_complex(C)
-            if not ok:
-                raise NotAComplex(
-                    f"d . d != 0 at (row={cert[0]}, col={cert[1]})",
-                    row=cert[0], col=cert[1])
+        _require_complex(C)
         return C
 
     @property
@@ -321,18 +297,26 @@ class GradedFreeComplex:
 
 
 def verify_complex(C):
-    """Exact check of d . d = 0; returns (ok, (row, col) certificate)."""
-    ring = C.ring
+    """Exact check of d . d = 0; returns (ok, (row, col) certificate).  Each
+    entry of d . d is summed with the ring's + and * and reduced once by its
+    ``make``."""
+    R = _ring(C.ring)
     for j in range(C.size):
         acc = {}
         for i, c in C.boundary[j].items():
             for k, c2 in C.boundary[i].items():
-                acc[k] = _coeff_add(ring, acc.get(k, _coeff_make(ring, 0)),
-                                    _coeff_mul(ring, c2, c))
+                acc[k] = acc[k] + c2 * c if k in acc else c2 * c
         for k, v in acc.items():
-            if not _coeff_is_zero(ring, v):
+            if not R.is_zero(R.make(v)):
                 return False, (k, j)
     return True, None
+
+
+def _require_complex(C):
+    ok, cert = verify_complex(C)
+    if not ok:
+        raise NotAComplex(f"d . d != 0 at (row={cert[0]}, col={cert[1]})",
+                          row=cert[0], col=cert[1])
 
 
 def _boundary_blocks(C):
@@ -361,12 +345,11 @@ def homology(C):
     the Smith form, plus per-degree Betti of the lambda-periodic block.
     Degrees in the report are doubled integers (deg2).
     """
-    ok, cert = verify_complex(C)
-    if not ok:
-        raise NotAComplex(f"d . d != 0 at (row={cert[0]}, col={cert[1]})",
-                          row=cert[0], col=cert[1])
+    _require_complex(C)   # refuses an unknown ring too
+    if C.ring == L2:
+        return _homology_l2(C)
+    by_deg, blocks = _boundary_blocks(C)
     if C.ring == Z2:
-        by_deg, blocks = _boundary_blocks(C)
         ranks = {}
         for d2, (entries, nr, nc) in blocks.items():
             M = np.zeros((nr, nc), dtype=np.uint8)
@@ -376,26 +359,19 @@ def homology(C):
         report = {d2: {"betti": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0)}
                   for d2, gens in sorted(by_deg.items())}
         return {"ring": Z2, "by_degree": report}
-
-    if C.ring == Z:
-        by_deg, blocks = _boundary_blocks(C)
-        ranks, torsion = {}, {}
-        for d2, (entries, nr, nc) in blocks.items():
-            M = [[0] * nc for _ in range(nr)]
-            for (i, j), c in entries.items():
-                M[i][j] = c
-            diag = [d for d in smith_diagonalize(M, Z) if d != 0]
-            ranks[d2] = len(diag)
-            # d_m's nonunit invariant factors are the torsion of degree m - 1
-            torsion[d2 - 2] = sorted(d for d in diag if d != 1)
-        report = {d2: {"free_rank": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0),
-                       "torsion": torsion.get(d2, [])}
-                  for d2, gens in sorted(by_deg.items())}
-        return {"ring": Z, "by_degree": report}
-
-    if C.ring == L2:
-        return _homology_l2(C)
-    raise UnsupportedRing(C.ring)
+    ranks, torsion = {}, {}
+    for d2, (entries, nr, nc) in blocks.items():
+        M = [[0] * nc for _ in range(nr)]
+        for (i, j), c in entries.items():
+            M[i][j] = c
+        diag = [d for d in smith_diagonalize(M, Z) if d != 0]
+        ranks[d2] = len(diag)
+        # d_m's nonunit invariant factors are the torsion of degree m - 1
+        torsion[d2 - 2] = sorted(d for d in diag if d != 1)
+    report = {d2: {"free_rank": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0),
+                   "torsion": torsion.get(d2, [])}
+              for d2, gens in sorted(by_deg.items())}
+    return {"ring": Z, "by_degree": report}
 
 
 def _homology_l2(C):
@@ -423,17 +399,48 @@ def _periodic_block_betti(C):
     """Betti of H-bar per degree, from a lambda-window truncation."""
     if C.N <= 0:
         return None
-    from . import specseq  # local import to avoid a cycle
-    win = specseq.default_window(C)
-    trunc = specseq.truncate_to_window(C, win)
-    rep = homology(trunc)["by_degree"]
+    rep = homology(truncate_to_window(C, default_window(C)))["by_degree"]
     # read one period from the middle of the window
     degs = sorted(rep)
     if not degs:
         return {}
     mid = degs[len(degs) // 2]
-    out = {}
-    for d2 in range(mid, mid + 2 * C.N, 2):
-        if d2 in rep:
-            out[d2] = rep[d2]["betti"]
-    return out
+    return {d2: rep[d2]["betti"] for d2 in range(mid, mid + 2 * C.N, 2)
+            if d2 in rep}
+
+
+# -- lambda-window truncation ------------------------------------------------------
+
+
+def default_window(C):
+    """(lmin, lmax) covering 3x the degree spread / N, at least width 6."""
+    degs = [d2 for _, d2 in C.generators]
+    spread = (max(degs) - min(degs)) // 2 if degs else 0
+    width = max(6, int(np.ceil(3 * spread / max(C.N, 1))))
+    half = width // 2 + 1
+    return (-half, half)
+
+
+def truncate_to_window(C, window):
+    """Z2 complex on the generators p l^e, e in [lmin, lmax], named "p|l^e"
+    and ordered by p, then e; arrows leaving the window are dropped.  It is
+    the complex of ``_periodic_block_betti`` and of the Novikov filtration
+    (``specseq.novikov_filtration``)."""
+    if C.ring != L2:
+        raise DimensionMismatch("lambda truncation needs an L2 complex")
+    lmin, lmax = window
+    width = lmax - lmin + 1
+    gens = [(f"{nm}|l^{e}", d2 - 2 * C.N * e)
+            for nm, d2 in C.generators for e in range(lmin, lmax + 1)]
+    boundary = {}
+    for j, col in enumerate(C.boundary):
+        for e in range(lmin, lmax + 1):
+            tcol = {}
+            for i, c in col.items():
+                for ce, _ in c.terms:
+                    if lmin <= e + ce <= lmax:
+                        k = i * width + e + ce - lmin
+                        tcol[k] = tcol.get(k, 0) + 1
+            if tcol:
+                boundary[j * width + e - lmin] = tcol
+    return GradedFreeComplex.build(Z2, gens, boundary)

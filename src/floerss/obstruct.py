@@ -24,7 +24,6 @@ class PageShape:
 
     N: int
     dims: dict
-    periodic: bool = True
 
     @staticmethod
     def from_betti(betti, N, offset=0):
@@ -277,12 +276,11 @@ class CaseAnalysisResult:
 _CASE_NODE_LIMIT = 500000
 
 
-def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None,
-                          require_vanishing=False, require_periodicity=True):
+def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None):
     """Search the Betti profiles of the single unknown component consistent
-    with the page structure, the quantum periodicity HF_k = HF_{k+period},
-    and (optionally) vanishing.  Profiles have total rank at most max_rank
-    (8 by default, at least 1); the period must be nonzero.
+    with the page structure and the quantum periodicity HF_k = HF_{k+period}.
+    Profiles have total rank at most max_rank (8 by default, at least 1);
+    the period must be nonzero.
 
     ``components`` is a list of dicts with keys name, dim, betti (or None for
     the unknown one), mu (intrinsic degree offset, integer) and action_rank
@@ -312,8 +310,7 @@ def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None,
     for dim in dims_to_try:
         for betti in _closed_manifold_profiles(dim, max_rank):
             ok, trace = _profile_consistent(betti, dim, unknown, known, N,
-                                            period, require_vanishing,
-                                            require_periodicity)
+                                            period)
             if ok:
                 consistent.append((dim, betti))
                 witnesses[(dim, betti)] = trace
@@ -321,8 +318,7 @@ def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None,
                               witnesses=witnesses)
 
 
-def _profile_consistent(betti, dim, unknown, known, N, period,
-                        require_vanishing, require_periodicity):
+def _profile_consistent(betti, dim, unknown, known, N, period):
     mu_u = int(unknown.get("mu", 0))
     rank_u = int(unknown.get("action_rank", 1))
     # local page: E^{loc,1} entries per component
@@ -343,9 +339,7 @@ def _profile_consistent(betti, dim, unknown, known, N, period,
                 hf_loc[d] = hf_loc.get(d, 0) + v
         shape = PageShape(N=N, dims={d: v for d, v in hf_loc.items() if v})
         for final, trace in _schedules(shape, node_limit=_CASE_NODE_LIMIT):
-            if require_vanishing and final:
-                continue
-            if require_periodicity and not _periodicity_ok(final, N, period):
+            if not _periodicity_ok(final, N, period):
                 continue
             full_trace = local_trace + trace + \
                 (("stable", tuple(sorted(final.items()))),)

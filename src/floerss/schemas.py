@@ -96,18 +96,23 @@ def parse_sigma(obj, where):
     if "constant" in obj:
         return sl.constant_path(_matrix(obj["constant"], where))
     if "poly" in obj:
-        mats = [_matrix(c, where) for c in obj["poly"]]
-        return sl.poly_path(mats)
+        return sl.poly_path(_coefficients(obj["poly"], _matrix, where))
     raise SchemaError(f"{where}: need 'constant' or 'poly'", path=where)
 
 
-def _poly_eval(coeffs, where):
-    """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k; an empty
+def _coefficients(coeffs, convert, where):
+    """The coefficients of a polynomial, each converted by convert; an empty
     coefficient list is refused."""
-    cs = [_finite(c, where) for c in coeffs]
+    cs = [convert(c, where) for c in coeffs]
     if not cs:
         raise SchemaError(f"{where}: a polynomial needs at least one coefficient",
                           path=where)
+    return cs
+
+
+def _poly_eval(coeffs, where):
+    """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k."""
+    cs = _coefficients(coeffs, _finite, where)
 
     def f(ss):
         acc, sk = 0.0, np.ones_like(ss)
@@ -122,7 +127,7 @@ def _poly_eval(coeffs, where):
 def _matrix_poly_eval(coeffs, where):
     """ss -> (m, n, n) stack of the symmetric part of sum_k coeffs[k] s^k;
     a coefficient that is not symmetric is refused (NotSymmetric)."""
-    mats = [_matrix(c, where) for c in coeffs]
+    mats = _coefficients(coeffs, _matrix, where)
     if any(c.shape != (len(mats[0]),) * 2 for c in mats):
         raise SchemaError(f"{where}: coefficients must be square matrices of "
                           "one size", path=where)
@@ -209,12 +214,18 @@ def _laurent_coeff(c, where):
     return LaurentPoly.make({0: int(c)})
 
 
+def parse_ring(tag, where):
+    """A ring tag of ``novikov``; tuple membership compares with ==, so any
+    JSON value is refused without being hashed."""
+    if tag not in (Z2, Z, L2):
+        raise SchemaError(f"{where}: ring must be Z2, Z or L2", found=tag)
+    return tag
+
+
 @_schema_checked
 def parse_complex(doc):
     where = "complex"
-    ring = _need(doc, "ring", where)
-    if ring not in (Z2, Z, L2):
-        raise SchemaError(f"{where}: ring must be Z2, Z or L2", found=ring)
+    ring = parse_ring(_need(doc, "ring", where), where)
     N = int(doc.get("N", 0))
     gens = [(g["name"], int(g["deg2"])) for g in _need(doc, "generators", where)]
     index = {nm: i for i, (nm, _) in enumerate(gens)}

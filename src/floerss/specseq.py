@@ -18,10 +18,12 @@ explicit differential matrices:
 
 with differentials of bidegree (-r, r-1) represented on chosen section bases.
 
-Novikov filtrations come in two indexings: "plain" (level = -l, the paper's
-F^k = <p l^l : l >= -k>, lambda-periodicity E^r_{p,q} = E^r_{p-1,q-N+1}) and
-"stretched" (level = -l N, the degree-aware reindexing in which the only
-possibly nonzero differentials sit on pages r in N Z).
+Novikov filtrations live on the lambda-window truncation of a pearl complex
+(``novikov.truncate_to_window``) and come in two indexings: "plain"
+(level = -l, the paper's F^k = <p l^l : l >= -k>, lambda-periodicity
+E^r_{p,q} = E^r_{p-1,q-N+1}) and "stretched" (level = -l N, the
+degree-aware reindexing in which the only possibly nonzero differentials
+sit on pages r in N Z).
 """
 
 from collections import Counter
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import (DimensionMismatch, FiltrationViolated, NotAComplex,
                      WindowTooNarrow)
 from . import gf2
-from .novikov import GradedFreeComplex, L2, Z2
+from .novikov import L2, Z2, default_window, truncate_to_window
 
 
 # -- filtered complexes ---------------------------------------------------------
@@ -397,84 +399,35 @@ def e_infinity(fc):
 # -- Novikov filtration -----------------------------------------------------------
 
 
-def default_window(C):
-    """(lmin, lmax) covering 3x the degree spread / N, at least width 6."""
-    degs = [d2 for _, d2 in C.generators]
-    spread = (max(degs) - min(degs)) // 2 if degs else 0
-    width = max(6, int(np.ceil(3 * spread / max(C.N, 1))))
-    half = width // 2 + 1
-    return (-half, half)
-
-
-def truncate_to_window(C, window):
-    """Z2 complex on generators p * l^e for e in [lmin, lmax].
-
-    Arrows leaving the window are dropped; the result is the window-truncated
-    complex used for lambda-periodic computations.
-    """
-    if C.ring != L2:
-        raise DimensionMismatch("lambda truncation needs an L2 complex")
-    lmin, lmax = window
-    gens = []
-    pos = {}
-    for i, (nm, d2) in enumerate(C.generators):
-        for e in range(lmin, lmax + 1):
-            pos[(i, e)] = len(gens)
-            gens.append((f"{nm}|l^{e}", d2 - 2 * C.N * e))
-    boundary = {}
-    for j, col in enumerate(C.boundary):
-        for e in range(lmin, lmax + 1):
-            tcol = {}
-            for i, c in col.items():
-                for ce, _ in c.terms:
-                    e2 = e + ce
-                    if lmin <= e2 <= lmax:
-                        k = pos[(i, e2)]
-                        tcol[k] = (tcol.get(k, 0) + 1) % 2
-            if tcol:
-                boundary[pos[(j, e)]] = tcol
-    return GradedFreeComplex.build(Z2, gens, boundary, check=False)
-
-
 def novikov_filtration(C, window=None, indexing="plain"):
     """Filtered Z2 complex from the lambda-degree filtration of a pearl
-    complex over Lambda_Z2.
+    complex over Lambda_Z2, on its window truncation
+    (``novikov.truncate_to_window``): p l^e has degree deg(p) - N e and
 
     plain:      level(p l^e) = -e   (differentials at any page r = lambda drop)
     stretched:  level(p l^e) = -eN  (differentials only at pages r in N Z)
     """
     if C.ring != L2 or C.N < 1:
         raise DimensionMismatch("needs a pearl complex over Lambda_Z2 with N >= 1")
-    if window is None:
-        window = default_window(C)
-    lmin, lmax = window
     need = default_window(C)
+    window = need if window is None else window
+    lmin, lmax = window
     if lmax - lmin < need[1] - need[0]:
         raise WindowTooNarrow(
             f"window {window} narrower than the safe width {need}",
             window=window, safe=need)
+    if any(d2 % 2 for _, d2 in C.generators):
+        raise DimensionMismatch("pearl degrees must be integers")
     stretch = C.N if indexing == "stretched" else 1
-    gens = []
-    degrees = []
-    levels = []
-    pos = {}
-    for i, (nm, d2) in enumerate(C.generators):
-        if d2 % 2 != 0:
-            raise DimensionMismatch("pearl degrees must be integers")
-        for e in range(lmin, lmax + 1):
-            pos[(i, e)] = len(gens)
-            gens.append(f"{nm}|l^{e}")
-            degrees.append(d2 // 2 - C.N * e)
-            levels.append(-e * stretch)
-    D = np.zeros((len(gens), len(gens)), dtype=np.uint8)
-    for j, col in enumerate(C.boundary):
-        for e in range(lmin, lmax + 1):
-            for i, c in col.items():
-                for ce, _ in c.terms:
-                    e2 = e + ce
-                    if lmin <= e2 <= lmax:
-                        D[pos[(i, e2)], pos[(j, e)]] ^= 1
-    fc = FilteredComplex.build(degrees, levels, D, names=gens)
+    T = truncate_to_window(C, window)
+    width = lmax - lmin + 1
+    D = np.zeros((T.size, T.size), dtype=np.uint8)
+    for j, col in enumerate(T.boundary):
+        D[list(col), j] = 1
+    fc = FilteredComplex.build(
+        [d2 // 2 for _, d2 in T.generators],
+        [-(lmin + k % width) * stretch for k in range(T.size)], D,
+        names=[nm for nm, _ in T.generators])
     check_boundedness_formula(fc, C, window, stretch)
     return fc
 

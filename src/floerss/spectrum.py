@@ -309,9 +309,10 @@ def _kernel_of(psi, L0, L1):
 
 
 def kernel_dim(A):
-    """dim(Psi_sigma(1) L0 /\\ L1): kernel of J d/dt + sigma on the boundary pair."""
-    psi = sl.fundamental_solution(A.sigma)
-    return _kernel_of(psi.entries, *A.boundary)
+    """dim(Psi_sigma(1) L0 /\\ L1): kernel of J d/dt + sigma on the boundary
+    pair, from the flow's end state as in ``fredholm_index`` and
+    ``adelta_shift_check``."""
+    return _kernel_of(sl.fundamental_solution(A.sigma), *A.boundary)
 
 
 def _shifted_path(sigma, rho):

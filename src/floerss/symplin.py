@@ -29,11 +29,11 @@ Every fundamental solution comes from one flow mechanism:
   last step the symplectic drift is checked: above
   ``_SYMPLECTIC_DRIFT_LIMIT`` StepTooLarge is raised, above
   ``_SYMPLECTIC_DRIFT_TOL`` the state is projected back onto Sp(2n).
-* ``fundamental_solution`` (one shift), ``FundamentalFlow`` (all states,
-  each block's from the prefix products of its step maps; a batch of
-  t-queries is one stack of partial step maps) and ``shifted_flows`` (the
-  nodes and oracle probes of the spectrum interpolant, on pair maps) are
-  the three entry points.
+* ``FundamentalFlow`` (all states, each block's from the prefix products
+  of its step maps; a batch of t-queries is one stack of partial step
+  maps) and ``shifted_flows`` (the nodes and oracle probes of the spectrum
+  interpolant, on pair maps) are the two entry points;
+  ``fundamental_solution`` is the flow's end state Psi(1).
 
 A symmetric path is its stack (``SymmetricPath.stack``: times -> values),
 and ``sigma(t)`` is a stack of one; sums and Z-actions stack their parts.
@@ -315,18 +315,6 @@ def poly_path(coeffs):
         return S
 
     return SymmetricPath(n=n, stack=stack).check()
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    n: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    def drift(self):
-        return float(_drift(self.entries, J_std(self.n)))
 
 
 def _drift(M, J):
@@ -627,17 +615,9 @@ def shifted_flows(sigma):
 
 
 def fundamental_solution(sigma):
-    """Psi(1) with J dPsi + sigma Psi = 0, Psi(0) = 1.
-
-    The exact exponential for a declared constant sigma, classical RK4 at
-    ``_ODE_STEP`` on rho-free step maps otherwise; see ``_rk4`` for the
-    projection and drift policy.
-    """
-    if sigma.constant is not None:
-        psi = shifted_flows(sigma)([0.0])[0]
-    else:
-        psi = _rk4(_coefficients(sigma, _ODE_STEP)[1], [0.0])[0]
-    return SymplecticMatrix(n=sigma.n, entries=psi)
+    """Psi(1) with J dPsi + sigma Psi = 0, Psi(0) = 1, as a (2n, 2n) array:
+    the end state of ``FundamentalFlow(sigma)``."""
+    return FundamentalFlow(sigma)(1.0)
 
 
 class FundamentalFlow:

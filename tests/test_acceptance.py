@@ -387,9 +387,9 @@ def test_criterion_12_morse_module():
     ok = ok and repT[0] == {"free_rank": 0, "torsion": [2]}
     ok = ok and repT[2] == {"free_rank": 0, "torsion": []}
     from floerss.novikov import GradedFreeComplex, verify_complex
-    broken = GradedFreeComplex.build(
-        Z2, [("a", 0), ("b", 1), ("c", 2)], {2: {1: 1}, 1: {0: 1}},
-        check=False, require_graded=False)
+    broken = GradedFreeComplex(
+        ring=Z2, generators=(("a", 0), ("b", 1), ("c", 2)),
+        boundary=({}, {0: 1}, {1: 1}), graded=False)
     good, cert = verify_complex(broken)
     ok = ok and not good and cert == (0, 2)
     report(12, ok, "Morse: circle (Z, Z) / (Z2, Z2), twisted (Z/2, 0), "

@@ -771,7 +771,8 @@ def test_cli_contract_on_fuzzed_inputs(job):
 
 def test_cli_contract_on_every_single_mutation():
     # every template with one entry replaced by each atom, or deleted, runs
-    # once under the contract of the fuzzed test
+    # once through its command and once through validate under the contract
+    # of the fuzzed test
     runs = 0
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "doc.json")
@@ -781,12 +782,52 @@ def test_cli_contract_on_every_single_mutation():
                 for value in FUZZ_ATOMS + [DELETE]:
                     with open(path, "w") as fh:
                         json.dump(_mutate(doc, where, value), fh)
-                    try:
-                        _assert_contract(*_run_quiet([cmd, path]))
-                    except Exception as exc:
-                        raise AssertionError((cmd, where, value)) from exc
-                    runs += 1
-    assert runs > 9000
+                    for c in (cmd, "validate"):
+                        try:
+                            _assert_contract(*_run_quiet([c, path]))
+                        except Exception as exc:
+                            raise AssertionError((c, where, value)) from exc
+                        runs += 1
+    assert runs > 18000
+
+
+def test_validate_accepts_every_template(tmp_path, capsys):
+    # validate parses each kind with its commands' own parse code, which
+    # refuses the ungraded L2 complex as homology does
+    p = tmp_path / "doc.json"
+    for _, body in FUZZ_TEMPLATES:
+        p.write_text(json.dumps(dict({"schema": "floerss/1"}, **body)))
+        code, out, err = run_cli(["validate", str(p), "--json"], capsys)
+        if body.get("ring") == "L2":
+            assert (code, json.loads(err)["error"]) == (1, "NotAComplex")
+            continue
+        assert (code, err) == (0, "")
+        assert json.loads(out)["validated_kind"] == body["kind"]
+
+
+_MORSE = FUZZ_TEMPLATES[9][1]
+
+# refused at parse time, by the command and by validate: an empty graph or
+# sigma polynomial (before, only the parsers' catch-all refused them, with
+# no path) and a ring that no complex has (before, an UnsupportedRing
+# domain error): (command, document, payload keys)
+PARSE_REFUSALS = [
+    ("rs-index", _mutate(_GRAPH, ("F0", "B", "poly"), []), {"path": "F0"}),
+    ("spectrum", dict(_SPEC, sigma={"poly": []}), {"path": "operator"}),
+    ("morse", dict(_MORSE, ring="Q"), {"found": "Q"}),
+    ("morse", dict(_MORSE, ring=[]), {"found": []}),
+]
+
+
+@pytest.mark.parametrize("cmd,doc,payload", PARSE_REFUSALS)
+def test_parse_time_refusals(tmp_path, capsys, cmd, doc, payload):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(dict({"schema": "floerss/1"}, **doc)))
+    for c in (cmd, "validate"):
+        code, out, err = run_cli([c, str(p), "--json"], capsys)
+        got = json.loads(err)
+        assert (code, out, got["error"]) == (2, "", "SchemaError")
+        assert {k: got.get(k) for k in payload} == payload
 
 
 # -- index commands ------------------------------------------------------------

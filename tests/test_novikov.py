@@ -206,15 +206,29 @@ def test_homology_circle_over_z():
 
 
 def test_verify_complex_certificate():
-    C = nv.GradedFreeComplex.build(
-        Z2, [("a", 0), ("b", 1), ("c", 2)],
-        {2: {1: 1}, 1: {0: 1}}, check=False, require_graded=False)
-    ok, cert = nv.verify_complex(C)
-    assert not ok and cert == (0, 2)
-    with pytest.raises(NotAComplex):
-        nv.GradedFreeComplex.build(Z2, [("a", 0), ("b", 1), ("c", 2)],
-                                   {2: {1: 1}, 1: {0: 1}},
-                                   require_graded=False)
+    # d(c) = b, d(b) = a (Z2); d(c) = 2b + b', d(b) = a, d(b') = -a, so
+    # d d(c) = a (Z); d(c) = b + (1 + l) b', d(b) = a, d(b') = a, so
+    # d d(c) = l a (L2): each entry of d . d is a sum of products in the ring
+    gens = [("a", 0), ("b", 2), ("b'", 2), ("c", 4)]
+    f = LP.make({0: 1, 1: 1})
+    for ring, boundary in [
+            (Z2, ({}, {0: 1}, {}, {1: 1})),
+            (Z, ({}, {0: 1}, {0: -1}, {1: 2, 2: 1})),
+            (L2, ({}, {0: LP.one()}, {0: LP.one()}, {1: LP.one(), 2: f}))]:
+        C = nv.GradedFreeComplex(ring=ring, generators=tuple(gens),
+                                 boundary=boundary)
+        ok, cert = nv.verify_complex(C)
+        assert not ok and cert == (0, 3), ring
+        with pytest.raises(NotAComplex):
+            nv.GradedFreeComplex.build(ring, gens, dict(enumerate(boundary)))
+        with pytest.raises(NotAComplex):
+            nv.homology(C)
+    # the same sums vanish for d(c) = 2b + 2b' over Z and
+    # d(c) = (1 + l) b + (1 + l) b' over L2
+    for ring, col in [(Z, {1: 2, 2: 2}), (L2, {1: f, 2: f})]:
+        boundary = {1: {0: 1}, 2: {0: -1 if ring == Z else 1}, 3: col}
+        C = nv.GradedFreeComplex.build(ring, gens, boundary)
+        assert nv.verify_complex(C) == (True, None)
 
 
 def test_euler_characteristic_over_field():
@@ -248,15 +262,14 @@ def test_euler_characteristic_over_field():
 def test_l2_window_independence():
     # homology over Lambda in the middle degrees is stable under widening
     # the lambda window
-    from floerss import specseq as ss
     from floerss import chain as ch
     ctx = ch.MonotoneContext(tau=1.0, N=2)
     circle = ch.MorseData.build([("S:0", 0), ("S:1", 1)],
                                 [("S:1", "S:0", 1), ("S:1", "S:0", -1)])
     comp = ch.ComponentDatum.build("S", 1, 0.0, 0, [1, 1], morse=circle)
     C = ch.pearl_complex(ch.PearlData.build(ctx, [comp], []))
-    small = ss.truncate_to_window(C, (-4, 4))
-    large = ss.truncate_to_window(C, (-7, 7))
+    small = nv.truncate_to_window(C, (-4, 4))
+    large = nv.truncate_to_window(C, (-7, 7))
     rep_s = nv.homology(small)["by_degree"]
     rep_l = nv.homology(large)["by_degree"]
     for d2 in range(-6, 7, 2):

@@ -69,9 +69,6 @@ def test_quantum_two_point_components():
              {"name": "P", "dim": 0, "betti": [1], "mu": 2, "action_rank": 1}]
     res = ob.quantum_case_analysis(comps, N=4, period=2)
     assert res.profiles == ((0, (1,)),)
-    res2 = ob.quantum_case_analysis(comps, N=4, period=2,
-                                    require_vanishing=True)
-    assert res2.profiles == ()
 
 
 def test_quantum_cp1_instance():
@@ -104,17 +101,6 @@ def test_quantum_n2_single_component_regime():
                 {"name": "C", "dim": dim, "betti": list(prof), "mu": 0},
                 N=6, period=2)
             assert not ok, (dim, prof)
-
-
-def test_quantum_monotone_constraints():
-    comps = [{"name": "C", "dim": 1, "betti": None, "mu": 0, "action_rank": 1},
-             {"name": "P", "dim": 0, "betti": [1], "mu": 2, "action_rank": 2}]
-    free = ob.quantum_case_analysis(comps, N=4, period=2,
-                                    require_periodicity=False)
-    punish = ob.quantum_case_analysis(comps, N=4, period=2)
-    strict = ob.quantum_case_analysis(comps, N=4, period=2,
-                                      require_vanishing=True)
-    assert set(strict.profiles) <= set(punish.profiles) <= set(free.profiles)
 
 
 def test_witness_replay():

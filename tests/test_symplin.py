@@ -140,7 +140,7 @@ def test_frames_isotropic_property():
 
 def test_fundamental_solution_zero_generator():
     psi = sl.fundamental_solution(sl.zero_path(2))
-    assert np.max(np.abs(psi.entries - np.eye(4))) < 1e-12
+    assert np.max(np.abs(psi - np.eye(4))) < 1e-12
 
 
 def test_fundamental_solution_constant_multiple():
@@ -149,7 +149,7 @@ def test_fundamental_solution_constant_multiple():
     c = 0.7
     sig = sl.constant_path(c * np.eye(2))
     psi = sl.fundamental_solution(sig)
-    assert np.max(np.abs(psi.entries - sl.rotation(1, c))) < 1e-10
+    assert np.max(np.abs(psi - sl.rotation(1, c))) < 1e-10
     flow = sl.FundamentalFlow(random_sigma_poly(make_rng(3), 1))
     h = 1e-6
     for t in (0.25, 0.5, 0.75):
@@ -466,14 +466,14 @@ def test_fundamental_solution_delta_shift_path():
     delta = 0.3
     sig = sl.constant_path(-delta * np.eye(2))
     psi = sl.fundamental_solution(sig)
-    assert np.max(np.abs(psi.entries - sl.rotation(1, -delta))) < 1e-10
+    assert np.max(np.abs(psi - sl.rotation(1, -delta))) < 1e-10
 
 
 def test_fundamental_solution_symplectic_drift():
     rng = make_rng(4)
     sig = random_sigma_poly(rng, 2, degree=2)
     psi = sl.fundamental_solution(sig)
-    assert psi.drift() < 1e-9
+    assert sl._drift(psi, sl.J_std(2)) < 1e-9
 
 
 def test_fundamental_solution_order_four():
