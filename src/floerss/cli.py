@@ -106,6 +106,22 @@ def _parse_index_formula(doc):
                  for s in sides) + (F,)
 
 
+def _parse_ss(doc):
+    """(pearl, filtration, indexing, lambda window or None) of an ss document,
+    refusing other choices and a lambda_window not a pair of integers."""
+    pearl = schemas.parse_pearl(schemas._need(doc, "pearl", "ss"), "pearl")
+    for key, allowed in (("filtration", ("novikov", "action")),
+                         ("indexing", ("plain", "stretched"))):
+        if doc.get(key, allowed[0]) not in allowed:
+            raise SchemaError(f"{key} must be one of {allowed}", found=doc[key])
+    w = doc.get("lambda_window")
+    if w is not None and not (isinstance(w, list) and len(w) == 2
+                              and all(type(x) is int for x in w)):
+        raise SchemaError("lambda_window must be a pair of integers", found=w)
+    return (pearl, doc.get("filtration", "novikov"), doc.get("indexing", "plain"),
+            None if w is None else tuple(w))
+
+
 # kind -> the parse code of its commands, which ``validate`` runs alone; a
 # bare "pearl" document is validated like the pearl of an ss document
 PARSERS = {
@@ -119,7 +135,7 @@ PARSERS = {
     "morse": lambda d: (schemas.parse_morse(d),
                         schemas.parse_ring(d.get("ring", Z2), "morse")),
     "pearl": lambda d: schemas.parse_pearl(d.get("pearl", d)),
-    "ss": lambda d: schemas.parse_pearl(schemas._need(d, "pearl", "ss"), "pearl"),
+    "ss": _parse_ss,
     "intersection": schemas.parse_intersection,
 }
 
@@ -177,24 +193,14 @@ def cmd_morse(doc, args):
 
 
 def cmd_ss(doc, args):
-    filtration = doc.get("filtration", "novikov")
-    pearl = PARSERS["ss"](doc)
+    pearl, filtration, indexing, window = PARSERS["ss"](doc)
+    if args.lambda_window is not None:
+        window = (-args.lambda_window, args.lambda_window)
     if filtration == "novikov":
-        C = ch.pearl_complex(pearl)
-        window = None
-        if args.lambda_window is not None:
-            window = (-args.lambda_window, args.lambda_window)
-        elif doc.get("lambda_window"):
-            window = schemas.option(doc, "lambda_window",
-                                    lambda w: (int(w[0]), int(w[1])))
-        fc = ss.novikov_filtration(C, window=window,
-                                   indexing=doc.get("indexing", "plain"))
-    elif filtration == "action":
-        L = ch.local_pearl_complex(pearl)
-        fc = ss.action_filtration(L, pearl)
+        fc = ss.novikov_filtration(ch.pearl_complex(pearl), window=window,
+                                   indexing=indexing)
     else:
-        raise SchemaError("filtration must be 'novikov' or 'action'",
-                          found=filtration)
+        fc = ss.action_filtration(ch.local_pearl_complex(pearl), pearl)
     r = schemas.option(doc, "page", int)
     r = 1 if r is None else r
     pg = ss.barcode(fc).page(r)

@@ -10,29 +10,29 @@ and the graph path (Gr(B(s)), R^n x 0) localizes to
 (1/2) sign B(b) - (1/2) sign B(a).
 
 A path is its stack (``LagrangianPath.stack``: parameters -> a (B, 2n, n)
-stack of frames), and F(s) is a stack of one; composites stack their parts.
+stack of frames spanning L(s)), F(s) a stack of one; composites stack theirs.
 
 Indices and crossings are both read off the Souriau map S(L) = U U^T,
 U = X + iY for an orthonormal frame [X; Y] of L (Arnold 1985;
-Robbin-Salamon, Topology 1993): W(s) = S(F1(s)) conj(S(F0(s))) is unitary,
-does not depend on the choice of frames, and has eigenvalue 1 with
-multiplicity dim F0(s) /\\ F1(s).  One sampler (``_souriau_samples``)
-evaluates W on one batched stack of frames (``LagrangianPath.frames``) and
-bisects the cells where it turns fast; a cell's turn is the angle of one
-determinant where a Frobenius bound certifies the cell small
-(``_cell_turns``), an eigen-decomposition elsewhere.  ``rs_index`` is minus
-the winding of det W over 2 pi plus endpoint corrections from the
-eigenvalue angles of W at a and b; it looks for no crossings.
-``find_crossings`` locates the samples on the intersection and the cells
-where an eigenvalue angle passes 0, bisects those on the net passage count
-(``_bisect_passages``: it reuses the sampler's cell turns and halves every
-bracket once per round, all midpoints in one stacked call;
-``spectrum.eigenvalues`` certifies the same brackets without bisecting and
-falls back to it where it cannot), and evaluates ``crossing_form`` and
-``signature_of`` at the located points.  A tangency strictly between
-two samples is not located; it adds 0 to the index.  The crossing forms
-are computed by finite differences of the paths, not from W, and serve as
-the test oracle of ``rs_index``.
+Robbin-Salamon, Topology 1993), computed from any frame (``souriau``):
+W(s) = S(F1(s)) conj(S(F0(s))) is unitary, does not depend on the frames,
+and has eigenvalue 1 with multiplicity dim F0(s) /\\ F1(s).  One sampler
+(``_souriau_samples``) evaluates W on one batched stack of frames
+(``LagrangianPath.frames``) and bisects the cells where it turns fast; a
+cell's turn is the angle of one determinant where a Frobenius bound
+certifies the cell small (``_cell_turns``), an eigen-decomposition
+elsewhere.  ``rs_index`` is minus the winding of det W over 2 pi plus
+endpoint corrections from the eigenvalue angles of W at a and b; it looks
+for no crossings.  ``find_crossings`` locates the samples on the
+intersection and the cells where an eigenvalue angle passes 0, bisects
+those on the net passage count (``_bisect_passages``: it reuses the
+sampler's cell turns and halves every bracket once per round, all
+midpoints in one stacked call; ``spectrum.eigenvalues`` certifies the same
+brackets without bisecting and falls back to it where it cannot), and
+evaluates ``crossing_form`` and ``signature_of`` at the located points.  A
+tangency strictly between two samples is not located; it adds 0 to the
+index.  The crossing forms are computed by finite differences of the
+paths, not from W, and serve as the test oracle of ``rs_index``.
 """
 
 from dataclasses import dataclass, field
@@ -53,9 +53,9 @@ from . import symplin as sl
 class LagrangianPath:
     """A path [a, b] -> Lagrangian Grassmannian, given by its stack.
 
-    ``stack`` maps an array of parameters to the (B, 2n, n) stack of
-    orthonormal frames at once; ``frames`` is that stack checked, and
-    ``F(s)`` is a stack of one.
+    ``stack`` maps an array of parameters to a (B, 2n, n) stack of frames
+    whose columns span L(s), not necessarily orthonormal; ``frames`` is that
+    stack checked, and ``F(s)`` is a stack of one, orthonormalized by QR.
     """
 
     n: int
@@ -65,16 +65,16 @@ class LagrangianPath:
     kind: str = "sampled"
 
     def _at(self, s):
-        """The frame at s; ``start`` and ``end`` read it here, so that the
-        benchmark's count of ``__call__`` stays a count of samples."""
-        return sl.LagrangianFrame(
-            n=self.n, frame=self.stack(np.array([s], dtype=float))[0])
+        """The orthonormal frame at s; ``start`` and ``end`` read it here, so
+        that the benchmark's count of ``__call__`` stays a count of samples."""
+        return sl.LagrangianFrame(n=self.n, frame=np.linalg.qr(
+            self.stack(np.array([s], dtype=float))[0])[0])
 
     def __call__(self, s):
         return self._at(s)
 
     def frames(self, ss):
-        """Orthonormal frames at the parameters ss, as a (B, 2n, n) stack.
+        """Frames spanning L at the parameters ss, as a (B, 2n, n) stack.
 
         Raises NotFullRank when a frame has non-finite entries.
         """
@@ -123,11 +123,10 @@ def rotation_path(theta, base, a=0.0, b=1.0):
 
 
 def graph_path(B, a=0.0, b=1.0):
-    """s -> graph of the symmetric matrix B(s); B maps an (m,) array of
-    parameters to the (m, n, n) stack of matrices."""
+    """s -> graph of the symmetric matrix B(s), framed by [I; B(s)]; B maps
+    an (m,) array of parameters to the (m, n, n) stack of matrices."""
     n = np.shape(B(np.array([a], dtype=float)))[-1]
-    return LagrangianPath(n, a, b, lambda ss: sl.graph_lagrangian(B(ss)).frame,
-                          "graph")
+    return LagrangianPath(n, a, b, lambda ss: sl.graph_frames(B(ss)), "graph")
 
 
 def fundamental_image_path(flow, base, a=0.0, b=1.0):
@@ -138,10 +137,8 @@ def fundamental_image_path(flow, base, a=0.0, b=1.0):
         raise IntegrationFailure(
             f"the flow is defined on [0, 1], not on [{a}, {b}]", interval=[a, b])
 
-    def stack(ts):
-        return np.linalg.qr(flow.at(ts) @ base.frame)[0]
-
-    return LagrangianPath(base.n, a, b, stack, "fundamental")
+    return LagrangianPath(base.n, a, b, lambda ts: flow.at(ts) @ base.frame,
+                          "fundamental")
 
 
 def sampled_path(samples, a=None, b=None):
@@ -332,12 +329,18 @@ def signature_of(form):
 
 
 def souriau(frames):
-    """Souriau map S(L) = U U^T, U = X + iY, of a (..., 2n, n) stack of
-    orthonormal frames [X; Y]: a symmetric unitary matrix per frame that
-    does not depend on the choice of orthonormal frame of L."""
+    """Souriau map S(L) = U U^T (U = X + iY, [X; Y] orthonormal) of the L
+    spanned by each of a (..., 2n, n) stack of frames: Z = X + iY is U A, A
+    real, so S(L) = Z^{-H} Z^T, one batched solve (NotFullRank if singular)."""
     n = frames.shape[-1]
-    U = frames[..., :n, :] + 1j * frames[..., n:, :]
-    return U @ np.swapaxes(U, -1, -2)
+    ZT = np.swapaxes(frames[..., :n, :] + 1j * frames[..., n:, :], -1, -2)
+    try:
+        S = np.linalg.solve(ZT.conj(), ZT)
+    except np.linalg.LinAlgError:
+        S = np.nan
+    if not np.isfinite(S).all():
+        raise NotFullRank("X + iY of a frame is singular (not Lagrangian)")
+    return S
 
 
 # the Frobenius distance |W0^H W1 - I| up to which _cell_turns certifies a cell
@@ -396,8 +399,8 @@ def _souriau_samples(F0, F1, grid):
     the stacked evaluator of W.  The first grid has ``grid`` cells, and the
     frames of its grid + 1 points are one stack; a cell in which one of the
     angles exceeds 1 rad is bisected until none does.  A pair whose map
-    still turns that fast in a cell at a resolution of 2^14 samples raises
-    GridTooCoarse with the number of samples reached.
+    still turns that fast where refining passes 2^14 samples or a cell
+    width of (b - a) / 2^14 raises GridTooCoarse with the samples reached.
     """
     if F0.n != F1.n or (F0.a, F0.b) != (F1.a, F1.b):
         raise DimensionMismatch("paths must share interval and half-dimension")
@@ -405,9 +408,14 @@ def _souriau_samples(F0, F1, grid):
     if grid < 1:
         raise GridTooCoarse(f"grid must be a positive integer, got {grid}", grid=grid)
     a, b = F0.a, F0.b
+    # a constant path's Souriau map is computed once
+    fixed = [souriau(F.frames([a])) if F.kind == "constant" else None
+             for F in (F0, F1)]
 
     def W_at(ss):
-        return souriau(F1.frames(ss)) @ souriau(F0.frames(ss)).conj()
+        S0, S1 = (souriau(F.frames(ss)) if S is None else S
+                  for F, S in zip((F0, F1), fixed))
+        return np.broadcast_to(S1 @ S0.conj(), (len(ss), F0.n, F0.n))
 
     s = np.linspace(a, b, grid + 1)
     W = W_at(s)
@@ -420,8 +428,8 @@ def _souriau_samples(F0, F1, grid):
                 or np.min(s[bad + 1] - s[bad]) < (b - a) / _MAX_SAMPLES):
             raise GridTooCoarse(
                 "the Souriau map of the pair still turns by more than 1 rad "
-                f"in a cell at a resolution of {_MAX_SAMPLES} samples",
-                samples=len(s))
+                f"in a cell at {len(s)} samples, and refining it passes the "
+                f"limit of {_MAX_SAMPLES} samples", samples=len(s))
         mid = 0.5 * (s[bad] + s[bad + 1])
         Wm = W_at(mid)
         left, left_worst = _cell_turns(W[bad], Wm)

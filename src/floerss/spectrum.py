@@ -86,10 +86,10 @@ def _frame_interpolant(A, reach):
     path is entire of exponential type 1, so m, from 2^ceil(log2(1.4 reach +
     16)), doubles only until the last 4 coefficients are below 1e-12 max(1,
     max |c|) or fall by less than 16x (the flows' own noise); past
-    _MAX_NODES, GridTooCoarse.  One Newton-Schulz step takes X + iY to its
-    unitary polar factor, the nearest Lagrangian frame.  The oracle checks 4
-    points between the nodes; they ride in the nodes' ``shifted_flows``
-    call, so each m is one flow pass.
+    _MAX_NODES, GridTooCoarse.  The values are frames spanning the path.
+    The oracle checks 4 points between the nodes, from their QR and one
+    Newton-Schulz step to the unitary polar factor of X + iY; they ride in
+    the nodes' ``shifted_flows`` call, so each m is one flow pass.
     """
     flows = sl.shifted_flows(A.sigma)
     n, frame = A.n, A.boundary[0].frame
@@ -112,13 +112,13 @@ def _frame_interpolant(A, reach):
 
     def at(rhos):
         T = np.cos(np.outer(np.arccos(np.divide(rhos, reach)), np.arange(m)))
-        q = np.linalg.qr((T @ C).reshape(len(T), 2 * n, n))[0]
-        U = q[:, :n] + 1j * q[:, n:]
-        U = U @ (1.5 * np.eye(n) - 0.5 * (np.swapaxes(U.conj(), 1, 2) @ U))
-        return np.concatenate([U.real, U.imag], axis=1)
+        return (T @ C).reshape(len(T), 2 * n, n)
 
+    q = np.linalg.qr(at(probe))[0]
+    U = q[:, :n] + 1j * q[:, n:]
+    U = U @ (1.5 * np.eye(n) - 0.5 * (np.swapaxes(U.conj(), 1, 2) @ U))
     err = float(sl.principal_angle_sines(
-        sl.LagrangianFrame(n=n, frame=at(probe)),
+        sl.LagrangianFrame(n=n, frame=np.concatenate([U.real, U.imag], axis=1)),
         sl.validate_lagrangian(values[m:])).max())
     if not err <= _ORACLE_TOL:
         raise IntegrationFailure(f"the interpolant on {m} nodes is {err:.3e} "

@@ -228,21 +228,22 @@ def check_symmetric(S):
         raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
 
 
-def graph_lagrangian(B):
-    """Frame of the graph {(x, Bx)} of a symmetric matrix B.
-
-    B may be a (..., n, n) stack; the result is then one stacked frame (see
-    ``validate_lagrangian``), and its first bad member raises the error it
-    raises alone.
-    """
+def graph_frames(B):
+    """[I; B], a frame of the graph {(x, Bx)} of a symmetric matrix B, not
+    orthonormalized.  B may be a (..., n, n) stack; its first member that
+    is not symmetric raises NotSymmetric."""
     B = np.asarray(B, dtype=float)
     if B.ndim < 2 or B.shape[-2] != B.shape[-1]:
         raise DimensionMismatch(f"B must be square, got {B.shape}")
     n = B.shape[-1]
     if B.size:
         check_symmetric(B.reshape((-1, n, n)))
-    M = np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
-    return validate_lagrangian(M)
+    return np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
+
+
+def graph_lagrangian(B):
+    """``graph_frames(B)`` orthonormalized by ``validate_lagrangian``."""
+    return validate_lagrangian(graph_frames(B))
 
 
 @dataclass(frozen=True)

@@ -809,14 +809,36 @@ _MORSE = FUZZ_TEMPLATES[9][1]
 
 # refused at parse time, by the command and by validate: an empty graph or
 # sigma polynomial (before, only the parsers' catch-all refused them, with
-# no path) and a ring that no complex has (before, an UnsupportedRing
-# domain error): (command, document, payload keys)
+# no path), a ring that no complex has (before, an UnsupportedRing domain
+# error), and an ss filtration, indexing or lambda_window that is not one
+# of its choices (before, validate accepted them all, and ss printed the
+# plain pages or the default window): (command, document, payload keys)
 PARSE_REFUSALS = [
     ("rs-index", _mutate(_GRAPH, ("F0", "B", "poly"), []), {"path": "F0"}),
     ("spectrum", dict(_SPEC, sigma={"poly": []}), {"path": "operator"}),
     ("morse", dict(_MORSE, ring="Q"), {"found": "Q"}),
     ("morse", dict(_MORSE, ring=[]), {"found": []}),
-]
+    ("ss", dict(SS_DOC, filtration="novikof"), {"found": "novikof"}),
+    ("ss", dict(SS_DOC, indexing="strechted"), {"found": "strechted"}),
+    ("ss", dict(SS_DOC, indexing=["stretched"]), {"found": ["stretched"]}),
+] + [("ss", dict(SS_DOC, lambda_window=w), {"found": w})
+     for w in ([], 0, {}, [-9.5, 9], [-9, 9, 1], [True, 9], "-9", [[-9], 9])]
+
+
+def test_ss_accepts_its_choices(tmp_path, capsys):
+    # every filtration and indexing, and a null or integer lambda_window,
+    # is answered by ss and accepted by validate; a null window is the
+    # default window
+    p = tmp_path / "doc.json"
+    outs = []
+    for change in ({}, {"lambda_window": None}, {"indexing": "plain"},
+                   {"lambda_window": [-20, 20]}, {"filtration": "action"}):
+        p.write_text(json.dumps(dict(SS_DOC, **change)))
+        code, out, err = run_cli(["ss", str(p), "--json"], capsys)
+        assert (code, err) == (0, ""), change
+        outs.append(out)
+        assert run_cli(["validate", str(p)], capsys)[0] == 0
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("cmd,doc,payload", PARSE_REFUSALS)

@@ -565,8 +565,9 @@ def test_parsed_polynomial_paths_match_pointwise_formulas():
             graph = schemas.parse_path(
                 {"type": "graph", "interval": [a, b],
                  "B": {"poly": [c.tolist() for c in B]}}, "F0")
-            want = sl.graph_lagrangian(
-                np.array([_pointwise_matrix_poly(B, s) for s in ss])).frame
+            # the graph's frames are [I; B(s)], not orthonormalized
+            want = np.array([np.concatenate([np.eye(n), _pointwise_matrix_poly(B, s)])
+                             for s in ss])
             assert graph.n == n and np.array_equal(graph.frames(ss), want)
 
 
@@ -644,6 +645,55 @@ def test_non_finite_frames_are_refused():
     for F in (rot, graph):
         with pytest.raises(NotFullRank):
             lp.rs_index(F, Fh, grid=16)
+
+
+def test_singular_frames_are_refused():
+    # X + iY is singular for dependent columns and for a span that is not
+    # Lagrangian (x1 and y1); the Souriau solve refuses both with a typed
+    # error instead of numpy's LinAlgError
+    ref = lp.constant_lagrangian_path(sl.horizontal(2), 0.0, 1.0)
+    for frame in ([[1, 1], [0, 0], [0, 0], [0, 0]],
+                  [[1, 0], [0, 0], [0, 1], [0, 0]]):
+        bad = np.array(frame, dtype=float)
+        path = lp.LagrangianPath(
+            2, 0.0, 1.0, lambda ss, bad=bad: np.broadcast_to(bad, (len(ss), 4, 2)))
+        with pytest.raises(NotFullRank):
+            lp.souriau(bad)
+        with pytest.raises(NotFullRank):
+            lp.rs_index(path, ref, grid=16)
+
+
+def test_souriau_of_any_frame_is_that_of_an_orthonormal_frame():
+    # S(L) = Z^{-H} Z^T for Z = X + iY of any frame of L against the
+    # definition U U^T on the QR frame, for frames F A with A real of
+    # condition number up to 1e6; the error is relative to that number
+    rng = make_rng(40)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        F = np.stack([random_lagrangian(rng, n).frame for _ in range(5)])
+        cond = 10.0 ** rng.uniform(0.0, 6.0, 5)
+        U, V = (np.linalg.qr(rng.standard_normal((5, n, n)))[0] for _ in range(2))
+        sv = cond[:, None] ** np.linspace(0.0, 1.0, n)
+        A = (U * sv[:, None, :]) @ np.swapaxes(V, 1, 2)
+        q = np.linalg.qr(F)[0]
+        Q = q[:, :n] + 1j * q[:, n:]
+        for want in (lp.souriau(q), Q @ np.swapaxes(Q, 1, 2)):
+            err = np.abs(lp.souriau(F @ A) - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-14 * cond), (n, err / cond)
+
+
+def test_sample_limit_refusal_names_the_samples_reached():
+    # the line turns by 1e4 pi: every cell of either first grid turns by
+    # more than 1 rad, and halving them all passes the 2^14-sample limit
+    # (after one round at grid 8000, at once at grid 20000)
+    rot = lp.rotation_path(lambda ss: 0.3 + 1e4 * np.pi * ss, H1)
+    ref = lp.constant_lagrangian_path(H1, 0.0, 1.0)
+    for grid, samples in ((8000, 16001), (20000, 20001)):
+        with pytest.raises(GridTooCoarse) as exc:
+            lp.rs_index(rot, ref, grid=grid)
+        assert exc.value.payload == {"samples": samples}
+        assert f"at {samples} samples" in str(exc.value)
+        assert "limit of 16384 samples" in str(exc.value)
 
 
 def test_rs_index_of_discontinuous_path_is_refused():

@@ -137,7 +137,8 @@ def test_spectral_gap_window_doubling():
 
 def test_interpolant_matches_direct_flows():
     # the Chebyshev series of rho -> Psi_{sigma+rho}(1) L0 against direct
-    # flows at shifts off its nodes, compared as Lagrangian subspaces
+    # flows at shifts off its nodes, compared as Lagrangian subspaces; the
+    # series' frames are not orthonormal, so they are orthonormalized here
     rng = make_rng(38)
     for n in (1, 2, 3, 4):
         sig = random_sigma_poly(rng, n, degree=2)
@@ -147,9 +148,37 @@ def test_interpolant_matches_direct_flows():
         for reach in (2 * np.pi, 4 * np.pi):
             rhos = rng.uniform(-reach, reach, 50)
             got = sl.LagrangianFrame(
-                n=n, frame=sp._frame_interpolant(A, reach)(rhos))
+                n=n, frame=np.linalg.qr(sp._frame_interpolant(A, reach)(rhos))[0])
             want = sl.validate_lagrangian(flows(rhos) @ A.boundary[0].frame)
             assert sl.principal_angle_sines(got, want).max() < 1e-10, (n, reach)
+
+
+def test_scan_reads_the_constant_path_once(monkeypatch):
+    # the Souriau map of the constant L1 is computed once per scan, from a
+    # stack of one frame, for the spectral path and for Psi(t) L0
+    reads = []
+    make = lp.constant_lagrangian_path
+
+    def counted(frame, a=0.0, b=1.0):
+        p = make(frame, a, b)
+
+        def stack(ss):
+            reads.append(len(ss))
+            return p.stack(ss)
+
+        return lp.LagrangianPath(p.n, a, b, stack, p.kind)
+
+    monkeypatch.setattr(lp, "constant_lagrangian_path", counted)
+    rng = make_rng(41)
+    sig = random_sigma_poly(rng, 2, degree=2)
+    A = sp.AsymptoticOperator(n=2, sigma=sig, boundary=(
+        random_lagrangian(rng, 2), random_lagrangian(rng, 2)))
+    assert sp.eigenvalues(A, window=2 * np.pi, grid=384).eigenvalues
+    assert reads == [1]
+    del reads[:]
+    image = lp.fundamental_image_path(sl.FundamentalFlow(sig), A.boundary[0])
+    lp.rs_index(image, lp.constant_lagrangian_path(A.boundary[1]), grid=256)
+    assert reads == [1]
 
 
 def _count_flow_passes(monkeypatch):
