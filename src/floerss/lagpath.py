@@ -181,25 +181,18 @@ def concatenate(p1, p2):
     return LagrangianPath(p1.n, p1.a, p2.b, stack, "concat")
 
 
-def _framed(p, ss):
-    """The frames of p at ss as one stacked LagrangianFrame."""
-    return sl.LagrangianFrame(n=p.n, frame=p.stack(ss))
-
-
 def direct_sum_path(p1, p2):
+    """s -> p1(s) + p2(s), framed by the block placement of the two frames."""
     if (p1.a, p1.b) != (p2.a, p2.b):
         raise DimensionMismatch("direct sum requires equal parameter intervals")
     return LagrangianPath(
         p1.n + p2.n, p1.a, p1.b,
-        lambda ss: sl.direct_sum_frames(_framed(p1, ss), _framed(p2, ss)).frame,
-        "sum")
+        lambda ss: sl.block_frames(p1.stack(ss), p2.stack(ss)), "sum")
 
 
 def transform_path(Psi, p):
     """Apply a constant symplectic matrix to every frame of the path."""
-    return LagrangianPath(
-        p.n, p.a, p.b, lambda ss: sl.transform_frame(Psi, _framed(p, ss)).frame,
-        p.kind)
+    return LagrangianPath(p.n, p.a, p.b, lambda ss: Psi @ p.stack(ss), p.kind)
 
 
 def perturb_path(F, delta, fix_endpoints=True):
@@ -222,11 +215,9 @@ def perturb_path(F, delta, fix_endpoints=True):
         def beta(s):
             return 1.0 + 0.3 * np.sin(2.0 * (s - a) / (b - a))
 
-    def stack(ss):
-        return sl.transform_frame(sl.rotation(F.n, delta * beta(ss)),
-                                  _framed(F, ss)).frame
-
-    return LagrangianPath(F.n, a, b, stack, "perturbed")
+    return LagrangianPath(
+        F.n, a, b, lambda ss: sl.rotation(F.n, delta * beta(ss)) @ F.stack(ss),
+        "perturbed")
 
 
 # -- crossings -----------------------------------------------------------------

@@ -113,15 +113,7 @@ def _coefficients(coeffs, convert, where):
 def _poly_eval(coeffs, where):
     """ss -> (m,) stack of the polynomial sum_k coeffs[k] s^k."""
     cs = _coefficients(coeffs, _finite, where)
-
-    def f(ss):
-        acc, sk = 0.0, np.ones_like(ss)
-        for c in cs:
-            acc = acc + c * sk
-            sk = sk * ss
-        return acc
-
-    return f
+    return lambda ss: sl.poly_values(cs, ss)
 
 
 def _matrix_poly_eval(coeffs, where):
@@ -134,11 +126,7 @@ def _matrix_poly_eval(coeffs, where):
     sl.check_symmetric(np.stack(mats))
 
     def f(ss):
-        acc = np.zeros((len(ss),) + mats[0].shape)
-        sk = np.ones_like(ss)[:, None, None]
-        for c in mats:
-            acc = acc + sk * c
-            sk = sk * ss[:, None, None]
+        acc = sl.poly_values(mats, ss)
         return 0.5 * (acc + np.swapaxes(acc, 1, 2))
 
     return f

@@ -412,7 +412,7 @@ def _kernel_functions(A, ts):
     L0, L1 = A.boundary
     psi1 = flow(1.0)
     F = sl.apply_matrix(psi1, L0)
-    basis = sl.intersection_basis(F, L1, tol=1e-6)
+    basis = sl.intersection_basis(F, L1)
     # pull back to initial conditions in L0
     v0 = np.linalg.solve(psi1, basis)
     return np.moveaxis(flow.at(ts) @ v0, -1, 0)

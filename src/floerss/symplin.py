@@ -60,12 +60,6 @@ def J_std(n):
     return J
 
 
-def omega(u, v):
-    """Standard symplectic form omega(u, v) = <J u, v>."""
-    n = u.shape[0] // 2
-    return float(J_std(n) @ u @ v) if u.ndim == 1 else (J_std(n) @ u).T @ v
-
-
 def rotation(n, angle):
     """exp(angle * J_std): counterclockwise rotation in every complex
     coordinate; an array of angles gives a (..., 2n, 2n) stack."""
@@ -76,6 +70,8 @@ def rotation(n, angle):
 # rank / isotropy / subspace-equality tolerance on orthonormalized frames
 # (double precision, target sizes n <= 8)
 _FRAME_TOL = 1e-9
+# principal-angle sine below which intersection_basis pairs two directions
+_INTERSECTION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,8 @@ def transform_frame(A, F):
     """Frame for A . span(F) with A symplectic: QR only, no re-validation.
 
     For trusted transforms (rotations, integrated flows, elementary
-    symplectic products) the image is Lagrangian by construction; skipping
-    the isotropy check matters for transformed and perturbed paths, whose
-    every stack of frames goes through here.  A and F may be stacks.
+    symplectic products) the image is Lagrangian by construction.  A and F
+    may be stacks.
     """
     q, _ = np.linalg.qr(A @ F.frame)
     return LagrangianFrame(n=F.n, frame=q)
@@ -203,14 +198,15 @@ def intersection_dim(F, G, tol=_FRAME_TOL):
     return int(np.sum(s < tol))
 
 
-def intersection_basis(F, G, tol=1e-6):
+def intersection_basis(F, G):
     """Orthonormal basis of span(F) /\\ span(G), as columns.
 
-    Pairs principal vectors with angle below tol; intended for use at a
-    refined crossing where the split against the nonzero angles is large.
+    Pairs principal vectors with angle sine below ``_INTERSECTION_TOL``;
+    intended for use at a refined crossing where the split against the
+    nonzero angles is large.
     """
     u = np.linalg.svd(F.frame.T @ G.frame)[0]
-    k = int(np.sum(principal_angle_sines(F, G) < tol))
+    k = int(np.sum(principal_angle_sines(F, G) < _INTERSECTION_TOL))
     if k == 0:
         return np.zeros((2 * F.n, 0))
     vecs = F.frame @ u[:, :k]
@@ -276,14 +272,11 @@ class SymmetricPath:
         return self.samples([t])[0]
 
     def check(self):
-        ts = np.linspace(0.0, 1.0, 7)
-        S = self._raw(ts)
+        """The path, after checking its shape and symmetry at 7 times."""
+        S = self._raw(np.linspace(0.0, 1.0, 7))
         if S.shape[1:] != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(f"sigma(t) has shape {S.shape[1:]}")
-        asym = np.max(np.abs(S - np.swapaxes(S, 1, 2)), axis=(1, 2))
-        bad = asym > 1e-9 * np.maximum(1.0, np.max(np.abs(S), axis=(1, 2)))
-        if bad.any():
-            raise NotSymmetric(f"sigma({ts[np.argmax(bad)]}) is not symmetric")
+        check_symmetric(S)
         return self
 
 
@@ -299,23 +292,27 @@ def zero_path(n):
     return constant_path(np.zeros((2 * n, 2 * n)))
 
 
+def poly_values(coeffs, ts):
+    """sum_k coeffs[k] t^k for every t of the 1-d array ts, as a stack of
+    shape (len(ts),) + the coefficients' shape: t^k by repeated products,
+    the terms added in order of degree, so every caller gets the same bits."""
+    c0 = np.asarray(coeffs[0])
+    t = np.asarray(ts, dtype=float)[(...,) + (None,) * c0.ndim]
+    acc, tk = np.zeros((len(t),) + c0.shape), np.ones_like(t)
+    for c in coeffs:
+        acc += tk * c
+        tk = tk * t
+    return acc
+
+
 def poly_path(coeffs):
     """sigma(t) = sum_k coeffs[k] t^k with symmetric matrix coefficients;
     declared constant when every coefficient of degree >= 1 is exactly zero."""
     mats = [np.asarray(c, dtype=float) for c in coeffs]
     if not any(np.any(c) for c in mats[1:]):
         return constant_path(mats[0])
-    n = mats[0].shape[0] // 2
-
-    def stack(ts):
-        S = np.zeros((len(ts),) + mats[0].shape)
-        tk = np.ones(len(ts))
-        for c in mats:
-            S += tk[:, None, None] * c
-            tk = tk * ts
-        return S
-
-    return SymmetricPath(n=n, stack=stack).check()
+    return SymmetricPath(n=mats[0].shape[0] // 2,
+                         stack=lambda ts: poly_values(mats, ts)).check()
 
 
 def _drift(M, J):
@@ -699,19 +696,25 @@ def _blocks(n1, n2):
     return (np.r_[0:n1, n:n + n1], np.r_[n1:n, n + n1:2 * n])
 
 
-def direct_sum_frames(F, G):
-    """Block direct sum of Lagrangian frames (or of stacks of them) under
-    R^{2n1} + R^{2n2} = R^{2n}.
+def block_frames(F, G):
+    """The (..., 2n, n) frames F, G of R^{2n1}, R^{2n2} placed block by
+    block as one frame of R^{2n1} + R^{2n2} = R^{2n}, not validated.
 
     Coordinates interleave as (x', x'', y', y'') so that J_{n1} + J_{n2}
     matches J_{n1+n2}.
     """
-    n1, n2 = F.n, G.n
+    n1, n2 = F.shape[-1], G.shape[-1]
     i1, i2 = _blocks(n1, n2)
-    M = np.zeros(F.frame.shape[:-2] + (2 * (n1 + n2), n1 + n2))
-    M[..., i1, :n1] = F.frame
-    M[..., i2, n1:] = G.frame
-    return validate_lagrangian(M)
+    M = np.zeros(F.shape[:-2] + (2 * (n1 + n2), n1 + n2))
+    M[..., i1, :n1] = F
+    M[..., i2, n1:] = G
+    return M
+
+
+def direct_sum_frames(F, G):
+    """Block direct sum of Lagrangian frames (or of stacks of them),
+    orthonormalized by ``validate_lagrangian``."""
+    return validate_lagrangian(block_frames(F.frame, G.frame))
 
 
 def direct_sum_paths(sig1, sig2):

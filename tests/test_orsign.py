@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from floerss import orsign as osn
-from floerss.errors import (DegenerateOutward, NotExact, NotIndependent,
-                            NotSubspace, NotTransverse)
+from floerss.errors import (DegenerateOutward, FloerssError, NotExact,
+                            NotIndependent, NotSubspace, NotTransverse)
 
 from conftest import make_rng
 
@@ -213,3 +213,174 @@ def test_boundary_examples():
     assert osn.orientation_sign(bd, bd_flip) == -1
     with pytest.raises(DegenerateOutward):
         osn.boundary_orient(I2, (0.0, 0.0))
+
+
+# -- the absolute conventions, pinned by outcomes recorded as literals ----------
+#
+# Each case's outcome is the dimension of the result and the sign of
+# det(R^T basis) for the fixed matrix R below (by Cauchy-Binet a sign that
+# depends only on the orientation), the sign of a zero space, or a letter for
+# the refusal.  The seeds are fixed here, not taken from FLOERSS_SEED, because
+# the recorded outcomes belong to them.
+
+_R = np.random.default_rng(2309).standard_normal((8, 8))
+_REFUSALS = {"NotTransverse": "T", "NotSubspace": "S", "NotExact": "E",
+             "NotIndependent": "I", "DegenerateOutward": "D",
+             "DimensionMismatch": "M"}
+
+
+def _space(rng, M):
+    """The span of M's columns, its orientation flipped half of the time."""
+    S = osn.BasedSpace(M.shape[0], tuple(map(tuple, M.T)), 1)
+    return S.flipped() if rng.random() < 0.5 else S
+
+
+def quotient_case(rng):
+    """(total, sub): sub a proper subspace of total, or total itself one time
+    in five, or, one time in seven, random vectors that need not lie in
+    total."""
+    m = int(rng.integers(1, 6))
+    dt = int(rng.integers(1, m + 1)) if rng.random() < 0.9 else 0
+    MT = rng.standard_normal((m, dt))
+    ds = int(rng.integers(0, dt)) if dt and rng.random() < 0.8 else dt
+    MS = (rng.standard_normal((m, ds)) if rng.random() < 1 / 7
+          else MT @ rng.standard_normal((dt, ds)))
+    return _space(rng, MT), _space(rng, MS)
+
+
+def boundary_case(rng):
+    """(interior, outward): outward inside the interior, or zero, or random."""
+    m = int(rng.integers(1, 6))
+    d = int(rng.integers(1, m + 1)) if rng.random() < 0.94 else 0
+    MI = rng.standard_normal((m, d))
+    u = rng.random()
+    out = (np.zeros(m) if u < 0.06 else rng.standard_normal(m) if u < 0.18
+           else MI @ rng.standard_normal(d))
+    return _space(rng, MI), out
+
+
+def fibre_case(rng):
+    """(X, Y, Z, phi, psi): maps into Z, random maps read in Z, or rank-one
+    maps (not transverse once dim Z > 1)."""
+    mx, my, mz = (int(m) for m in rng.integers(1, 4, 3))
+    dx, dy, dz = (int(rng.integers(0, m + 1)) for m in (mx, my, mz))
+    X, Y = _space(rng, rng.standard_normal((mx, dx))), \
+        _space(rng, rng.standard_normal((my, dy)))
+    MZ = rng.standard_normal((mz, dz))
+    phi, psi = rng.standard_normal((mz, mx)), rng.standard_normal((mz, my))
+    u = rng.random()
+    if u < 0.1:
+        phi = np.outer(MZ @ np.ones(dz), rng.standard_normal(mx))
+        psi = np.outer(MZ @ np.ones(dz), rng.standard_normal(my))
+    elif u < 0.55:
+        P = MZ @ np.linalg.pinv(MZ)
+        phi, psi = P @ phi, P @ psi
+    return X, Y, _space(rng, MZ), phi, psi
+
+
+def cap_case(rng):
+    """(X, Y, Z) with X, Y inside Z and X + Y = Z; now and then Y or X is
+    drawn from the whole ambient space, or Y is drawn inside X."""
+    m = int(rng.integers(1, 6))
+    dz = m if rng.random() < 0.6 else int(rng.integers(0, m + 1))
+    MZ = rng.standard_normal((m, dz))
+    dx = int(rng.integers(0, dz + 1))
+    dy = int(rng.integers(dz - dx, dz + 1))
+    MX = MZ @ rng.standard_normal((dz, dx))
+    MY = MZ @ rng.standard_normal((dz, dy))
+    u = rng.random()
+    if u < 0.08:
+        MY = rng.standard_normal((m, dy))
+    elif u < 0.16:
+        MX = rng.standard_normal((m, dx))
+    elif u < 0.26:
+        MY = MX @ rng.standard_normal((dx, min(dy, dx)))
+    return _space(rng, MX), _space(rng, MY), _space(rng, MZ)
+
+
+SWEEP_CASES = {"quotient_orient": quotient_case, "boundary_orient": boundary_case,
+               "fibre_orient": fibre_case, "cap_orient": cap_case}
+
+
+def outcome(W):
+    """The recorded form of a result, or of a refusal (an exception)."""
+    if isinstance(W, Exception):
+        return _REFUSALS.get(type(W).__name__, type(W).__name__)
+    if W.dim == 0:
+        return "0-" if W.sign < 0 else "0+"
+    det = np.linalg.det(_R[:W.m, :W.dim].T @ W.matrix()) * W.sign
+    return f"{W.dim}{'-' if det < 0 else '+'}"
+
+
+def sweep(name, seed, count):
+    """The results (or refusals) of ``count`` seeded cases of one induced
+    orientation."""
+    rng = np.random.default_rng(seed)
+    outs = []
+    for _ in range(count):
+        args = SWEEP_CASES[name](rng)
+        try:
+            outs.append(getattr(osn, name)(*args))
+        except FloerssError as exc:
+            outs.append(exc)
+    return outs
+
+
+# the seed and the 240 recorded outcomes of each induced orientation
+RECORDED = {
+    "quotient_orient": (2310, (
+        "1+ 1+ 1+ 0+ 1- 1+ 2+ 1- 1- 1- 1- 0- 0- 1+ 1- 0- 0- 1+ 1+ 1+ 2+ S "
+        "1- 1- 0+ 1- 0+ 0- 1+ 1+ S 1- 2- 1- 0- 1+ 3- 1+ 1- 2+ 1+ 0+ 0+ 2+ "
+        "0- 3+ 2+ 1+ 0- 1- 1- 0- 0- 1+ 1- 1+ 1- 0- 1- 0- 0- 1+ 0- 2+ S 0- "
+        "2+ 1- 2+ 1- 1+ 1- 1+ S 0- 0+ S 1- 1+ 0+ 1+ 2- S 0- 1+ 1- 0+ 2- 1- "
+        "1+ 0- 1+ 1- 1- 1+ 0- 1- 0- 1+ 2+ S 3- 1+ 4+ 1- 1+ 1+ 5+ 1- 1+ 0+ "
+        "2- 0- 1- 0+ 1+ 1- 0+ 1- 2- 1- 2- 2+ 1- 0+ 0+ 0+ 1+ 1- S 0- 0- 0+ "
+        "1- 1- 1+ 1+ 0- 2- 2- 0- 3+ 1- 1+ 0- 3- 1- 1- 1+ 1+ 1- 1+ 1- 1+ 0- "
+        "1- 2+ 1+ 1+ 0- 1- 2+ 2+ 3+ 2+ 2+ 1+ 1+ 1+ S 1- 1- 1+ 2+ 2+ 0- 0- "
+        "0- 0- 1- 0+ 1- 3+ 3- 1+ 2- 3+ 0+ 0+ S 1+ 0+ 0+ 4- 1- 0- 1- 1- 1+ "
+        "0- 0- 1+ 0+ 1+ 3- 1+ 1- 3- 1- 1+ 0+ 0+ 1- 0+ 0+ 1- 2- 1+ 2- 0- 0+ "
+        "1+ 2- S 1+ 0+ 1+ 1- 3+ 2- 1- 1- 1+ 2- 3- 2- 1- 0- 2- 1+")),
+    "boundary_orient": (2311, (
+        "0+ 0+ 0+ 2- 0- D 3- D 0+ 2+ 4+ 0- D 0- D 3+ D 2+ 1- 0- 0+ D 3- 4+ "
+        "1+ 1- 2+ M D 0+ 0+ 0- D 0+ 1- 1+ 0- 2+ 1- D 0+ 2- 0+ M 2+ 0+ 1- 0+ "
+        "0+ 4+ 1- 0- 2+ 2+ D 0+ 0+ 1- 1+ 1+ 0- 2+ 2+ D 2- 0+ 0+ 0+ 0+ 3- 0- "
+        "0+ 0+ 0- M 2- 0- 2- 0+ 1- 0- 0+ 0+ 2+ 2+ 1+ 0+ D 0- 2+ 0- 2+ 4- 0- "
+        "2- 0- 2- 2- 2+ 1+ 1+ 1- 1+ 1+ 3- D 0- 0+ M 2+ 0- 2- 0- 0- 1+ 3+ 0- "
+        "D 0- D 1- 2+ 3- D 3+ 0+ 0- 2+ 0- 3- 0+ 0+ D 1+ 0+ 3+ 1+ 0+ 0+ 3+ "
+        "1- M 1+ 0+ 0- 1+ 3- M 3- 0- 0- 2+ 1- 1- 0+ 0- 3+ 0+ 2+ 1+ 0- M 0- "
+        "1- 1- M 0- 0- D 3+ 0+ 0- 0+ 0- M 0+ 1+ 4- M 0- 0+ 4+ 2+ 0- 1+ 2+ "
+        "0- 0- 2+ 2+ 0+ 0- 4- 1- 1- 0- 3- 0+ 0+ 0- 2- 1+ D 0- 2- 0+ 1+ 4+ "
+        "0- 0+ D D D 2- 2- 1- D 1- M 1+ 1+ 0- 2+ 0- M 0- 1- 0+ 0- 0+ 2- 2- "
+        "D 1- 0- D 0+ 1- 0+ 0-")),
+    "fibre_orient": (2312, (
+        "1+ 0+ 1+ 0+ 1- T 0- 0+ 1+ 0- 4- T 2+ 1+ 0+ T 2- 1- 4- 0- 0- 1+ 5- "
+        "T 4+ 2- T 1- 2- 1+ 4- 1- 2- 0- T 4+ 1+ 3- 0+ 0- 1- 1- 0- 0- 2+ 4+ "
+        "1- 3- 2+ 1+ 1+ 3- 0+ 2- T 0- T 2+ 2- 5- 0+ 1+ T 2+ T T 1+ 1- 3- 2- "
+        "2+ 0+ T 1- 4+ T 2+ 1- 2- T T 0+ 4- 1- 2- 3- 3- 0+ T 1- 0- 3- 1- T "
+        "0+ 1- 2+ T 1- 0- 2- 3- 0+ 3+ 3+ 3- 2+ 5- 0- 1+ 4- 4- 0+ T T 5+ 3+ "
+        "T 2+ 2- 1+ 0- T 1+ 3- 3+ T 1+ 3- 2- 0- T 1+ 3+ 2+ 1+ 0- 0+ 1- T 5+ "
+        "T 5+ 1- 1+ 3- 0+ 3+ 1+ 0- T 4- 1+ 2+ 1+ 1- T 0+ 2+ 0- T T 0- T 1+ "
+        "3+ T 2+ 0+ 0+ 1+ 0+ 0+ 2+ 0+ T 1+ T 2+ T 4- 0- 2- 3+ 5- T 2+ 1- 3- "
+        "3- 1- 2- 2- 0- 1- 3- 2+ 2+ 0+ 1- 1- 3+ T 0+ 4+ 1- T T 0- 0+ 4- T "
+        "1+ 1+ 0- 0+ 1- T 0- 0- 0+ 1- 3- 4+ 3+ 2+ 0- 0- 3- 0+ 1+ 2+ 1- 4- "
+        "1+ 2- 2- 0- 0- 1-")),
+    "cap_orient": (2313, (
+        "0+ 0+ 0- 0- 1- 1+ 2+ 0- 0+ 0+ 0+ 0- 3+ 0- 0+ 0- 0+ 1- 0+ 0+ 0- 0+ "
+        "0- 1+ 0- 0+ 0+ 0+ 2- 1- 1- 2+ 1+ 0- 0- 1- 0- 0+ 0- 2- 1- 0- 1+ 3+ "
+        "3+ 0- 2- 0+ E 4+ 0- 0- 0- 3- 2- 1+ 1- E 1- 3+ 1- 0- E 1+ 0- 0- 0- "
+        "0- 0+ 0+ 0+ 0+ 2- 1+ 0- 0+ 0+ 0- 0- 0- 0- E 0+ 1+ 2- 3- 2- 1+ 0+ "
+        "0- 0+ 0+ 3- 0+ 1+ 0+ 0+ 0+ 2- 3- 4- 2- 0- 2- S 0+ 0+ 0+ 0+ 3- 0+ "
+        "1- 0- 0- 0- E 0+ 0+ 0- 5+ 1- 1+ 0+ 0+ 0- 0- 1- 1- 0- 0+ 4- 1+ 0- "
+        "1- 0+ 0- 0+ 0- S 0+ 0+ E 0- 1- 1+ 0+ 1+ 1- 0- 4- 0- 1- 1+ 1- 0- 0- "
+        "0- 0- 2- 0- 1- 2- 0- E 0+ 0+ 0- 0- 1- 2+ 0- 2- E 0- 0+ 0- 0- 0- E "
+        "1+ 2+ 0+ 0- 1+ 0- 0+ 0+ 2+ 2- E 0- 0- 0+ 1- 0+ 2- 0+ 0+ 3+ 1+ 0- "
+        "0+ 0+ 2- 1- 1- 3- 2- 0+ 0+ 1- 0+ 0- 2+ 0+ 0- 3+ 0+ 0+ 1- 0- 0+ 0- "
+        "1- 0- 1+ 0- 0+ 1+ 0- 1- 0- 1- E 0- 0- 0- 0+ 3- 0-")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_induced_orientations_keep_their_recorded_conventions(name):
+    seed, recorded = RECORDED[name]
+    got = [outcome(W) for W in sweep(name, seed, 240)]
+    assert got == recorded.split()

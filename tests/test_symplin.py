@@ -115,6 +115,10 @@ def test_graph_lagrangian_examples():
 def test_graph_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sl.graph_lagrangian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a symmetric path is checked by the same rule, with the same payload
+    with pytest.raises(NotSymmetric) as err:
+        sl.constant_path(np.array([[0.0, 2.0], [0.0, 0.0]]))
+    assert err.value.payload["asymmetry"] == 2.0
 
 
 def test_graph_stack_matches_members():
