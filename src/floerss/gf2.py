@@ -1,98 +1,98 @@
-"""Dense GF(2) linear algebra on numpy uint8 arrays (columns = vectors)."""
+"""GF(2) linear algebra on lists of Python-int columns.
 
-import numpy as np
+A matrix is a list of columns and bit i of column j is entry (i, j); the
+number of rows is left implicit.  A vector is one such int, and a vector of
+coefficients on the columns of a matrix has bit j for column j.  Every
+function reads the one leading-bit elimination of ``rref``.
+"""
 
 
 def asgf2(M):
-    return (np.asarray(M, dtype=np.int64) % 2).astype(np.uint8)
+    """The columns of an outside 0/1 matrix: nested lists of rows or a 2-d
+    array (any object with ``tolist``), entries taken mod 2."""
+    cols = M.T.tolist() if hasattr(M, "tolist") else zip(*M)
+    return [sum((int(x) % 2) << i for i, x in enumerate(c)) for c in cols]
 
 
-def rref(M):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = asgf2(M).copy()
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+def bits(v):
+    """Indices of the set bits of v, ascending."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def product(cols, v):
+    """d . v: the sum of the columns cols[j] over the set bits j of v."""
+    out = 0
+    for j in bits(v):
+        out ^= cols[j]
+    return out
+
+
+def _reduce(pivots, v, combo):
+    """Reduce v by the pivots sharing its leading bit until it is zero or
+    opens a new pivot; combo records the input columns added to it."""
+    while v:
+        top = v.bit_length()
+        if top not in pivots:
             break
-        piv = None
-        for i in range(r, rows):
-            if R[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        R[[r, piv]] = R[[piv, r]]
-        mask = R[:, c].copy()
-        mask[r] = 0
-        R[mask == 1] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+        pv, pc = pivots[top]
+        v ^= pv
+        combo ^= pc
+    return v, combo
+
+
+def rref(cols):
+    """The leading-bit elimination of the columns, in order.
+
+    Returns (pivots, kernel): pivots maps the leading bit of each nonzero
+    reduced column to (reduced column, the input columns it sums), one per
+    column independent of the earlier ones; kernel holds, for each column
+    that reduces to zero, the input columns that sum to zero.  Both sums
+    are bitsets over column indices; the highest bit of a pivot's sum is
+    the input column that opened it."""
+    pivots = {}
+    kernel = []
+    for j, c in enumerate(cols):
+        c, combo = _reduce(pivots, c, 1 << j)
+        if c:
+            pivots[c.bit_length()] = (c, combo)
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
+def _independent(cols):
+    """Indices of the columns independent of the columns before them."""
+    return sorted(pc.bit_length() - 1 for _, pc in rref(cols)[0].values())
 
 
 def rank(M):
-    """Rank by leading-bit elimination on rows packed into Python ints:
-    each row is reduced by the pivot sharing its leading bit until it is
-    zero or opens a new pivot."""
-    M = asgf2(M)
-    if M.size == 0:
-        return 0
-    pivots = {}
-    for row in np.packbits(M, axis=1):
-        r = int.from_bytes(row.tobytes(), "big")
-        while r:
-            top = r.bit_length()
-            if top not in pivots:
-                pivots[top] = r
-                break
-            r ^= pivots[top]
-    return len(pivots)
+    return len(rref(M)[0])
 
 
 def kernel(M):
-    """Basis of the null space (columns), for M acting on column vectors."""
-    M = asgf2(M)
-    rows, cols = M.shape
-    R, pivots = rref(M)
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((cols, len(free)), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        out[fc, k] = 1
-        for r, pc in enumerate(pivots):
-            if R[r, fc]:
-                out[pc, k] = 1
-    return out
+    """Basis of the null space, as coefficient vectors on the columns."""
+    return rref(M)[1]
 
 
 def column_space(M):
     """Subset of columns forming a basis of the column space."""
-    M = asgf2(M)
-    if M.size == 0:
-        return M.reshape(M.shape[0], 0)
-    _, pivots = rref(M)
-    return M[:, pivots]
+    return [M[j] for j in _independent(M)]
 
 
-def solve(A, b):
-    """One solution of A x = b (columns), or None when inconsistent.
-
-    b may be a matrix; returns a matrix of solutions column by column.
-    """
-    A = asgf2(A)
-    b = asgf2(b)
-    if b.ndim == 1:
-        b = b[:, None]
-    aug = np.concatenate([A, b], axis=1)
-    R, pivots = rref(aug)
-    n = A.shape[1]
-    if any(p >= n for p in pivots):
-        return None
-    X = np.zeros((n, b.shape[1]), dtype=np.uint8)
-    for r, pc in enumerate(pivots):
-        X[pc, :] = R[r, n:]
-    return X
+def solve(A, B):
+    """One solution x of A x = b for each column b of B, or None when one
+    of them is inconsistent."""
+    pivots, _ = rref(A)
+    out = []
+    for b in B:
+        rest, combo = _reduce(pivots, b, 0)
+        if rest:
+            return None
+        out.append(combo)
+    return out
 
 
 def in_span(B, v):
@@ -102,49 +102,20 @@ def in_span(B, v):
 
 def sum_basis(*mats):
     """Basis of the sum of column spaces."""
-    mats = [asgf2(M) for M in mats if M.size]
-    if not mats:
-        return np.zeros((0, 0), dtype=np.uint8)
-    return column_space(np.concatenate(mats, axis=1))
+    return column_space([c for M in mats for c in M])
 
 
 def complement_in(B, S):
     """Columns of S completing span(B) to span(B) + span(S); greedy."""
-    B = asgf2(B)
-    S = asgf2(S)
-    cur = B.copy()
-    picked = []
-    for j in range(S.shape[1]):
-        cand = S[:, j:j + 1]
-        if cur.size == 0:
-            cur = cand.copy()
-            picked.append(j)
-            continue
-        if not in_span(cur, cand):
-            cur = np.concatenate([cur, cand], axis=1)
-            picked.append(j)
-    return S[:, picked]
+    n = len(B)
+    return [S[j - n] for j in _independent(list(B) + list(S)) if j >= n]
 
 
 def coordinates_mod(B, D, v):
     """Coordinates of v in span(B) modulo span(D): solve [B | D] x = v and
     return the B-part.  Raises ValueError when v is outside span(B)+span(D)."""
-    B = asgf2(B)
-    D = asgf2(D)
-    v = asgf2(v)
-    if v.ndim == 1:
-        v = v[:, None]
-    if B.shape[1] == 0:
-        if D.shape[1] == 0:
-            if np.any(v):
-                raise ValueError("vector outside the span")
-            return np.zeros((0, v.shape[1]), dtype=np.uint8)
-        x = solve(D, v)
-        if x is None:
-            raise ValueError("vector outside the span")
-        return np.zeros((0, v.shape[1]), dtype=np.uint8)
-    A = np.concatenate([B, D], axis=1) if D.size else B
-    x = solve(A, v)
+    x = solve(list(B) + list(D), v)
     if x is None:
         raise ValueError("vector outside the span")
-    return x[:B.shape[1], :]
+    mask = (1 << len(B)) - 1
+    return [c & mask for c in x]

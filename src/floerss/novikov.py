@@ -14,8 +14,6 @@ the Novikov filtration of ``specseq``.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2
 from .errors import (DimensionMismatch, DivisionByZero, NotAComplex,
                      UnsupportedRing)
@@ -351,11 +349,11 @@ def homology(C):
     by_deg, blocks = _boundary_blocks(C)
     if C.ring == Z2:
         ranks = {}
-        for d2, (entries, nr, nc) in blocks.items():
-            M = np.zeros((nr, nc), dtype=np.uint8)
-            for (i, j), c in entries.items():
-                M[i, j] = c
-            ranks[d2] = gf2.rank(M)
+        for d2, (entries, _, nc) in blocks.items():
+            cols = [0] * nc
+            for i, j in entries:
+                cols[j] |= 1 << i
+            ranks[d2] = gf2.rank(cols)
         report = {d2: {"betti": len(gens) - ranks[d2] - ranks.get(d2 + 2, 0)}
                   for d2, gens in sorted(by_deg.items())}
         return {"ring": Z2, "by_degree": report}
@@ -416,7 +414,7 @@ def default_window(C):
     """(lmin, lmax) covering 3x the degree spread / N, at least width 6."""
     degs = [d2 for _, d2 in C.generators]
     spread = (max(degs) - min(degs)) // 2 if degs else 0
-    width = max(6, int(np.ceil(3 * spread / max(C.N, 1))))
+    width = max(6, -(-3 * spread // max(C.N, 1)))
     half = width // 2 + 1
     return (-half, half)
 

@@ -123,7 +123,7 @@ def _matrix_poly_eval(coeffs, where):
     if any(c.shape != (len(mats[0]),) * 2 for c in mats):
         raise SchemaError(f"{where}: coefficients must be square matrices of "
                           "one size", path=where)
-    sl.check_symmetric(np.stack(mats))
+    sl.check_symmetric(np.stack(mats), "B")
 
     def f(ss):
         acc = sl.poly_values(mats, ss)
@@ -225,11 +225,10 @@ def parse_complex(doc):
             raise SchemaError(f"{where}: arrow {src}->{dst} references unknown "
                               "generators", path=where)
         c = _need(arrow, "coeff", where)
+        c = _laurent_coeff(c, where) if ring == L2 else int(c)
+        # repeated arrows add up, as the trajectories of a Morse complex do
         col = boundary.setdefault(index[src], {})
-        if ring == L2:
-            col[index[dst]] = _laurent_coeff(c, where)
-        else:
-            col[index[dst]] = int(c)
+        col[index[dst]] = col[index[dst]] + c if index[dst] in col else c
     return GradedFreeComplex.build(ring, gens, boundary, N=N,
                                    require_graded=bool(doc.get("graded", True)))
 

@@ -17,6 +17,9 @@ explicit differential matrices:
   E^r_{p,q} = Z^r_{p,q} / (Z^{r-1}_{p-1,q+1} + B^{r-1}_{p,q})
 
 with differentials of bidegree (-r, r-1) represented on chosen section bases.
+Every Z2 matrix here (the boundary, sections, denominators and
+differentials) is a list of ``gf2`` columns, Python ints with bit i of
+column j for entry (i, j); vectors in ambient coordinates are such ints.
 
 Novikov filtrations live on the lambda-window truncation of a pearl complex
 (``novikov.truncate_to_window``) and come in two indexings: "plain"
@@ -26,10 +29,9 @@ degree-aware reindexing in which the only possibly nonzero differentials
 sit on pages r in N Z).
 """
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (DimensionMismatch, FiltrationViolated, NotAComplex,
                      WindowTooNarrow)
@@ -50,35 +52,30 @@ class FilteredComplex:
 
     degrees: tuple       # degree per basis vector
     levels: tuple        # filtration level per basis vector
-    boundary: np.ndarray = field(repr=False)  # dense GF(2), d[i,j]: j -> i
+    boundary: tuple = field(repr=False)  # gf2 columns, bit i of j: d[i, j]
     names: tuple = None
 
     @staticmethod
     def build(degrees, levels, boundary, names=None):
         degrees = tuple(int(d) for d in degrees)
         levels = tuple(int(l) for l in levels)
-        D = gf2.asgf2(boundary)
+        D = tuple(boundary)
         n = len(degrees)
-        if D.shape != (n, n) or len(levels) != n:
+        if len(D) != n or len(levels) != n or any(c >> n for c in D):
             raise DimensionMismatch("boundary shape does not match basis data")
-        if np.any(gf2.asgf2(D @ D)):
+        if any(gf2.product(D, c) for c in D):
             raise NotAComplex("d . d != 0 for the filtered complex")
         # entries in column-major order, so the first offence is reported
-        cols, rows = np.nonzero(D.T)
-        deg = np.array(degrees, dtype=np.int64)
-        lev = np.array(levels, dtype=np.int64)
-        bad_deg = deg[rows] != deg[cols] - 1
-        bad = bad_deg | (lev[rows] > lev[cols])
-        if bad.any():
-            k = int(np.argmax(bad))
-            i, j = int(rows[k]), int(cols[k])
-            if bad_deg[k]:
-                raise NotAComplex(
-                    f"boundary entry {i}<-{j} changes degree by "
-                    f"{degrees[i] - degrees[j]}")
-            raise FiltrationViolated(
-                f"boundary entry {i}<-{j} raises the filtration "
-                f"level {levels[j]} -> {levels[i]}")
+        for j, col in enumerate(D):
+            for i in gf2.bits(col):
+                if degrees[i] != degrees[j] - 1:
+                    raise NotAComplex(
+                        f"boundary entry {i}<-{j} changes degree by "
+                        f"{degrees[i] - degrees[j]}")
+                if levels[i] > levels[j]:
+                    raise FiltrationViolated(
+                        f"boundary entry {i}<-{j} raises the filtration "
+                        f"level {levels[j]} -> {levels[i]}")
         if names is None:
             names = tuple(f"e{k}" for k in range(n))
         return FilteredComplex(degrees=degrees, levels=levels, boundary=D,
@@ -100,35 +97,30 @@ class FilteredComplex:
         return (min(self.levels), max(self.levels)) if self.levels else (0, 0)
 
 
-def _embed(fc, indices):
-    out = np.zeros((fc.size, len(indices)), dtype=np.uint8)
-    for k, i in enumerate(indices):
-        out[i, k] = 1
-    return out
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _image(fc, vs):
+    """d applied to each vector of vs."""
+    return [gf2.product(fc.boundary, v) for v in vs]
 
 
 def _z_space(fc, p, q, r):
-    """Basis matrix of Z^r_{p,q} in ambient coordinates."""
+    """Basis of Z^r_{p,q} in ambient coordinates."""
     m = p + q
     Fpm = fc.filtration_basis(p, m)
-    if not Fpm:
-        return np.zeros((fc.size, 0), dtype=np.uint8)
-    cols = _embed(fc, Fpm)
-    img = gf2.asgf2(fc.boundary @ cols)
     # rows of C_{m-1} outside F^{p-r}
-    bad_rows = [i for i in fc.degree_indices(m - 1) if fc.levels[i] > p - r]
-    if not bad_rows:
-        return cols
-    sub = img[bad_rows, :]
-    ker = gf2.kernel(sub)
-    return gf2.asgf2(cols @ ker)
+    bad = _mask(i for i in fc.degree_indices(m - 1) if fc.levels[i] > p - r)
+    ker = gf2.kernel([fc.boundary[i] & bad for i in Fpm])
+    return [_mask(Fpm[k] for k in gf2.bits(v)) for v in ker]
 
 
 @dataclass(frozen=True)
 class PageEntry:
     dim: int
-    section: np.ndarray = field(repr=False)      # representatives, ambient coords
-    denominator: np.ndarray = field(repr=False)  # basis of the collapsed subspace
+    section: list = field(repr=False)      # representatives, ambient coords
+    denominator: list = field(repr=False)  # basis of the collapsed subspace
 
 
 @dataclass(frozen=True)
@@ -162,20 +154,15 @@ def page(fc, r):
     if r < 1:
         raise DimensionMismatch("pages are defined for r >= 1")
     entries = {}
-    sections = {}
     for (p, q) in _bidegrees(fc):
         Zr = _z_space(fc, p, q, r)
         Zprev = _z_space(fc, p - 1, q + 1, r - 1)
-        Bprev = gf2.asgf2(fc.boundary @ _z_space(fc, p + r - 1, q - r + 2, r - 1))
+        Bprev = _image(fc, _z_space(fc, p + r - 1, q - r + 2, r - 1))
         denom = gf2.sum_basis(Zprev, Bprev)
-        if denom.size:
-            # denominators are contained in Z^r; quotient dimension by rank
-            sect = gf2.complement_in(denom, Zr)
-        else:
-            sect = gf2.column_space(Zr)
-        dim = sect.shape[1]
-        entries[(p, q)] = PageEntry(dim=dim, section=sect, denominator=denom)
-        sections[(p, q)] = (sect, denom)
+        # denominators are contained in Z^r; quotient dimension by rank
+        sect = gf2.complement_in(denom, Zr)
+        entries[(p, q)] = PageEntry(dim=len(sect), section=sect,
+                                    denominator=denom)
     diffs = {}
     for (p, q), e in entries.items():
         if e.dim == 0:
@@ -183,13 +170,13 @@ def page(fc, r):
         tgt = entries.get((p - r, q + r - 1))
         if tgt is None or tgt.dim == 0:
             continue
-        img = gf2.asgf2(fc.boundary @ e.section)
         try:
-            coords = gf2.coordinates_mod(tgt.section, tgt.denominator, img)
+            coords = gf2.coordinates_mod(tgt.section, tgt.denominator,
+                                         _image(fc, e.section))
         except ValueError as exc:
             raise NotAComplex(
                 f"differential at {(p, q)} leaves the target page space: {exc}")
-        if np.any(coords):
+        if any(coords):
             diffs[(p, q)] = coords
     return SpectralPage(r=r, entries=entries, differentials=diffs)
 
@@ -197,7 +184,7 @@ def page(fc, r):
 def check_page_squares_to_zero(pg):
     for (p, q), M in pg.differentials.items():
         M2 = pg.differentials.get((p - pg.r, q + pg.r - 1))
-        if M2 is not None and np.any(gf2.asgf2(M2 @ M)):
+        if M2 is not None and any(gf2.product(M2, c) for c in M):
             return False
     return True
 
@@ -218,19 +205,10 @@ def check_next_page_dims(fc, pg):
 def homology_dims(fc):
     """Brute-force Z2 homology dimensions per total degree (the oracle)."""
     out = {}
-    degs = sorted(set(fc.degrees))
-    for m in degs:
+    for m in sorted(set(fc.degrees)):
         cm = fc.degree_indices(m)
-        if not cm:
-            continue
-        cols = _embed(fc, cm)
-        dm = gf2.asgf2(fc.boundary @ cols)
-        rk_out = gf2.rank(dm)
-        up = fc.degree_indices(m + 1)
-        rk_in = 0
-        if up:
-            dup = gf2.asgf2(fc.boundary @ _embed(fc, up))
-            rk_in = gf2.rank(dup)
+        rk_out = gf2.rank([fc.boundary[i] for i in cm])
+        rk_in = gf2.rank([fc.boundary[i] for i in fc.degree_indices(m + 1)])
         out[m] = len(cm) - rk_out - rk_in
     return {m: d for m, d in out.items() if d}
 
@@ -238,29 +216,15 @@ def homology_dims(fc):
 def first_page_check(fc):
     """Property (b): E^1_{p,q} = H_{p+q} of the associated graded complex."""
     pg = page(fc, 1)
-    lmin, lmax = fc.level_range()
-    for p in range(lmin, lmax + 1):
+    for p in sorted(set(fc.levels)):
         idx = [i for i in range(fc.size) if fc.levels[i] == p]
-        if not idx:
-            continue
-        pos = {i: k for k, i in enumerate(idx)}
-        D = np.zeros((len(idx), len(idx)), dtype=np.uint8)
-        for j in idx:
-            for i in range(fc.size):
-                if fc.boundary[i, j] and fc.levels[i] == p:
-                    D[pos[i], pos[j]] = 1
-        # homology of the graded piece per degree
+        at_p = _mask(idx)
+        # homology of the graded piece per degree; d lowers the degree by 1
         for m in sorted({fc.degrees[i] for i in idx}):
-            cm = [pos[i] for i in idx if fc.degrees[i] == m]
-            up = [pos[i] for i in idx if fc.degrees[i] == m + 1]
-            sub = D[:, cm]
-            rk_out = gf2.rank(sub[[pos[i] for i in idx
-                                   if fc.degrees[i] == m - 1], :]) if cm else 0
-            rk_in = 0
-            if up:
-                rk_in = gf2.rank(D[[pos[i] for i in idx
-                                    if fc.degrees[i] == m], :][:, up])
-            h = len(cm) - rk_out - rk_in
+            cm = [i for i in idx if fc.degrees[i] == m]
+            up = [i for i in idx if fc.degrees[i] == m + 1]
+            h = (len(cm) - gf2.rank([fc.boundary[i] & at_p for i in cm])
+                 - gf2.rank([fc.boundary[i] & at_p for i in up]))
             if pg.dim(p, m - p) != h:
                 return False
     return True
@@ -331,9 +295,7 @@ def barcode(fc):
     sharing its lowest entry until it is zero or opens a new pivot."""
     order = sorted(range(fc.size), key=lambda i: (fc.levels[i], i))
     pos = {i: k for k, i in enumerate(order)}
-    cols = [0] * fc.size
-    for i, j in zip(*np.nonzero(fc.boundary)):
-        cols[pos[j]] |= 1 << pos[i]
+    cols = [_mask(pos[i] for i in gf2.bits(fc.boundary[j])) for j in order]
     pivots = {}
     paired = set()
     bars = []
@@ -366,21 +328,19 @@ def check_convergence(fc, final):
                     + rank(rows of d_{m+1} at levels above p).
 
     dim F^p H_m changes only at the levels of C_m, so it is evaluated there."""
-    deg = np.array(fc.degrees, dtype=np.int64)
-    lev = np.array(fc.levels, dtype=np.int64)
     expected = {}
     for m in sorted(set(fc.degrees)):
-        cm = np.flatnonzero(deg == m)
-        cm = cm[np.argsort(lev[cm], kind="stable")]
-        lv = lev[cm]
-        d_m = fc.boundary[np.ix_(np.flatnonzero(deg == m - 1), cm)]
-        d_up = fc.boundary[np.ix_(cm, np.flatnonzero(deg == m + 1))]
+        cm = sorted(fc.degree_indices(m), key=lambda i: fc.levels[i])
+        lv = [fc.levels[i] for i in cm]
+        d_m = [fc.boundary[i] for i in cm]
+        d_up = [fc.boundary[i] for i in fc.degree_indices(m + 1)]
         rk_up = gf2.rank(d_up)
         prev = 0
-        # lv is sorted: its distinct levels without np.unique (numpy.ma)
-        for p in lv[np.r_[True, lv[1:] != lv[:-1]]].tolist():
-            k = int(np.searchsorted(lv, p, side="right"))   # |F^p C_m|
-            dim_f = k - gf2.rank(d_m[:, :k]) - rk_up + gf2.rank(d_up[k:, :])
+        for p in sorted(set(lv)):
+            k = bisect_right(lv, p)   # |F^p C_m|
+            above = _mask(cm[k:])
+            dim_f = (k - gf2.rank(d_m[:k]) - rk_up
+                     + gf2.rank([c & above for c in d_up]))
             if dim_f != prev:
                 expected[(p, m - p)] = dim_f - prev
             prev = dim_f
@@ -421,12 +381,10 @@ def novikov_filtration(C, window=None, indexing="plain"):
     stretch = C.N if indexing == "stretched" else 1
     T = truncate_to_window(C, window)
     width = lmax - lmin + 1
-    D = np.zeros((T.size, T.size), dtype=np.uint8)
-    for j, col in enumerate(T.boundary):
-        D[list(col), j] = 1
     fc = FilteredComplex.build(
         [d2 // 2 for _, d2 in T.generators],
-        [-(lmin + k % width) * stretch for k in range(T.size)], D,
+        [-(lmin + k % width) * stretch for k in range(T.size)],
+        [_mask(col) for col in T.boundary],
         names=[nm for nm, _ in T.generators])
     check_boundedness_formula(fc, C, window, stretch)
     return fc
@@ -518,12 +476,8 @@ def action_filtration(local_complex, data):
         degrees.append(d2 // 2)
         levels.append(rank_of[data.home[nm][0].action])
         names.append(nm)
-    n = local_complex.size
-    D = np.zeros((n, n), dtype=np.uint8)
-    for j, col in enumerate(local_complex.boundary):
-        for i, c in col.items():
-            if c % 2:
-                D[i, j] = 1
+    D = [_mask(i for i, c in col.items() if c % 2)
+         for col in local_complex.boundary]
     return FilteredComplex.build(degrees, levels, D, names=names)
 
 

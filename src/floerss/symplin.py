@@ -214,14 +214,16 @@ def intersection_basis(F, G):
     return q[:, :k]
 
 
-def check_symmetric(S):
+def check_symmetric(S, name):
     """Refuse (NotSymmetric) a member of the (m, n, n) stack S with
-    max |S - S^T| above ``_FRAME_TOL`` max(1, max |S|)."""
+    max |S - S^T| above ``_FRAME_TOL`` max(1, max |S|); the message calls
+    the matrix name."""
     asym = np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2))
     bad = asym > _FRAME_TOL * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
     if bad.any():
         worst = float(asym[np.argmax(bad)])
-        raise NotSymmetric(f"max |B - B^T| = {worst:.3e}", asymmetry=worst)
+        raise NotSymmetric(f"max |{name} - {name}^T| = {worst:.3e}",
+                           asymmetry=worst)
 
 
 def graph_frames(B):
@@ -233,7 +235,7 @@ def graph_frames(B):
         raise DimensionMismatch(f"B must be square, got {B.shape}")
     n = B.shape[-1]
     if B.size:
-        check_symmetric(B.reshape((-1, n, n)))
+        check_symmetric(B.reshape((-1, n, n)), "B")
     return np.concatenate([np.broadcast_to(np.eye(n), B.shape), B], axis=-2)
 
 
@@ -276,7 +278,7 @@ class SymmetricPath:
         S = self._raw(np.linspace(0.0, 1.0, 7))
         if S.shape[1:] != (2 * self.n, 2 * self.n):
             raise DimensionMismatch(f"sigma(t) has shape {S.shape[1:]}")
-        check_symmetric(S)
+        check_symmetric(S, "sigma(t)")
         return self
 
 

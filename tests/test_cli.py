@@ -517,6 +517,33 @@ def test_morse_command(tmp_path, capsys):
     assert rep["0"]["free_rank"] == 1 and rep["2"]["free_rank"] == 1
 
 
+def test_repeated_arrows_add_up_in_every_ring(tmp_path, capsys):
+    # two arrows a -> b of coefficient 1 are d(a) = 2b, as two trajectories
+    # of sign 1 are in a Morse complex; the last arrow used to replace the
+    # first (no torsion over Z, d(a) = b over Z2 and L2)
+    arrow = {"from": "a", "to": "b", "coeff": 1}
+    complex_doc = {"schema": "floerss/1", "kind": "complex", "N": 2,
+                   "generators": [{"name": "a", "deg2": 2},
+                                  {"name": "b", "deg2": 0}],
+                   "boundary": [arrow, arrow]}
+    morse_doc = {"schema": "floerss/1", "kind": "morse", "ring": "Z",
+                 "critical_points": [{"name": "a", "index": 1},
+                                     {"name": "b", "index": 0}],
+                 "trajectories": [{"from": "a", "to": "b", "sign": 1}] * 2}
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(morse_doc))
+    code, out, _ = run_cli(["morse", str(p), "--json"], capsys)
+    assert code == 0 and json.loads(out)["by_degree"]["0"]["torsion"] == [2]
+    want = {"Z": lambda rep: rep["by_degree"]["0"]["torsion"] == [2],
+            "Z2": lambda rep: rep["by_degree"] == {"0": {"betti": 1},
+                                                   "2": {"betti": 1}},
+            "L2": lambda rep: rep["free_rank"] == 2}
+    for ring, ok in want.items():
+        p.write_text(json.dumps(dict(complex_doc, ring=ring)))
+        code, out, err = run_cli(["homology", str(p), "--json"], capsys)
+        assert code == 0 and ok(json.loads(out)), (ring, out, err)
+
+
 def test_benchmark_tracer_binds_every_layer():
     # the traced benchmark wraps the layers' public names by string;
     # installing it (every traced module is imported with floerss.cli)
@@ -1062,3 +1089,15 @@ def test_asymmetric_graph_coefficients_are_refused(tmp_path, capsys):
     p.write_text(json.dumps(doc([[-0.5, 3.0], [3.0 + 1e-12, 0.2]])))
     code, out, err = run_cli(["rs-index", str(p)], capsys)
     assert (code, err) == (0, "") and out.startswith("rs_index: ")
+
+
+def test_asymmetric_sigma_is_refused_by_name(tmp_path, capsys):
+    # the refusal names the matrix it refuses: sigma(t) here, B for a graph
+    p = tmp_path / "sigma.json"
+    p.write_text(json.dumps(dict(_SPEC, schema="floerss/1",
+                                 sigma={"constant": [[0, 2], [0, 0]]})))
+    code, out, err = run_cli(["spectrum", str(p), "--json"], capsys)
+    assert (code, out) == (1, "")
+    refusal = json.loads(err)
+    assert refusal["error"] == "NotSymmetric" and refusal["asymmetry"] == 2.0
+    assert refusal["message"] == "max |sigma(t) - sigma(t)^T| = 2.000e+00"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,13 @@ from conftest import make_rng
 
 def two_step_acyclic():
     return ss.FilteredComplex.build(degrees=[1, 0], levels=[1, 0],
-                                    boundary=[[0, 0], [1, 0]])
+                                    boundary=gf2.asgf2([[0, 0], [1, 0]]))
 
 
 def test_trivial_filtration_first_page_is_homology():
     fc = ss.FilteredComplex.build(degrees=[0, 1, 1, 2], levels=[0, 0, 0, 0],
-                                  boundary=[[0, 1, 0, 0], [0, 0, 0, 0],
-                                            [0, 0, 0, 0], [0, 0, 0, 0]])
+                                  boundary=gf2.asgf2([[0, 1, 0, 0], [0, 0, 0, 0],
+                                                      [0, 0, 0, 0], [0, 0, 0, 0]]))
     p1 = ss.page(fc, 1)
     H = ss.homology_dims(fc)
     assert {q: d for (p, q), d in p1.dims().items()} == H
@@ -73,9 +76,8 @@ def _random_filtered_complex(rng, dim=12, max_level=3, max_deg=4):
 
 def _gf2_inverse(T):
     n = T.shape[0]
-    aug = np.concatenate([T.copy() % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    R, piv = gf2.rref(aug)
-    return R[:, n:]
+    X = gf2.solve(gf2.asgf2(T), [1 << k for k in range(n)])
+    return np.array([[x >> i & 1 for x in X] for i in range(n)], dtype=np.uint8)
 
 
 def test_random_filtered_complexes_against_oracle():
@@ -259,13 +261,13 @@ def test_action_single_component_trivial_filtration():
 def test_filtration_violation_guard():
     with pytest.raises(FiltrationViolated):
         ss.FilteredComplex.build(degrees=[1, 0], levels=[0, 1],
-                                 boundary=[[0, 0], [1, 0]])
+                                 boundary=gf2.asgf2([[0, 0], [1, 0]]))
 
 
 def test_build_reports_the_first_offending_entry_column_major():
     with pytest.raises(NotAComplex) as exc:
         ss.FilteredComplex.build(degrees=[0, 0], levels=[0, 0],
-                                 boundary=[[0, 1], [0, 0]])
+                                 boundary=gf2.asgf2([[0, 1], [0, 0]]))
     assert str(exc.value) == "boundary entry 0<-1 changes degree by 0"
     # entries 1<-0 and 0<-2 both raise the level (d . d = 0 through e3);
     # column 0 comes first although row 0 would in row-major order
@@ -273,14 +275,14 @@ def test_build_reports_the_first_offending_entry_column_major():
     D[1, 0] = D[0, 2] = D[3, 2] = D[1, 3] = 1
     with pytest.raises(FiltrationViolated) as exc:
         ss.FilteredComplex.build(degrees=[1, 0, 2, 1], levels=[0, 1, -1, 1],
-                                 boundary=D)
+                                 boundary=gf2.asgf2(D))
     assert str(exc.value) == ("boundary entry 1<-0 raises the filtration "
                               "level 0 -> 1")
     # a degree change in an earlier column wins over a later level raise
     with pytest.raises(NotAComplex) as exc:
         ss.FilteredComplex.build(degrees=[1, 1, 1, 0], levels=[0, 0, 0, 1],
-                                 boundary=[[0, 0, 0, 0], [1, 0, 0, 0],
-                                           [0, 0, 0, 0], [0, 0, 1, 0]])
+                                 boundary=gf2.asgf2([[0, 0, 0, 0], [1, 0, 0, 0],
+                                                     [0, 0, 0, 0], [0, 0, 1, 0]]))
     assert str(exc.value) == "boundary entry 1<-0 changes degree by 0"
 
 
@@ -399,6 +401,26 @@ def test_fast_paths_build_no_literal_page(monkeypatch):
     for fc in fcs:
         assert ss.e_infinity(fc)[2]
         ss.nontrivial_pages(fc, 2)
+
+
+def test_exact_layer_imports_no_numpy():
+    # gf2, novikov and specseq keep Z2 matrices as Python-int columns: a
+    # fresh process that computes pages and Z2 homology never loads numpy
+    code = """if True:
+        import sys
+        from floerss import gf2, novikov, specseq as ss
+        fc = ss.FilteredComplex.build([1, 0, 1], [1, 0, 0],
+                                      gf2.asgf2([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+        assert ss.barcode(fc).page(1).dims() == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        assert ss.e_infinity(fc)[1:] == (2, True)
+        C = novikov.GradedFreeComplex.build("Z2", [("a", 2), ("b", 0)], {0: {1: 1}})
+        assert novikov.homology(C)["by_degree"] == {0: {"betti": 0}, 2: {"betti": 0}}
+        print("numpy" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # -- valuation structure -------------------------------------------------------------------
