@@ -126,9 +126,27 @@ def _frame_interpolant(A, reach):
     return at
 
 
-# the screen's margin over the movement bound of a cell, and the locator's
-# most secant rounds and settled step, relative to the bracket width
-_SCREEN_MARGIN, _SECANT_ROUNDS, _SETTLED = 1e-6, 6, 1e-3
+# the screen's margin over the movement bound of a cell and the relative
+# slack of its gap bound, and the locator's most secant rounds and settled
+# step, relative to the bracket width
+_SCREEN_MARGIN, _BOUND_SLACK, _SECANT_ROUNDS, _SETTLED = 1e-6, 1e-9, 6, 1e-3
+
+
+def _gap_bound(W):
+    """A lower bound of the distance of the spectrum of each unitary of the
+    stack W from 1, less a relative slack ``_BOUND_SLACK`` for rounding.
+
+    G = 2 I - W - W^H has the eigenvalues |lambda_j - 1|^2, so det G =
+    |det(W - I)|^2 and tr G = 2 n - 2 Re tr W.  By AM-GM over the other
+    n - 1 eigenvalues, each at most tr G / (n - 1), the least one is at
+    least |det(W - I)|^2 ((n - 1) / tr G)^(n - 1); for n = 1 the bound is
+    |W - 1| itself.
+    """
+    n = W.shape[-1]
+    det = np.abs(W[:, 0, 0] - 1.0 if n == 1 else np.linalg.det(W - np.eye(n)))
+    trace = 2.0 * n - 2.0 * np.trace(W, axis1=-2, axis2=-1).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (1.0 - _BOUND_SLACK) * det * ((n - 1) / trace) ** (0.5 * (n - 1))
 
 
 def _may_count(W):
@@ -145,14 +163,21 @@ def _may_count(W):
     reaches angle 0, the angles at the other end stay off 0 too, and the
     count is 0.  So a cell is kept only when both of its ends have an
     eigenvalue within f of 1.  The distance of the spectrum from 1 is the
-    square root of the least eigenvalue of the Hermitian 2 I - W - W^H.
-    Both bounds carry ``_SCREEN_MARGIN``.
+    square root of the least eigenvalue of the Hermitian 2 I - W - W^H; it
+    is computed only at the samples whose lower bound (``_gap_bound``) does
+    not already exceed f of both of their cells, since such a sample drops
+    both cells whatever the exact distance is.  Both bounds carry
+    ``_SCREEN_MARGIN``.
     """
     n = W.shape[-1]
     D = W[1:] - W[:-1]
     f = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(-2, -1))) + _SCREEN_MARGIN
-    G = 2.0 * np.eye(n) - W - np.swapaxes(W.conj(), -1, -2)
-    gap = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0))
+    gap = _gap_bound(W)
+    # the larger f of the cells on either side of each sample
+    near = np.flatnonzero(~(gap > np.maximum(np.r_[f, 0.0], np.r_[0.0, f])))
+    Wn = W[near]
+    G = 2.0 * np.eye(n) - Wn - np.swapaxes(Wn.conj(), -1, -2)
+    gap[near] = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0))
     return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.maximum(gap[:-1], gap[1:]) <= f)
 
 

@@ -21,14 +21,16 @@ Every fundamental solution comes from one flow mechanism:
   batched classical RK4 over a batch of shifts rho (generator
   J sigma + rho J).  The RK4 step is a matrix, M_{k+1} = P_k(rho) M_k, and
   a polynomial of degree 4 in rho whose matrix coefficients
-  (``_step_maps``) are built once per flow from the samples.  A shifted
-  flow multiplies consecutive steps into pair maps P_{2k+1} P_{2k} of
-  degree 8 (``_pair_maps``), so a pass evaluates the maps of a block as
-  one stack and pays one product per member and pair; the rho-free flows
-  keep one map per step.  Every ``_PROJECT_EVERY`` steps and after the
-  last step the symplectic drift is checked: above
-  ``_SYMPLECTIC_DRIFT_LIMIT`` StepTooLarge is raised, above
-  ``_SYMPLECTIC_DRIFT_TOL`` the state is projected back onto Sp(2n).
+  (``_step_maps``, from the nested form of the step) are built once per
+  flow from the samples.  A shifted flow multiplies consecutive steps into
+  pair maps P_{2k+1} P_{2k} of degree 8 (``_pair_maps``), so a pass
+  evaluates the maps of a block as one stack and multiplies them pairwise
+  in a tree, one product per member and pair of maps at each level; the
+  rho-free flows keep one map per step.  Every ``_PROJECT_EVERY`` steps
+  and after the last step the symplectic drift is checked: above
+  ``_SYMPLECTIC_DRIFT_LIMIT`` StepTooLarge is raised (naming the drift,
+  the step count and the largest |rho|), above ``_SYMPLECTIC_DRIFT_TOL``
+  the state is projected back onto Sp(2n).
 * ``FundamentalFlow`` (all states, each block's from the prefix products
   of its step maps; a batch of t-queries is one stack of partial step
   maps) and ``shifted_flows`` (the nodes and oracle probes of the spectrum
@@ -368,93 +370,72 @@ def _stage_samples(sigma, step):
 
 
 # Most entries (B x maps x d x d) in one block of evaluated maps of ``_rk4``,
-# or one map when a single map holds more; 2^15 raised the peak RSS of 100
-# spectrum jobs by 0.5 MB and was no faster.  ``_coefficients`` builds the
-# coefficients in chunks whose (steps, d, d) temporaries hold at most
-# _CHUNK_ENTRIES entries.
-_BLOCK_ENTRIES = 2 ** 14
+# or one map when a single map holds more: with the copy-free product tree,
+# a 36-shift pass at n = 4 took 1.24 ms at 2^14, 0.99 ms at 2^16 and no
+# less at 2^17.  ``_coefficients`` builds the coefficients in chunks whose
+# (steps, d, d) temporaries hold at most _CHUNK_ENTRIES entries.
+_BLOCK_ENTRIES = 2 ** 16
 _CHUNK_ENTRIES = 2 ** 12
-
-
-def _add_Jx(k, x):
-    """k += J_std x on (..., d, d) stacks, in place: a signed swap of the
-    row blocks of x."""
-    n = x.shape[-2] // 2
-    k[..., :n, :] -= x[..., n:, :]
-    k[..., n:, :] += x[..., :n, :]
-    return k
-
-
-def _xJ(x, c):
-    """x (c J_std) on a (..., d, d) stack, for a scalar or (..., 1, 1) c: a
-    signed swap of the column blocks of x, times c."""
-    n = x.shape[-1] // 2
-    out = np.empty_like(x)
-    np.multiply(x[..., n:], c, out=out[..., :n])
-    np.multiply(x[..., :n], -c, out=out[..., n:])
-    return out
 
 
 def _step_maps(g1, g2, g4, h, shifted=False):
     """The classical RK4 steps of dM/dt = (g(t) + rho J) M as polynomials in
-    rho, M_{k+1} = P(rho) M_k: with stage generators g1, g2, g4 ((s, d, d)
-    stacks) and step h (a scalar or an (s, 1, 1) stack),
-    P = I + h/6 (k1 + 2 k2 + 2 k3 + k4), k1 = g1 + rho J,
-    k2 = (g2 + rho J)(I + h/2 k1), k3 = (g2 + rho J)(I + h/2 k2) and
-    k4 = (g4 + rho J)(I + h k3).  Returns the (m, s, d, d) coefficients C,
-    P(rho) = sum_j rho^j C[j] + (h^4 / 24) rho^4 I: m = 4 if shifted,
-    else m = 1, the rho-free step maps P(0) alone.
+    rho, M_{k+1} = P(rho) M_k, with stage generators g1, g2, g4 ((s, d, d)
+    stacks) and step h (a scalar or an (s, 1, 1) stack), from the nested
+    form of the step: with A_i = g_i + rho J and c = h/2,
+    P = (h/6) A1 + (2/3) v + (1/3) w + (h/6) A4 w, where u = I + c A1,
+    v = I + c A2 u and w = I + h A2 v.  Returns the (m, s, d, d)
+    coefficients C, P(rho) = sum_j rho^j C[j] + (h^4 / 24) rho^4 I: m = 4
+    if shifted, else m = 1, the rho-free step maps P(0) alone.
 
-    The coefficient of rho^j in k_i is k_i[j]; with c = h/2, k2[2] = -c I,
-    k3[3] = -c^2 J, and the rest of the coefficients past k_i[i - 1] are 0.
-    Products with J are signed block swaps, products with these multiples
-    of I and J are scalings, so a step takes six stacked products when
-    shifted and three otherwise.  Every entry is rounded as in the dense
-    products with J, I and 0, so C is bitwise that of the dense formula.
+    v, w and A4 w have degrees 2, 3 and 4 in rho, with the top
+    coefficients -c^2 I, -h c^2 J and h c^2 I, so the stacks V (2
+    coefficients), W (3) and C (4) hold the rest and the tops enter as
+    constants.  A shifted step takes 14 stacked d x d products (eight with
+    g2 or g4, six with J), the rho-free step three.  A product with a
+    multiple of J has one nonzero term per entry, so C is bitwise that of
+    the dense nested formula on zero-padded coefficients.
     """
-    # sums in place: on a large stack every temporary is a fresh allocation
     d = g1.shape[-1]
-    eye, c = np.eye(d), 0.5 * h
-    C = np.empty((4 if shifted else 1, len(g1), d, d))
-    # k2 = (g2 + rho J) x with x = I + c k1
-    x0 = g1 * c
-    x0 += eye
-    k2 = [g2 @ x0]
+    eye, J = np.eye(d), J_std(d // 2)
+    c = 0.5 * h
+    q = c * c
+    m = (2, 3, 4) if shifted else (1, 1, 1)
+    # v[0] = I + c g2 u0, v[1] = c (g2 (c J) + J u0), u0 = I + c g1
+    u = g1 * c
+    u += eye
+    V = np.empty((m[0],) + u.shape)
+    np.matmul(g2, u, out=V[0])
     if shifted:
-        k2.append(_add_Jx(_xJ(g2, c), x0))
-    # k3 = (g2 + rho J) x with x = I + c k2, x[2] = -q I
-    x = [k * c for k in k2]
-    x[0] += eye
-    k3 = [g2 @ xj for xj in x]
+        np.matmul(g2, c * J, out=V[1])
+        V[1] += J @ u
+    V *= c
+    V[0] += eye
+    # w[j] = h (g2 v[j] + J v[j - 1]) (+ I at j = 0), v[2] = -c^2 I
+    W = np.empty((m[1],) + u.shape)
+    np.matmul(g2, V, out=W[:m[0]])
     if shifted:
-        q = c * c
-        _add_Jx(k3[1], x[0])
-        k3.append(_add_Jx(g2 * -q, x[1]))
-    # k4 = (g4 + rho J) x with x = I + h k3, x[3] = -(h q) J
-    x = [k * h for k in k3]
-    x[0] += eye
-    k4 = [g4 @ xj for xj in x]
+        np.multiply(g2, -q, out=W[2])
+        W[1:] += J @ V
+    W *= h
+    W[0] += eye
+    # C[j] = (h/6) (g4 w[j] + J w[j - 1] + A1[j]) + w[j] / 3 + 2 v[j] / 3,
+    # w[3] = -h c^2 J
+    C = np.empty((m[2],) + u.shape)
+    np.matmul(g4, W, out=C[:m[1]])
     if shifted:
-        _add_Jx(k4[1], x[0])
-        _add_Jx(k4[2], x[1])
-        k4.append(_add_Jx(_xJ(g4, -(h * q)), x[2]))
-    # P = I + h/6 (((2 k2 + k1) + 2 k3) + k4) in the dense order, where
-    # k1 = (g1, J, 0, 0), k2[2] = -c I, k2[3] = 0 and k3[3] = -q J
-    k1 = [g1, J_std(d // 2)]
+        np.matmul(g4, -(h * q) * J, out=C[3])
+        C[1:] += J @ W
+        C[1] += J
+    C[0] += g1
+    C *= h / 6.0
+    W *= 1.0 / 3.0
+    C[:m[1]] += W
+    V *= 2.0 / 3.0
+    C[:m[0]] += V
     if shifted:
-        k2.append(-c * eye)
-        k3.append(-q * J_std(d // 2))
-    for j, out in enumerate(C):
-        if j < 3:
-            np.multiply(k2[j], 2.0, out=out)
-            if j < 2:
-                out += k1[j]
-            out += k3[j] * 2.0
-        else:
-            np.multiply(k3[j], 2.0, out=out)
-        out += k4[j]
-        out *= h / 6.0
-    C[0] += eye
+        C[2] += (-q * (2.0 / 3.0)) * eye
+        C[3] += (-(h * q) * (1.0 / 3.0)) * J
     return C
 
 
@@ -488,13 +469,16 @@ def _coefficients(sigma, step, shifted=False):
     [0, 1], (m, maps, d, d), built from the stage samples
     (``_stage_samples``); the samples are dropped once C exists.
 
-    Rho-free (m = 1), a map is one step (``_step_maps``).  Shifted (m = 9),
-    a map is a pair of consecutive steps (``_pair_maps``), and an odd last
-    step is a map of its own, its coefficients past rho^4 zero.  The steps
-    are taken in chunks of at most _CHUNK_ENTRIES // d^2 steps (one map
-    when a map holds more), an even number when shifted, so that each
-    (steps, d, d) temporary of ``_step_maps`` and each (pairs, d, d)
-    product of ``_pair_maps`` holds at most ``_CHUNK_ENTRIES`` entries.
+    Rho-free (m = 1), a map is one step (``_step_maps``, three stacked
+    products per step).  Shifted (m = 9), a map is a pair of consecutive
+    steps (``_pair_maps`` of the degree-4 step maps, 14 stacked products
+    per step), and an odd last step is a map of its own whose coefficients
+    past rho^4 are zero; ``_rk4`` counts it as one step by its zero rho^8
+    coefficient.  The steps are taken in chunks of at most
+    _CHUNK_ENTRIES // d^2 steps (one map when a map holds more), an even
+    number when shifted, so that each (steps, d, d) temporary of
+    ``_step_maps`` and each (pairs, d, d) product of ``_pair_maps`` holds
+    at most ``_CHUNK_ENTRIES`` entries.
     """
     h, G = _stage_samples(sigma, step)
     nsteps, d = (len(G) - 1) // 2, G.shape[-1]
@@ -540,20 +524,24 @@ def _rk4(C, rhos, keep=False):
     a map of degree 4k spans k steps, a rho-free one (which serves rhos =
     [0] only) one step.  The maps are taken in blocks: the maps of a block,
     evaluated at every rho (``_evaluate``), are one stack of at most
-    ``_BLOCK_ENTRIES`` entries; without keep they are multiplied pairwise
-    and applied to M once, with keep their prefix products are formed by
-    doubling (log2 of the block's length stacked products) and applied to M
-    as one stack.  No block crosses a checkpoint: every ``_PROJECT_EVERY``
-    steps and after the last map, the drift max |M^T J M - J| of each member
-    is checked: above ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large
-    (StepTooLarge), above ``_SYMPLECTIC_DRIFT_TOL`` the member is projected
+    ``_BLOCK_ENTRIES`` entries.  Without keep they are multiplied pairwise,
+    level by level and without copies; a level of odd length first applies
+    its earliest map to M, and the last product is applied to M.  With
+    keep their prefix products are formed by doubling (log2 of the block's
+    length stacked products) and applied to M as one stack.  No block
+    crosses a checkpoint: every ``_PROJECT_EVERY`` steps and after the last
+    map, the drift max |M^T J M - J| of each member is checked: above
+    ``_SYMPLECTIC_DRIFT_LIMIT`` the step is too large (StepTooLarge, with
+    the drift, the limit, the flow's step count and the largest |rho| of
+    the batch), above ``_SYMPLECTIC_DRIFT_TOL`` the member is projected
     back onto Sp(2n).  Returns the (B, d, d) end states, or with keep the
     state after every map, shaped (B, maps + 1, d, d).
     """
     m, nmaps, d = C.shape[0], C.shape[1], C.shape[-1]
     J = J_std(d // 2)
     powers = np.vander(np.asarray(rhos, dtype=float), m, increasing=True)
-    every = _PROJECT_EVERY // max(1, (m - 1) // 4)
+    per = max(1, (m - 1) // 4)
+    every = _PROJECT_EVERY // per
     M = np.broadcast_to(np.eye(d), (len(powers), d, d)).copy()
     states = np.empty((len(M), nmaps + 1, d, d)) if keep else None
     if keep:
@@ -573,18 +561,23 @@ def _rk4(C, rhos, keep=False):
             M = np.matmul(P, M[:, None], out=states[:, k + 1:end + 1])[:, -1]
         else:
             while P.shape[1] > 1:
-                half = P.shape[1] // 2
-                P = np.concatenate([P[:, 1:2 * half:2] @ P[:, 0:2 * half:2],
-                                    P[:, 2 * half:]], axis=1)
+                if P.shape[1] % 2:
+                    M, P = P[:, 0] @ M, P[:, 1:]
+                P = P[:, 1::2] @ P[:, 0::2]
             M = P[:, 0] @ M
         k = end
         if k % every == 0 or k == nmaps:
             drift = _drift(M, J)
             worst = float(np.max(drift, initial=0.0))
             if worst > _SYMPLECTIC_DRIFT_LIMIT:
+                # a lone last step is a map whose top coefficient is zero
+                steps = per * nmaps - (per == 2 and not C[-1, -1].any())
+                max_rho = float(np.max(np.abs(rhos)))
                 raise StepTooLarge(
-                    f"symplectic drift {worst:.3e} above hard limit; decrease step",
-                    drift=worst)
+                    f"symplectic drift {worst:.3e} above the hard limit "
+                    f"{_SYMPLECTIC_DRIFT_LIMIT:.0e} of a flow of {steps} RK4 "
+                    f"steps at |rho| up to {max_rho:.6g}", drift=worst,
+                    limit=_SYMPLECTIC_DRIFT_LIMIT, steps=steps, max_rho=max_rho)
             off = drift > _SYMPLECTIC_DRIFT_TOL
             if np.any(off):
                 M[off] = project_symplectic(M[off])

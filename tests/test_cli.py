@@ -482,6 +482,29 @@ def test_spectrum_window_cap(tmp_path, capsys, monkeypatch):
     assert refusal["error"] == "GridTooCoarse" and refusal["nodes"] > 2 ** 10
 
 
+def test_step_too_large_names_what_the_flow_needed(tmp_path, capsys):
+    # sigma(t) = 0.3 t I with L1 = e^{0.7 J} L0 at window 402: the RK4 flow
+    # of the spectrum interpolant drifts off Sp(2) at |rho| about 400.  The
+    # refusal names the drift, the limit, the step count and the largest
+    # |rho|, and no step to decrease, which no flag or field sets.  Making
+    # the step follow the window may move where this refusal starts
+    doc = {"schema": "floerss/1", "kind": "spectrum", "n": 1,
+           "sigma": {"poly": [[[0, 0], [0, 0]], [[0.3, 0], [0, 0.3]]]},
+           "boundary": [[[1], [0]], [[np.cos(0.7)], [np.sin(0.7)]]],
+           "window": 402}
+    p = tmp_path / "drift.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(["spectrum", str(p), "--json"], capsys)
+    assert (code, out) == (1, "")
+    refusal = json.loads(err)
+    assert refusal["error"] == "StepTooLarge"
+    assert refusal["drift"] > refusal["limit"] == 1e-3
+    assert refusal["steps"] == 1000 and 402 <= refusal["max_rho"] < 403
+    assert "decrease step" not in refusal["message"]
+    for value in ("1000 RK4 steps", f"{refusal['max_rho']:.6g}", "1e-03"):
+        assert value in refusal["message"]
+
+
 def test_pozniak_and_quantum_commands(tmp_path, capsys):
     doc = {"schema": "floerss/1", "kind": "intersection", "N": 4,
            "components": [{"name": "C", "dim": 1, "betti": [1, 1]}]}
@@ -756,6 +779,17 @@ def fuzz_jobs(draw):
     return cmd, doc, as_json
 
 
+def _write_fresh(directory, doc):
+    """Write doc as JSON to a new file of directory and return its path: on
+    some file systems truncating and rewriting a small file costs thousands
+    of times more than creating one, and the loops over many documents
+    would measure little else."""
+    fd, path = tempfile.mkstemp(suffix=".json", dir=directory)
+    with os.fdopen(fd, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
 def _run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -802,13 +836,11 @@ def test_cli_contract_on_every_single_mutation():
     # of the fuzzed test
     runs = 0
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "doc.json")
         for cmd, body in FUZZ_TEMPLATES:
             doc = dict({"schema": "floerss/1"}, **body)
             for where in _paths(doc):
                 for value in FUZZ_ATOMS + [DELETE]:
-                    with open(path, "w") as fh:
-                        json.dump(_mutate(doc, where, value), fh)
+                    path = _write_fresh(d, _mutate(doc, where, value))
                     for c in (cmd, "validate"):
                         try:
                             _assert_contract(*_run_quiet([c, path]))
@@ -821,10 +853,9 @@ def test_cli_contract_on_every_single_mutation():
 def test_validate_accepts_every_template(tmp_path, capsys):
     # validate parses each kind with its commands' own parse code, which
     # refuses the ungraded L2 complex as homology does
-    p = tmp_path / "doc.json"
     for _, body in FUZZ_TEMPLATES:
-        p.write_text(json.dumps(dict({"schema": "floerss/1"}, **body)))
-        code, out, err = run_cli(["validate", str(p), "--json"], capsys)
+        p = _write_fresh(tmp_path, dict({"schema": "floerss/1"}, **body))
+        code, out, err = run_cli(["validate", p, "--json"], capsys)
         if body.get("ring") == "L2":
             assert (code, json.loads(err)["error"]) == (1, "NotAComplex")
             continue
@@ -856,15 +887,14 @@ def test_ss_accepts_its_choices(tmp_path, capsys):
     # every filtration and indexing, and a null or integer lambda_window,
     # is answered by ss and accepted by validate; a null window is the
     # default window
-    p = tmp_path / "doc.json"
     outs = []
     for change in ({}, {"lambda_window": None}, {"indexing": "plain"},
                    {"lambda_window": [-20, 20]}, {"filtration": "action"}):
-        p.write_text(json.dumps(dict(SS_DOC, **change)))
-        code, out, err = run_cli(["ss", str(p), "--json"], capsys)
+        p = _write_fresh(tmp_path, dict(SS_DOC, **change))
+        code, out, err = run_cli(["ss", p, "--json"], capsys)
         assert (code, err) == (0, ""), change
         outs.append(out)
-        assert run_cli(["validate", str(p)], capsys)[0] == 0
+        assert run_cli(["validate", p], capsys)[0] == 0
     assert outs[0] == outs[1]
 
 

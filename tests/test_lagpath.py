@@ -1106,6 +1106,82 @@ def test_screen_keeps_every_cell_that_counts():
     assert kept < 0.5 * total
 
 
+def _eigvalsh_screen(W):
+    """The mask of ``spectrum._may_count`` with the distance of every
+    sample's spectrum from 1 taken from the Hermitian eigenvalue problem."""
+    from floerss import spectrum as sp
+    n = W.shape[-1]
+    D = W[1:] - W[:-1]
+    f = np.sqrt(np.sum(D.real ** 2 + D.imag ** 2, axis=(-2, -1))) + sp._SCREEN_MARGIN
+    G = 2.0 * np.eye(n) - W - np.swapaxes(W.conj(), -1, -2)
+    gap = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0))
+    return (f >= 2.0 * np.sin(np.pi / (2 * n))) | (np.maximum(gap[:-1], gap[1:]) <= f)
+
+
+def _unitaries(rng, theta):
+    """Q diag(e^{i theta_k}) Q^H for each row theta_k of theta, one random
+    unitary Q for all rows."""
+    n = theta.shape[-1]
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (Q * np.exp(1j * theta)[:, None, :]) @ Q.conj().T
+
+
+def test_screen_mask_equals_the_eigvalsh_mask():
+    # the determinant bound only skips eigenvalue problems: the mask is the
+    # all-eigvalsh one on unitaries whose first eigenvalue passes 1e-9 to
+    # 1e-2 from 1 in steps of 1e-3 to 0.1 (the others stay 1.6 or more from
+    # 1, where |det(W - I)| alone exceeds the distance), and on the Souriau
+    # scans of random operators, where most samples skip it
+    from floerss import spectrum as sp
+    rng = make_rng(135)
+    for n in (1, 2, 3, 4):
+        for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, -1e-5, -1e-2):
+            for step in (1e-3, 1e-2, 0.1):
+                theta = np.empty((41, n))
+                theta[:, 0] = delta + step * np.arange(-20, 21)
+                theta[:, 1:] = rng.uniform(2.0, 2 * np.pi - 2.0, n - 1)
+                theta[:, 1:] += 0.3 * step * np.arange(41)[:, None]
+                W = _unitaries(rng, theta)
+                assert np.array_equal(sp._may_count(W), _eigvalsh_screen(W)), \
+                    (n, delta, step)
+    settled = total = 0
+    for n in (1, 2, 3, 4):
+        A = sp.AsymptoticOperator(n=n, sigma=random_sigma_poly(rng, n, degree=2),
+                                  boundary=(random_lagrangian(rng, n),
+                                            random_lagrangian(rng, n)))
+        for window in (2 * np.pi, 4 * np.pi):
+            W = _spectral_samples(A, window, 384)[1]
+            assert np.array_equal(sp._may_count(W), _eigvalsh_screen(W)), (n, window)
+            f = np.linalg.norm(W[1:] - W[:-1], axis=(-2, -1)) + sp._SCREEN_MARGIN
+            settled += np.count_nonzero(
+                sp._gap_bound(W) > np.maximum(np.r_[f, 0], np.r_[0, f]))
+            total += len(W)
+    assert settled > 0.5 * total
+
+
+def test_gap_bound_never_exceeds_the_gap():
+    # on random unitaries whose spectrum lies at least 1e-2 from 1, where
+    # the Hermitian eigenvalue problem gives the distance to far better than
+    # the bound's relative slack; for n = 1 the bound is that distance less
+    # the slack, so without the slack it exceeds it by rounding.  The bound
+    # is at least (gap / 2)^n / 2: the other factors of |det(W - I)| are at
+    # least the gap, and tr G is at most 4 n
+    from floerss import spectrum as sp
+    rng = make_rng(136)
+    for n in (1, 2, 3, 4):
+        theta = rng.uniform(0.0, 2 * np.pi, (400, n))
+        theta[:, 0] = rng.choice([-1.0, 1.0], 400) * np.exp(
+            rng.uniform(np.log(1e-2), np.log(np.pi), 400))
+        W = _unitaries(rng, theta)
+        G = 2.0 * np.eye(n) - W - np.swapaxes(W.conj(), -1, -2)
+        gap = np.sqrt(np.linalg.eigvalsh(G)[:, 0])
+        far = gap >= 1e-2
+        assert np.count_nonzero(far) > 300
+        bound = sp._gap_bound(W)[far]
+        assert np.all(bound <= gap[far]), n
+        assert np.all(bound >= (gap[far] / 2) ** n / 2), n
+
+
 def test_locator_work_per_job(monkeypatch):
     # at the acceptance scan (window 2 pi, grid 384), where angles at every
     # sample and bisection took about 580 eigen-decompositions per job and

@@ -290,57 +290,62 @@ def test_step_map_blocks_stay_within_the_budget(monkeypatch):
 
 def _step_map(g1, g2, g4, h):
     """The RK4 step map P of dM/dt = g(t) M, M_{k+1} = P M_k, in the
-    operation order of ``symplin``'s rho-free step maps."""
-    eye = np.eye(g1.shape[-1])
-    x = np.multiply(g1, 0.5 * h)
-    x += eye
-    k2 = g2 @ x
-    np.multiply(k2, 0.5 * h, out=x)
-    x += eye
-    k3 = g2 @ x
-    np.multiply(k3, h, out=x)
-    x += eye
-    k4 = g4 @ x
-    k2 *= 2.0
-    k2 += g1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += eye
-    return k2
+    operation order of ``symplin``'s rho-free step maps: the nested form
+    P = (h/6) (g1 + g4 w) + w/3 + 2 v/3 with u = I + (h/2) g1,
+    v = I + (h/2) g2 u and w = I + h g2 v."""
+    eye, c = np.eye(g1.shape[-1]), 0.5 * h
+    u = g1 * c
+    u += eye
+    v = g2 @ u
+    v *= c
+    v += eye
+    w = g2 @ v
+    w *= h
+    w += eye
+    P = g4 @ w
+    P += g1
+    P *= h / 6.0
+    P += w * (1.0 / 3.0)
+    P += v * (2.0 / 3.0)
+    return P
 
 
 def _dense_step_maps(g1, g2, g4, h, shifted=False):
-    """The coefficients of ``symplin._step_maps`` by dense products with the
-    rho-coefficients of every stage, J, I and 0 included; h is a scalar or
-    an (s, 1, 1) stack."""
+    """The coefficients of ``symplin._step_maps`` from the nested form by
+    dense products of g_i and J with the rho-coefficients of u, v, w and
+    A4 w, zero-padded to degree m - 1 (the multiples of J and I and the
+    zeros included); h is a scalar or an (s, 1, 1) stack."""
     d = g1.shape[-1]
     J, eye = sl.J_std(d // 2), np.eye(d)
     h = np.asarray(h)[..., None] if np.ndim(h) else h
-    k1 = np.zeros((len(g1), 4 if shifted else 1, d, d))
-    k1[:, 0] = g1
-    k1[:, 1:2] = J
-    ks, x = [k1], np.empty_like(k1)
-    for g, c in ((g2, 0.5 * h), (g2, 0.5 * h), (g4, h)):
-        np.multiply(ks[-1], c, out=x)
-        x[:, 0] += eye
-        ks.append(g[:, None] @ x)
-        ks[-1][:, 1:] += J @ x[:, :-1]
-    k2, k3, k4 = ks[1:]
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2[:, 0] += eye
-    return k2
+    c, m = 0.5 * h, 4 if shifted else 1
+    u = np.zeros((len(g1), m, d, d))
+    u[:, :1] = g1[:, None] * c
+    u[:, 0] += eye
+    u[:, 1:2] = c * J
+    ks = [u]
+    # v = I + c A2 u, w = I + h A2 v, then A4 w, with A_i = g_i + rho J
+    for g, scale in ((g2, c), (g2, h), (g4, None)):
+        x = ks[-1]
+        y = g[:, None] @ x
+        y[:, 1:] += J @ x[:, :-1]
+        if scale is not None:
+            y *= scale
+            y[:, 0] += eye
+        ks.append(y)
+    _, v, w, P = ks
+    P[:, 0] += g1
+    P[:, 1:2] += J
+    P *= h / 6.0
+    P += w * (1.0 / 3.0)
+    P += v * (2.0 / 3.0)
+    return P
 
 
 def test_step_maps_equal_the_dense_products_bitwise():
-    # the swaps and scalings stand for the products with J, I and 0 entry
-    # by entry, for a scalar step and a stack of steps
+    # the structured stacks (top coefficients as constants, no zero
+    # coefficients) round every entry as the dense nested formula does, for
+    # a scalar step and a stack of steps
     rng = make_rng(49)
     for n in (1, 2, 3, 4):
         J = sl.J_std(n)
@@ -399,6 +404,26 @@ def test_pair_maps_are_products_of_two_step_maps():
                 want = P[1::2] @ P[0::2]
                 got = sl._evaluate(Q, powers)[0]
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+
+
+def test_shifted_flows_match_the_flow_of_each_shifted_path():
+    # one batched pass on pair maps of the rho-polynomial steps against the
+    # rho-free flow of sigma + rho I for each shift (single steps, rho in the
+    # samples), through the public entry points: a wrong coefficient, pair
+    # order or tree order fails; batches of 1, 36 and 387 shifts take
+    # different block and tree layouts in _rk4
+    rng = make_rng(51)
+    for n in (1, 2, 3, 4):
+        sigma = random_sigma_poly(rng, n, degree=2)
+        flows = sl.shifted_flows(sigma)
+        for B in (1, 36, 387):
+            rhos = rng.uniform(-12.0, 12.0, B)
+            rhos[[0, -1]] = 12.0, -12.0
+            got = flows(rhos)
+            for i in np.unique(np.linspace(0, B - 1, 9).astype(int)):
+                want = sl.fundamental_solution(sp._shifted_path(sigma, -rhos[i]))
+                assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want)), \
+                    (n, B, i)
 
 
 def test_empty_batches_give_empty_stacks():
@@ -502,6 +527,17 @@ def test_step_too_large(monkeypatch):
         sl.fundamental_solution(sig)
     with pytest.raises(StepTooLarge):
         sl.FundamentalFlow(sig)
+    # the refusal counts the flow's steps, a lone last step of a shifted
+    # flow as one, and names the largest |rho| of the batch
+    for step, steps in ((0.25, 4), (1.0 / 3.0, 3)):
+        monkeypatch.setattr(sl, "_ODE_STEP", step)
+        for run, max_rho in ((sl.fundamental_solution, 0.0),
+                             (lambda s: sl.shifted_flows(s)([0.5, -2.0]), 2.0)):
+            with pytest.raises(StepTooLarge) as info:
+                run(sig)
+            payload = info.value.payload
+            assert (payload["steps"], payload["max_rho"]) == (steps, max_rho)
+            assert payload["drift"] > payload["limit"] == sl._SYMPLECTIC_DRIFT_LIMIT
 
 
 def test_constancy_is_declared_by_constructors():
