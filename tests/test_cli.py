@@ -1131,3 +1131,25 @@ def test_asymmetric_sigma_is_refused_by_name(tmp_path, capsys):
     refusal = json.loads(err)
     assert refusal["error"] == "NotSymmetric" and refusal["asymmetry"] == 2.0
     assert refusal["message"] == "max |sigma(t) - sigma(t)^T| = 2.000e+00"
+
+
+@pytest.mark.parametrize("comps,limit,message", [
+    ([{"name": "C", "dim": 0, "mu": 0, "action_rank": 1},
+      {"name": "P", "dim": 0, "betti": [1], "mu": 2, "action_rank": 1}],
+     1, "schedule search exceeded the node limit"),
+    ([{"name": "C", "dim": 0, "mu": 0, "action_rank": 2},
+      {"name": "P", "dim": 0, "betti": [1], "mu": -1, "action_rank": 1}],
+     0, "local schedule enumeration too large")])
+def test_quantum_cases_search_limit(tmp_path, capsys, monkeypatch, comps,
+                                    limit, message):
+    # a search past its limit is a domain error: exit 1, one JSON object
+    from floerss import obstruct
+    monkeypatch.setattr(obstruct, "_CASE_NODE_LIMIT", limit)
+    p = tmp_path / "quantum.json"
+    p.write_text(json.dumps({"schema": "floerss/1", "kind": "intersection",
+                             "N": 4, "period": 2, "components": comps}))
+    code, out, err = run_cli(["quantum-cases", str(p), "--json"], capsys)
+    assert (code, out) == (1, "")
+    refusal = json.loads(err)
+    assert (refusal["error"], refusal["message"]) == (
+        "SearchSpaceExceeded", message)

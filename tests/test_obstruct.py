@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from floerss import obstruct as ob
-from floerss.errors import HypothesisNotMet
+from floerss.errors import HypothesisNotMet, SearchSpaceExceeded
 
 
 def test_possible_differentials_examples():
@@ -114,3 +116,68 @@ def test_witness_replay():
 def test_verdict_requires_witness():
     with pytest.raises(ValueError):
         ob.Verdict(kind="MustIntersect")
+
+
+def test_general_regime_witnesses():
+    # the first schedule of the depth-first search that kills E^1, and the
+    # untouched E^1 as the best remainder when none does
+    v = ob.displaceable_constraints([1, 3, 3, 1], 2)
+    assert v.witness == (("vanishing-schedule",), ("page", 2, ((1, 3),)),
+                         ("page", 4, ((0, 1),)))
+    v = ob.displaceable_constraints([1, 1, 2, 1], 2)
+    assert v.witness == (
+        ("search-exhausted", "no differential schedule kills all of E^1"),
+        ("best-remaining", ((0, 1), (1, 1), (2, 2), (3, 1))))
+
+
+def test_case_analysis_witnesses_with_a_local_differential():
+    # the unknown component sits one action step above a known circle one
+    # degree below it, so the local differential can hit the circle
+    comps = [{"name": "C", "dim": None, "betti": None, "mu": 0,
+              "action_rank": 2},
+             {"name": "P", "dim": 1, "betti": [1, 1], "mu": -1,
+              "action_rank": 1}]
+    res = ob.quantum_case_analysis(comps, N=3, period=1, max_rank=6, max_dim=2)
+    assert res.witnesses == {
+        (1, (1, 1)): (("local", 0, 1, 0, 1), ("local", 0, 1, 1, 1),
+                      ("empty",), ("stable", ())),
+        (2, (1, 0, 1)): (("local", 0, 1, 0, 1), ("page", 3, ((0, 1),)),
+                         ("stable", ())),
+        (2, (1, 1, 1)): (("page", 3, ((0, 1),)),
+                         ("stable", ((-1, 1), (0, 1), (1, 1)))),
+        (2, (1, 2, 1)): (("stable", ((-1, 1), (0, 2), (1, 2), (2, 1))),),
+        (2, (1, 3, 1)): (("local", 0, 1, 1, 1), ("page", 3, ((-1, 1),)),
+                         ("stable", ((0, 1), (1, 1), (2, 1)))),
+    }
+    assert res.profiles == tuple(sorted(res.witnesses))
+
+
+def test_closed_manifold_verdicts_digest():
+    # every verdict of the closed-manifold profiles of dims 0-5 at total
+    # rank 8, N = 1..6: kinds, forced isomorphisms and witnesses
+    verdicts = [ob.displaceable_constraints(list(betti), N)
+                for dim in range(6)
+                for betti in ob._closed_manifold_profiles(dim, 8)
+                for N in range(1, 7)]
+    assert len(verdicts) == 234
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+        "71e9827304906356e2a620d74e1ed502717085cf4bfd661197edb672a4c3576f")
+
+
+# equal action ranks: no local differential, only the schedule search
+_NO_LOCAL = [{"name": "C", "dim": 0, "betti": None, "mu": 0, "action_rank": 1},
+             {"name": "P", "dim": 0, "betti": [1], "mu": 2, "action_rank": 1}]
+# the point sits one action step below and one degree below the unknown
+_LOCAL = [{"name": "C", "dim": 0, "betti": None, "mu": 0, "action_rank": 2},
+          {"name": "P", "dim": 0, "betti": [1], "mu": -1, "action_rank": 1}]
+SEARCH_LIMITS = [(_NO_LOCAL, 1, "schedule search exceeded the node limit"),
+                 (_LOCAL, 0, "local schedule enumeration too large")]
+
+
+@pytest.mark.parametrize("comps,limit,message", SEARCH_LIMITS)
+def test_case_analysis_search_limits(monkeypatch, comps, limit, message):
+    assert ob.quantum_case_analysis(comps, N=4, period=2).profiles == (
+        (0, (1,)),)
+    monkeypatch.setattr(ob, "_CASE_NODE_LIMIT", limit)
+    with pytest.raises(SearchSpaceExceeded, match=message):
+        ob.quantum_case_analysis(comps, N=4, period=2)
