@@ -317,39 +317,37 @@ def _pearl_generators(data):
     return gens
 
 
+def _pearl_arrows(data):
+    """Generators and arrows (source, target, lambda exponent) of the pearl
+    complex: the Morse arrows at exponent 0, then the cascades."""
+    gens = _pearl_generators(data)
+    pos = {nm: i for i, (nm, _) in enumerate(gens)}
+    arrows = [(pos[s], pos[t], 0) for c in data.components
+              for s, t, _, _ in c.morse.trajectories]
+    arrows += [(pos[s], pos[t], data.lambda_exponent(s, t))
+               for s, t, *_ in data.cascades]
+    return gens, arrows
+
+
 def pearl_complex(data):
     """Pearl complex over Lambda_Z2: Morse arrows at l^0 plus cascade arrows
     at l^{(|q|-|p|+1)/N}; d . d = 0 is a hard construction gate."""
-    N = data.context.N
-    gens = _pearl_generators(data)
-    pos = {nm: i for i, (nm, _) in enumerate(gens)}
+    gens, arrows = _pearl_arrows(data)
     boundary = {}
-    for c in data.components:
-        for srcn, dstn, sign, label in c.morse.trajectories:
-            col = boundary.setdefault(pos[srcn], {})
-            prev = col.get(pos[dstn], LaurentPoly.zero())
-            col[pos[dstn]] = prev + LaurentPoly.one()
-    for (src, dst, sign, maslov, area) in data.cascades:
-        ell = data.lambda_exponent(src, dst)
-        col = boundary.setdefault(pos[src], {})
-        prev = col.get(pos[dst], LaurentPoly.zero())
-        col[pos[dst]] = prev + LaurentPoly.lam(ell)
-    return GradedFreeComplex.build(L2, gens, boundary, N=N)
+    for s, t, ell in arrows:
+        col = boundary.setdefault(s, {})
+        col[t] = col.get(t, LaurentPoly.zero()) + LaurentPoly.lam(ell)
+    return GradedFreeComplex.build(L2, gens, boundary, N=data.context.N)
 
 
 def local_pearl_complex(data):
     """Z2 complex keeping Morse arrows and only the cascades with exponent 0."""
-    gens = _pearl_generators(data)
-    pos = {nm: i for i, (nm, _) in enumerate(gens)}
+    gens, arrows = _pearl_arrows(data)
     boundary = {}
-    for c in data.components:
-        for srcn, dstn, sign, label in c.morse.trajectories:
-            col = boundary.setdefault(pos[srcn], {})
-            col[pos[dstn]] = (col.get(pos[dstn], 0) + 1) % 2
-    for (src, dst, sign, maslov, area) in data.cascades:
-        if data.lambda_exponent(src, dst) == 0:
-            col = boundary.setdefault(pos[src], {})
-            col[pos[dst]] = (col.get(pos[dst], 0) + 1) % 2
+    for s, t, ell in arrows:
+        if ell == 0:
+            col = boundary.setdefault(s, {})
+            col[t] = (col.get(t, 0) + 1) % 2
     return GradedFreeComplex.build(Z2, gens, boundary)
 
 

@@ -73,17 +73,15 @@ def render_page_table(dims):
     """Aligned (p, q) grid with a dot for zero entries."""
     if not dims:
         return ["(empty page)"]
-    items = {tuple(map(int, k.strip("()").split(","))) if isinstance(k, str)
-             else k: v for k, v in dims.items()}
-    ps = sorted({p for p, _ in items})
-    qs = sorted({q for _, q in items}, reverse=True)
-    width = max(3, max(len(str(v)) for v in items.values()) + 1)
+    ps = sorted({p for p, _ in dims})
+    qs = sorted({q for _, q in dims}, reverse=True)
+    width = max(3, max(len(str(v)) for v in dims.values()) + 1)
     head = "q\\p |" + "".join(f"{p:>{width}}" for p in ps)
     out = [head, "-" * len(head)]
     for q in qs:
         row = f"{q:>4}|"
         for p in ps:
-            v = items.get((p, q), 0)
+            v = dims.get((p, q), 0)
             row += f"{str(v) if v else '.':>{width}}"
         out.append(row)
     return out
@@ -207,9 +205,9 @@ def cmd_ss(doc, args):
     final, collapse_r, conv = ss.e_infinity(fc)
     return {
         "kind": "page_table",
-        "dims": {str(k): v for k, v in pg.dims().items()},
+        "dims": pg.dims(),
         "page": r,
-        "einf_dims": {str(k): v for k, v in final.dims().items()},
+        "einf_dims": final.dims(),
         "collapse_r": collapse_r,
         "convergence_ok": conv,
     }

@@ -6,14 +6,16 @@ All reasoning is on Z2 dimensions.  The first page of the Novikov sequence
 of a clean pair is Lambda (x) HF^loc; one lambda-period is stored as a map
 degree -> dimension, and a page-r differential (r = rbar * N in the
 degree-aware indexing) acts on the period as a map of intrinsic degree
-r - 1.  Schedules of differential ranks are searched exhaustively under the
-composition constraints; a profile is consistent when some schedule makes
-the stable dimensions satisfy the imposed constraints (quantum periodicity,
-or vanishing for displaceable pairs).
+r - 1.  One enumerator lists the rank vectors of a differential on its
+arrows between graded pieces: the degrees of the period for the global
+differential of a page, the degrees of each component for the local action
+differential of a case analysis.  A depth-first search over the pages
+chains the global choices into schedules; a profile is consistent when some
+schedule makes the stable dimensions satisfy the imposed constraints
+(quantum periodicity, or vanishing for displaceable pairs).
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import HypothesisNotMet, SearchSpaceExceeded
 
@@ -52,14 +54,8 @@ def possible_differentials(shape):
     sup = shape.support()
     if not sup:
         return []
-    lo, hi = min(sup), max(sup)
-    out = []
-    r = shape.N
-    while r <= hi - lo + 1:
-        if any(shape.dims.get(d, 0) and shape.dims.get(d + r - 1, 0) for d in sup):
-            out.append(r)
-        r += shape.N
-    return out
+    return [r for r in range(shape.N, sup[-1] - sup[0] + 2, shape.N)
+            if any(shape.dims.get(d + r - 1, 0) for d in sup)]
 
 
 def displaceable_constraints(betti, N):
@@ -71,45 +67,37 @@ def displaceable_constraints(betti, N):
     """
     betti = [int(b) for b in betti]
     dimC = len(betti) - 1
-    total = sum(betti)
-    witness = []
-    if total == 0:
+    if not any(betti):
         return Verdict(kind="ConsistentWithVanishing",
                        witness=(("empty-homology",),))
     if N > dimC + 1:
-        witness.append(("collapse", f"N = {N} > dim C + 1 = {dimC + 1}: no page "
-                        "admits a differential, E^1 = E^infinity != 0"))
-        witness.append(("nonvanishing", "HF = E^infinity != 0 obstructs "
-                        "displaceability"))
-        return Verdict(kind="MustIntersect", witness=tuple(witness))
+        return Verdict(kind="MustIntersect", witness=(
+            ("collapse", f"N = {N} > dim C + 1 = {dimC + 1}: no page admits a "
+             "differential, E^1 = E^infinity != 0"),
+            ("nonvanishing", "HF = E^infinity != 0 obstructs displaceability")))
     if 2 * N > dimC + 1:
-        forced = []
-        for k in range(0, dimC - N + 2):
-            forced.append((k, k + N - 1))
-            if betti[k] != betti[k + N - 1]:
-                witness.append(("violated-iso", k, k + N - 1, betti[k],
-                                betti[k + N - 1]))
-                witness.append(("reason", f"H_{k} = {betti[k]} != "
-                                f"{betti[k + N - 1]} = H_{k + N - 1} but "
-                                "vanishing forces them equal"))
-                return Verdict(kind="MustIntersect", witness=tuple(witness))
+        forced = tuple((k, k + N - 1) for k in range(dimC - N + 2))
+        for k, j in forced:
+            if betti[k] != betti[j]:
+                return Verdict(kind="MustIntersect", witness=(
+                    ("violated-iso", k, j, betti[k], betti[j]),
+                    ("reason", f"H_{k} = {betti[k]} != {betti[j]} = H_{j} but "
+                     "vanishing forces them equal")))
+        # the middle band dim C - N + 2 .. N - 2 lies inside 1 .. dim C - 1
         for k in range(dimC - N + 2, N - 1):
-            if 0 <= k <= dimC and betti[k] != 0:
-                witness.append(("violated-zero", k, betti[k]))
-                witness.append(("reason", f"H_{k} = {betti[k]} != 0 in the "
-                                "middle band"))
-                return Verdict(kind="MustIntersect", witness=tuple(witness))
-        return Verdict(kind="ConsistentWithVanishing",
-                       forced_isos=tuple(forced),
+            if betti[k] != 0:
+                return Verdict(kind="MustIntersect", witness=(
+                    ("violated-zero", k, betti[k]),
+                    ("reason", f"H_{k} = {betti[k]} != 0 in the middle band")))
+        return Verdict(kind="ConsistentWithVanishing", forced_isos=forced,
                        witness=(("pattern-satisfied", N, dimC),))
     # general regime: exhaustive differential-rank search for vanishing
-    shape = PageShape.from_betti(betti, N)
-    ok, trace = vanishing_schedule_exists(shape)
+    ok, trace = vanishing_schedule_exists(PageShape.from_betti(betti, N))
     if ok:
-        return Verdict(kind="ConsistentWithVanishing", witness=tuple(trace))
-    return Verdict(kind="MustIntersect",
-                   witness=(("search-exhausted", "no differential schedule "
-                             "kills all of E^1"),) + tuple(trace))
+        return Verdict(kind="ConsistentWithVanishing", witness=trace)
+    return Verdict(kind="MustIntersect", witness=(
+        ("search-exhausted", "no differential schedule kills all of E^1"),)
+        + trace)
 
 
 def pozniak(betti, N):
@@ -129,43 +117,41 @@ def pozniak(betti, N):
 
 # -- schedules of differential ranks ---------------------------------------------
 
+# nodes of each schedule search of a displaceability verdict, and of each
+# schedule search and local rank enumeration of a case analysis
+_VERDICT_NODE_LIMIT = 200000
+_CASE_NODE_LIMIT = 500000
 
-def _rank_choices(dims, delta):
-    """All rank vectors for one page: maps d -> d + delta, with the
-    composition constraint r_d + r_{d+delta} <= dims[d + delta]."""
-    sup = sorted(dims)
-    pairs = [(d, d + delta) for d in sup if dims.get(d + delta, 0)]
-    if not pairs:
-        return [{}]
-    ranges = []
-    for d, t in pairs:
-        ranges.append(range(0, min(dims[d], dims[t]) + 1))
-    out = []
-    for combo in product(*ranges):
-        r = {d: c for (d, _), c in zip(pairs, combo) if c}
-        ok = True
-        # composition: the image entering degree t and the rank leaving t
-        # cannot exceed dim at t
-        for d, t in pairs:
-            if r.get(d, 0) + r.get(t, 0) > dims[t]:
-                ok = False
+
+def _rank_vectors(arrows, dims):
+    """Rank vectors of maps along ``arrows`` (source, target) between graded
+    pieces, in ``itertools.product`` order: the ranks incident to each piece
+    add up to at most its dimension, a loop counting twice.  Yields each
+    vector with the dimensions it leaves, zeros dropped; ``dims`` holds no
+    zeros, and the zero vector leaves it as it is."""
+    ranks = [0] * len(arrows)
+    yield tuple(ranks), dims
+    rest = dict(dims)
+    while True:
+        # odometer step: raise the last rank that can grow, zero those after it
+        for k in reversed(range(len(arrows))):
+            s, t = arrows[k]
+            rest[s] -= 1
+            rest[t] -= 1
+            if rest[s] >= 0 and rest[t] >= 0:
+                ranks[k] += 1
                 break
-        if ok:
-            out.append(r)
-    return out
+            rest[s] += ranks[k] + 1
+            rest[t] += ranks[k] + 1
+            ranks[k] = 0
+        else:
+            return
+        yield tuple(ranks), {p: v for p, v in rest.items() if v}
 
 
-def _apply_ranks(dims, ranks, delta):
-    out = dict(dims)
-    for d, r in ranks.items():
-        out[d] = out.get(d, 0) - r
-        t = d + delta
-        out[t] = out.get(t, 0) - r
-    return {d: v for d, v in out.items() if v > 0}
-
-
-def _schedules(shape, node_limit=200000):
-    """DFS over schedules of global differentials at pages rbar*N.
+def _schedules(shape, node_limit):
+    """DFS over schedules of global differentials at pages rbar*N: the page-r
+    differential maps degree d to d + r - 1.
 
     Yields (final_dims, trace).  The page cap follows the degree spread:
     beyond it no differential can connect two supported degrees.
@@ -174,58 +160,46 @@ def _schedules(shape, node_limit=200000):
     if not sup:
         yield {}, (("empty",),)
         return
-    spread = max(sup) - min(sup)
-    rmax = (spread + shape.N) // shape.N + 1
-    nodes = [0]
+    rmax = (max(sup) - min(sup) + shape.N) // shape.N + 1
+    nodes = 0
 
     def rec(dims, rbar, trace):
-        nodes[0] += 1
-        if nodes[0] > node_limit:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
             raise SearchSpaceExceeded("schedule search exceeded the node limit",
-                                      nodes=nodes[0])
+                                      nodes=nodes)
         if rbar > rmax:
             yield dims, trace
             return
-        delta = rbar * shape.N - 1
-        choices = _rank_choices(dims, delta)
-        for r in choices:
-            nxt = _apply_ranks(dims, r, delta) if r else dims
-            step = (("page", rbar * shape.N, tuple(sorted(r.items()))),) if r else ()
-            yield from rec(nxt, rbar + 1, trace + step)
+        r = rbar * shape.N
+        arrows = [(d, d + r - 1) for d in sorted(dims) if d + r - 1 in dims]
+        for ranks, rest in _rank_vectors(arrows, dims):
+            step = (("page", r, tuple((d, k) for (d, _), k in zip(arrows, ranks)
+                                      if k)),) if any(ranks) else ()
+            yield from rec(rest, rbar + 1, trace + step)
 
-    seen = set()
-    for dims, trace in rec(dict(shape.dims), 1, ()):
-        key = (tuple(sorted(dims.items())), trace)
-        if key not in seen:
-            seen.add(key)
-            yield dims, trace
+    yield from rec(shape.dims, 1, ())
 
 
 def vanishing_schedule_exists(shape):
     """Is there a schedule of differentials with E^infinity = 0?"""
-    best_trace = []
-    for dims, trace in _schedules(shape):
+    best_trace = ()
+    for dims, trace in _schedules(shape, _VERDICT_NODE_LIMIT):
         if not dims:
             return True, (("vanishing-schedule",),) + trace
         if not best_trace:
-            best_trace = [("best-remaining", tuple(sorted(dims.items())))]
-    return False, tuple(best_trace)
-
-
-def _tower_sums(dims, N):
-    """HF_m = sum over the lambda towers: residue class of m mod N."""
-    out = {}
-    for d, v in dims.items():
-        out[d % N] = out.get(d % N, 0) + v
-    return out
+            best_trace = (("best-remaining", tuple(sorted(dims.items()))),)
+    return False, best_trace
 
 
 def _periodicity_ok(dims, N, period):
-    sums = _tower_sums(dims, N)
-    for m in range(N):
-        if sums.get(m, 0) != sums.get((m + period) % N, 0):
-            return False
-    return True
+    """HF_m sums the lambda towers of the residue class of m mod N; is it
+    periodic with the given period?"""
+    sums = [0] * N
+    for d, v in dims.items():
+        sums[d % N] += v
+    return all(sums[m] == sums[(m + period) % N] for m in range(N))
 
 
 # -- quantum case analysis ----------------------------------------------------------
@@ -233,47 +207,31 @@ def _periodicity_ok(dims, N, period):
 
 def _closed_manifold_profiles(dim, max_rank):
     """Candidate Z2 Betti vectors of a closed connected manifold of the given
-    dimension: b_0 = b_dim = 1 (connectedness, Z2 fundamental class) and
-    Poincare duality b_k = b_{dim-k}."""
+    dimension and total rank at most max_rank, in lexicographic order:
+    b_0 = b_dim = 1 (connectedness, Z2 fundamental class) and Poincare
+    duality b_k = b_{dim-k}."""
     if dim == 0:
         return [(1,)]
-    half = (dim + 1) // 2
     out = []
-    budget = max_rank - 2
 
-    def rec(k, rem, acc):
-        if k >= half:
-            if dim % 2 == 0:
-                # middle Betti free (same parity of total not constrained here)
-                for mid in range(0, rem + 1):
-                    out.append(acc + [mid])
-            else:
-                out.append(acc[:])
+    def rec(head, budget):
+        k = len(head)
+        if k > dim // 2:
+            out.append(tuple(head[min(j, dim - j)] for j in range(dim + 1)))
             return
-        for b in range(0, rem + 1):
-            rec(k + 1, rem - (2 * b), acc + [b])
+        cost = 1 if 2 * k == dim else 2      # the middle Betti number once
+        for b in range(budget // cost + 1):
+            rec(head + [b], budget - cost * b)
 
-    rec(1, budget, [])
-    profiles = []
-    for tail in out:
-        b = [1] + tail
-        if dim % 2 == 0:
-            full = b + [x for x in reversed(b[:-1])]
-        else:
-            full = b + [x for x in reversed(b)]
-        if sum(full) <= max_rank and full[-1] == 1 and len(full) == dim + 1:
-            profiles.append(tuple(full))
-    return sorted(set(profiles))
+    if max_rank >= 2:
+        rec([1], max_rank - 2)
+    return out
 
 
 @dataclass(frozen=True)
 class CaseAnalysisResult:
     profiles: tuple     # tuple of (dim, betti) consistent assignments
     witnesses: dict     # (dim, betti) -> trace
-
-
-# nodes of each schedule search of quantum_case_analysis
-_CASE_NODE_LIMIT = 500000
 
 
 def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None):
@@ -302,102 +260,63 @@ def quantum_case_analysis(components, N, period, max_rank=None, max_dim=None):
         max_dim = unknown["dim"]
     if max_dim is None:
         raise HypothesisNotMet("the unknown component needs a dimension bound")
+    if max_dim < 0:
+        raise HypothesisNotMet(f"dimensions are nonnegative, got {max_dim}",
+                               dim=max_dim)
 
-    consistent = []
     witnesses = {}
-    dims_to_try = [unknown["dim"]] if unknown.get("dim") is not None \
-        else list(range(0, max_dim + 1))
+    dims_to_try = [max_dim] if unknown.get("dim") is not None \
+        else range(max_dim + 1)
     for dim in dims_to_try:
         for betti in _closed_manifold_profiles(dim, max_rank):
-            ok, trace = _profile_consistent(betti, dim, unknown, known, N,
-                                            period)
+            ok, trace = _profile_consistent(betti, unknown, known, N, period)
             if ok:
-                consistent.append((dim, betti))
                 witnesses[(dim, betti)] = trace
-    return CaseAnalysisResult(profiles=tuple(sorted(consistent)),
+    return CaseAnalysisResult(profiles=tuple(sorted(witnesses)),
                               witnesses=witnesses)
 
 
-def _profile_consistent(betti, dim, unknown, known, N, period):
-    mu_u = int(unknown.get("mu", 0))
-    rank_u = int(unknown.get("action_rank", 1))
-    # local page: E^{loc,1} entries per component
-    local_entries = [{"dims": {k + mu_u: b for k, b in enumerate(betti) if b},
-                      "rank": rank_u}]
-    for c in known:
-        dd = {k + int(c.get("mu", 0)): int(b)
-              for k, b in enumerate(c["betti"]) if int(b)}
-        local_entries.append({"dims": dd, "rank": int(c.get("action_rank", 1))})
-
-    # stage 1: local differentials (degree -1, action rank drops by >= 1);
-    # enumerate rank choices between every ordered pair of entries
-    for local_choice, local_trace in _local_schedules(local_entries):
-        # HF^loc support = direct sum of what remains
-        hf_loc = {}
-        for e in local_choice:
-            for d, v in e.items():
-                hf_loc[d] = hf_loc.get(d, 0) + v
-        shape = PageShape(N=N, dims={d: v for d, v in hf_loc.items() if v})
-        for final, trace in _schedules(shape, node_limit=_CASE_NODE_LIMIT):
-            if not _periodicity_ok(final, N, period):
-                continue
-            full_trace = local_trace + trace + \
-                (("stable", tuple(sorted(final.items()))),)
-            return True, full_trace
-    return False, ()
-
-
-def _local_schedules(entries):
-    """Rank choices of the local (action) differential: one page, degree -1,
-    strictly decreasing action rank."""
-    pairs = []
-    for i, e in enumerate(entries):
-        for j, f in enumerate(entries):
-            if e["rank"] > f["rank"]:
-                for d in sorted(e["dims"]):
-                    if f["dims"].get(d - 1, 0):
-                        pairs.append((i, j, d))
-    if not pairs:
-        yield [dict(e["dims"]) for e in entries], ()
-        return
-    ranges = [range(0, min(entries[i]["dims"][d],
-                           entries[j]["dims"].get(d - 1, 0)) + 1)
-              for (i, j, d) in pairs]
-    count = 0
-    for combo in product(*ranges):
-        count += 1
+def _profile_consistent(betti, unknown, known, N, period):
+    """(True, trace) when some local differential and some schedule of global
+    differentials leave a stable page with the quantum periodicity, else
+    (False, ()).  The local differential has degree -1 and runs from a
+    component to one of strictly lower action rank; the unknown component,
+    with the given Betti numbers, is component 0."""
+    comps = [(unknown, betti)] + [(c, c["betti"]) for c in known]
+    rank = [int(c.get("action_rank", 1)) for c, _ in comps]
+    degrees = [{k + int(c.get("mu", 0)): int(b) for k, b in enumerate(bs)
+                if int(b)} for c, bs in comps]
+    pieces = {(i, d): v for i, dd in enumerate(degrees) for d, v in dd.items()}
+    arrows = [((i, d), (j, d - 1))
+              for i, di in enumerate(degrees) for j, dj in enumerate(degrees)
+              if rank[i] > rank[j] for d in sorted(di) if d - 1 in dj]
+    for count, (ranks, rest) in enumerate(_rank_vectors(arrows, pieces), 1):
         if count > _CASE_NODE_LIMIT:
-            raise SearchSpaceExceeded("local schedule enumeration too large")
-        dims = [dict(e["dims"]) for e in entries]
-        ok = True
-        for (i, j, d), r in zip(pairs, combo):
-            if r == 0:
-                continue
-            if dims[i].get(d, 0) < r or dims[j].get(d - 1, 0) < r:
-                ok = False
-                break
-            dims[i][d] -= r
-            dims[j][d - 1] -= r
-        if not ok:
-            continue
-        dims = [{d: v for d, v in e.items() if v > 0} for e in dims]
-        tr = tuple(("local", i, j, d, r)
-                   for (i, j, d), r in zip(pairs, combo) if r)
-        yield dims, tr
+            raise SearchSpaceExceeded("local schedule enumeration too large",
+                                      vectors=count)
+        hf_loc = {}
+        for (_, d), v in rest.items():
+            hf_loc[d] = hf_loc.get(d, 0) + v
+        local = tuple(("local", i, j, d, k)
+                      for ((i, d), (j, _)), k in zip(arrows, ranks) if k)
+        for final, trace in _schedules(PageShape(N=N, dims=hf_loc),
+                                       _CASE_NODE_LIMIT):
+            if _periodicity_ok(final, N, period):
+                return True, local + trace + \
+                    (("stable", tuple(sorted(final.items()))),)
+    return False, ()
 
 
 def two_component_count(component, N, period):
     """Is a single-component intersection consistent with the quantum
-    periodicity?  Returns (consistent, result-or-trace)."""
-    if component.get("betti") is not None:
-        betti = tuple(int(b) for b in component["betti"])
-        shape = PageShape.from_betti(betti, N, offset=int(component.get("mu", 0)))
-        for final, trace in _schedules(shape):
-            if _periodicity_ok(final, N, period):
-                return True, trace
-        return False, (("no-consistent-schedule", betti),)
-    res = quantum_case_analysis([component], N, period)
-    return len(res.profiles) > 0, res
+    periodicity?  Returns (consistent, trace) for known Betti numbers, and
+    (consistent, case analysis) for unknown ones."""
+    if component.get("betti") is None:
+        res = quantum_case_analysis([component], N, period)
+        return len(res.profiles) > 0, res
+    betti = tuple(int(b) for b in component["betti"])
+    ok, trace = _profile_consistent(betti, component, [], N, period)
+    return ok, trace if ok else (("no-consistent-schedule", betti),)
 
 
 def replay_witness(verdict, betti, N):

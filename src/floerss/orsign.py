@@ -213,12 +213,17 @@ def boundary_orient(interior, outward):
 
 def fibre_orient(X, Y, Z, phi, psi):
     """Oriented fibre product X x_Z Y inside R^{X.m} + R^{Y.m}:
-    0 -> X x_Z Y -> X + Y -> Z -> 0 under phi - psi (read in Z through the
-    orthogonal projection onto Z) has sign (-1)^{dim Y dim Z}."""
+    0 -> X x_Z Y -> X + Y -> Z -> 0 under phi - psi has sign
+    (-1)^{dim Y dim Z}.  phi - psi must map X + Y into Z: a residual off Z
+    above _DET_TOL max(1, |(phi - psi) on X + Y|) is refused."""
     M = np.zeros((X.m + Y.m, X.dim + Y.dim))   # X + Y, block by block
     M[:X.m, :X.dim], M[X.m:, X.dim:] = X.matrix(), Y.matrix()
     MZ = Z.matrix()
-    f = MZ @ np.linalg.pinv(MZ) @ np.concatenate([phi, np.negative(psi)], axis=1)
+    g = np.concatenate([phi, np.negative(psi)], axis=1)
+    f = MZ @ np.linalg.pinv(MZ) @ g
+    residual = float(np.linalg.norm((g - f) @ M))
+    if residual > _DET_TOL * max(1.0, np.linalg.norm(g @ M)):
+        raise NotSubspace("phi - psi maps X + Y outside Z", residual=residual)
     K = _kernel(f @ M)
     if K.shape[1] != X.dim + Y.dim - Z.dim:
         raise NotTransverse("phi - psi is not surjective onto Z")

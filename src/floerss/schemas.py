@@ -275,15 +275,20 @@ def parse_intersection(doc):
         raise SchemaError(f"{where}: N must be a positive integer", path=where,
                           found=N)
     comps = []
-    for c in _need(doc, "components", where):
-        dim, betti = c.get("dim"), c.get("betti")
-        comps.append({
-            "name": _need(c, "name", where),
-            "dim": None if dim is None else int(dim),
-            "betti": None if betti is None else [int(b) for b in betti],
-            "mu": int(c.get("mu", 0)),
-            "action_rank": int(c.get("action_rank", 1)),
-        })
+    for i, c in enumerate(_need(doc, "components", where)):
+        at = f"{where}.components[{i}]"
+        dim = None if c.get("dim") is None else int(c["dim"])
+        betti = None if c.get("betti") is None else [int(b) for b in c["betti"]]
+        found = {"dim": dim, "betti": betti}
+        if (dim or 0) < 0 or min(betti or [0]) < 0:
+            raise SchemaError(f"{at}: dim and Betti numbers must be nonnegative",
+                              path=at, found=found)
+        if dim is not None and betti is not None and len(betti) != dim + 1:
+            raise SchemaError(f"{at}: dim {dim} needs {dim + 1} Betti numbers, "
+                              f"got {len(betti)}", path=at, found=found)
+        comps.append({"name": _need(c, "name", at), "dim": dim, "betti": betti,
+                      "mu": int(c.get("mu", 0)),
+                      "action_rank": int(c.get("action_rank", 1))})
     if not comps:
         raise SchemaError(f"{where}: needs at least one component", path=where)
     period = doc.get("period")

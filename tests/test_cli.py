@@ -1153,3 +1153,21 @@ def test_quantum_cases_search_limit(tmp_path, capsys, monkeypatch, comps,
     refusal = json.loads(err)
     assert (refusal["error"], refusal["message"]) == (
         "SearchSpaceExceeded", message)
+
+
+@pytest.mark.parametrize("cmd,comp", [
+    ("displace-check", {"name": "C", "dim": 1, "betti": [1, -1]}),
+    ("quantum-cases", {"name": "C", "dim": -1}),
+    ("pozniak", {"name": "C", "dim": 2, "betti": [1, 1]})])
+def test_impossible_components_are_refused(tmp_path, capsys, cmd, comp):
+    # a negative Betti number used to read as empty homology, a negative dim
+    # as no profile at all, and pozniak took dim C from len(betti) alone
+    p = tmp_path / "intersection.json"
+    p.write_text(json.dumps({"schema": "floerss/1", "kind": "intersection",
+                             "N": 4, "period": 2, "components": [comp]}))
+    code, out, err = run_cli([cmd, str(p), "--json"], capsys)
+    assert (code, out) == (2, "")
+    refusal = json.loads(err)
+    assert refusal["error"] == "SchemaError"
+    assert refusal["path"] == "intersection.components[0]"
+    assert refusal["found"] == {"dim": comp["dim"], "betti": comp.get("betti")}

@@ -181,3 +181,16 @@ def test_case_analysis_search_limits(monkeypatch, comps, limit, message):
     monkeypatch.setattr(ob, "_CASE_NODE_LIMIT", limit)
     with pytest.raises(SearchSpaceExceeded, match=message):
         ob.quantum_case_analysis(comps, N=4, period=2)
+
+
+@pytest.mark.parametrize("dim,max_dim", [(-1, None), (None, -1)])
+def test_case_analysis_refuses_a_negative_dimension(dim, max_dim):
+    comps = [{"name": "C", "dim": dim, "betti": None}]
+    with pytest.raises(HypothesisNotMet):
+        ob.quantum_case_analysis(comps, N=4, period=2, max_dim=max_dim)
+
+
+def test_verdict_search_limit(monkeypatch):
+    monkeypatch.setattr(ob, "_VERDICT_NODE_LIMIT", 1)
+    with pytest.raises(SearchSpaceExceeded, match="node limit"):
+        ob.displaceable_constraints([1, 3, 3, 1], 2)

@@ -124,6 +124,17 @@ def test_fibre_not_transverse():
         osn.fibre_orient(X, Y, Z, np.eye(2), np.eye(2))
 
 
+def test_fibre_refuses_a_map_leaving_the_target():
+    # -psi sends E2 off the line Z; it used to be projected onto Z
+    X, Y, Z = B(2, [E1]), B(2, [E2]), B(2, [E1])
+    with pytest.raises(NotSubspace) as exc:
+        osn.fibre_orient(X, Y, Z, np.eye(2), np.eye(2))
+    assert exc.value.payload["residual"] == pytest.approx(1.0)
+    # a map into Z on X + Y is answered, whatever it does off X + Y
+    W = osn.fibre_orient(X, Y, Z, np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert W.dim == 1
+
+
 def test_cap_fibre_compatibility():
     rng = make_rng(74)
     trials = 0
@@ -260,8 +271,8 @@ def boundary_case(rng):
 
 
 def fibre_case(rng):
-    """(X, Y, Z, phi, psi): maps into Z, random maps read in Z, or rank-one
-    maps (not transverse once dim Z > 1)."""
+    """(X, Y, Z, phi, psi): maps into Z, random maps (refused where they
+    leave Z on X + Y), or rank-one maps (not transverse once dim Z > 1)."""
     mx, my, mz = (int(m) for m in rng.integers(1, 4, 3))
     dx, dy, dz = (int(rng.integers(0, m + 1)) for m in (mx, my, mz))
     X, Y = _space(rng, rng.standard_normal((mx, dx))), \
@@ -353,17 +364,17 @@ RECORDED = {
         "0- 0+ D D D 2- 2- 1- D 1- M 1+ 1+ 0- 2+ 0- M 0- 1- 0+ 0- 0+ 2- 2- "
         "D 1- 0- D 0+ 1- 0+ 0-")),
     "fibre_orient": (2312, (
-        "1+ 0+ 1+ 0+ 1- T 0- 0+ 1+ 0- 4- T 2+ 1+ 0+ T 2- 1- 4- 0- 0- 1+ 5- "
-        "T 4+ 2- T 1- 2- 1+ 4- 1- 2- 0- T 4+ 1+ 3- 0+ 0- 1- 1- 0- 0- 2+ 4+ "
-        "1- 3- 2+ 1+ 1+ 3- 0+ 2- T 0- T 2+ 2- 5- 0+ 1+ T 2+ T T 1+ 1- 3- 2- "
-        "2+ 0+ T 1- 4+ T 2+ 1- 2- T T 0+ 4- 1- 2- 3- 3- 0+ T 1- 0- 3- 1- T "
-        "0+ 1- 2+ T 1- 0- 2- 3- 0+ 3+ 3+ 3- 2+ 5- 0- 1+ 4- 4- 0+ T T 5+ 3+ "
-        "T 2+ 2- 1+ 0- T 1+ 3- 3+ T 1+ 3- 2- 0- T 1+ 3+ 2+ 1+ 0- 0+ 1- T 5+ "
-        "T 5+ 1- 1+ 3- 0+ 3+ 1+ 0- T 4- 1+ 2+ 1+ 1- T 0+ 2+ 0- T T 0- T 1+ "
-        "3+ T 2+ 0+ 0+ 1+ 0+ 0+ 2+ 0+ T 1+ T 2+ T 4- 0- 2- 3+ 5- T 2+ 1- 3- "
-        "3- 1- 2- 2- 0- 1- 3- 2+ 2+ 0+ 1- 1- 3+ T 0+ 4+ 1- T T 0- 0+ 4- T "
-        "1+ 1+ 0- 0+ 1- T 0- 0- 0+ 1- 3- 4+ 3+ 2+ 0- 0- 3- 0+ 1+ 2+ 1- 4- "
-        "1+ 2- 2- 0- 0- 1-")),
+        "1+ 0+ S S 1- T 0- 0+ S 0- 4- T 2+ 1+ 0+ T 2- 1- 4- 0- 0- S 5- "
+        "T 4+ 2- T 1- 2- 1+ 4- S S S T 4+ 1+ 3- 0+ 0- 1- 1- 0- 0- S 4+ "
+        "S S 2+ 1+ S S 0+ S T 0- T 2+ 2- 5- 0+ 1+ T S T T 1+ 1- 3- 2- "
+        "2+ 0+ T 1- 4+ T 2+ 1- 2- T T 0+ 4- 1- S 3- 3- 0+ T 1- S 3- S T "
+        "0+ 1- 2+ T 1- 0- S 3- 0+ 3+ S 3- 2+ S 0- S 4- S 0+ T T S 3+ "
+        "T 2+ 2- S S T 1+ S 3+ S 1+ S S 0- T 1+ 3+ 2+ 1+ 0- 0+ S T S "
+        "T 5+ 1- 1+ 3- 0+ 3+ 1+ 0- T 4- S 2+ 1+ 1- T 0+ S S T T 0- T 1+ "
+        "S T S S 0+ 1+ 0+ 0+ 2+ 0+ T 1+ T 2+ T 4- 0- S S S T 2+ 1- S "
+        "S 1- 2- S 0- 1- S 2+ S 0+ 1- 1- S T 0+ 4+ 1- T T 0- 0+ S S "
+        "1+ 1+ 0- S 1- T 0- 0- 0+ 1- S S S S S 0- 3- 0+ 1+ 2+ 1- 4- "
+        "S 2- 2- 0- 0- 1-")),
     "cap_orient": (2313, (
         "0+ 0+ 0- 0- 1- 1+ 2+ 0- 0+ 0+ 0+ 0- 3+ 0- 0+ 0- 0+ 1- 0+ 0+ 0- 0+ "
         "0- 1+ 0- 0+ 0+ 0+ 2- 1- 1- 2+ 1+ 0- 0- 1- 0- 0+ 0- 2- 1- 0- 1+ 3+ "
